@@ -75,7 +75,7 @@ class QuantLayerState:
     """Per-layer carrier for a binarized layer's tensors.
 
     Keeps the full-precision weights alongside the cached preprocessed and
-    binarized views plus the composed gradient registered for the optimizer.
+    binarized views.
     """
 
     layer_index: int
@@ -83,7 +83,6 @@ class QuantLayerState:
     w_hat: np.ndarray = field(default=None)
     w_b: np.ndarray = field(default=None)
     da_dw: np.ndarray = field(default=None)
-    registered_grad: np.ndarray = field(default=None)
 
     def refresh(self, k: int = 1) -> None:
         """Recompute w_hat, w_b, da_dw from the current weights."""

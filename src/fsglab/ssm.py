@@ -13,11 +13,13 @@ The discrete system is the linear recurrence
 
 which for time-invariant parameters is also the causal convolution of x with
 the kernel (C b_bar, C a_bar b_bar, ..., C a_bar^{L-1} b_bar).  `ssm_scan` is
-the plain sequential reference; `linear_recurrence` is the fast path used by
-the slow hypernetwork: it processes the sequence in chunks, replacing the
-per-step product of decays with cumulative sums in log space (safe because
-the decays enter as exp(log_decay) with log_decay <= 0 for stable systems;
-chunks whose log range would overflow fall back to stepping).
+the plain sequential reference; `linear_recurrence` is the chunked form used
+by the slow hypernetwork's reference block: it processes the sequence in
+chunks, replacing the per-step product of decays with cumulative sums in log
+space (safe because the decays enter as exp(log_decay) with log_decay <= 0
+for stable systems; chunks whose log range would overflow fall back to
+stepping).  `chunk_plan` holds that guard; the streaming slow block in
+`hypernet` applies the same one.
 """
 
 from __future__ import annotations
@@ -147,7 +149,21 @@ def ssm_conv(a_bar, b_bar, c, x):
     return y[:, 0] if squeeze else y
 
 
-# -- fast chunked recurrence (used by the slow hypernetwork) ----------------
+# -- chunked recurrence (the slow hypernetwork's reference block) -----------
+
+
+def chunk_plan(amax: float, chunk: int):
+    """(chunk, step) for a chunked scan whose decays satisfy |log_decay| <= amax.
+
+    The chunk is capped so |cumsum(log_decay)| stays below the exp overflow
+    range.  Above half that range the factored form cannot help, and the
+    scan steps token by token instead (exp saturates safely).
+    """
+    if amax > 0.5 * _CHUNK_LOG_LIMIT:
+        return 1, True
+    if amax * chunk > _CHUNK_LOG_LIMIT:
+        chunk = max(1, int(_CHUNK_LOG_LIMIT / amax))
+    return chunk, False
 
 
 def linear_recurrence(log_decay, inp, chunk: int = 128):
@@ -165,16 +181,12 @@ def linear_recurrence(log_decay, inp, chunk: int = 128):
     total = ld.shape[0]
     out = np.empty_like(v)
     h_prev = np.zeros(v.shape[1:], dtype=DTYPE)
-    # cap the chunk so |cumsum(ld)| stays below the exp overflow range
-    amax = float(np.max(np.abs(ld))) if ld.size else 0.0
-    if amax > 0.5 * _CHUNK_LOG_LIMIT:
-        # factored form cannot help; step directly (exp saturates safely)
+    chunk, step = chunk_plan(float(np.max(np.abs(ld))) if ld.size else 0.0, chunk)
+    if step:
         for t in range(total):
             h_prev = np.exp(ld[t]) * h_prev + v[t]
             out[t] = h_prev
         return out
-    if amax * chunk > _CHUNK_LOG_LIMIT:
-        chunk = max(1, int(_CHUNK_LOG_LIMIT / amax))
     for start in range(0, total, chunk):
         end = min(start + chunk, total)
         s = np.cumsum(ld[start:end], axis=0)

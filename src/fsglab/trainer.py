@@ -333,7 +333,6 @@ class SteTrainer(_TrainerBase):
             i = int(name.split(".")[0][5:])
             if i in self.bin_indices:
                 g = ste_backward(grads[name]) * da[i]
-                self.quant_states[i].registered_grad = g
             else:
                 g = grads[name]
             self._base_update(name, arr, g, lr)
@@ -486,10 +485,7 @@ class FsgTrainer(_TrainerBase):
             if i in self.bin_indices:
                 entry = result["per_layer"][i]
                 st = self.quant_states[i]
-                if it == 1:
-                    pass  # no generated gradient yet: binarized weights hold still
-                else:
-                    st.registered_grad = entry["g_fsg"]
+                if it > 1:  # before that no generated gradient exists: weights hold still
                     self._base_update(name, arr, entry["g_fsg"], lr)
                 st.w_hat, st.da_dw = entry["w_hat_t"], entry["da_t"]
                 st.w_b = entry["w_eff"]

@@ -89,6 +89,36 @@ class TestFastBackward:
         _, g_g, _ = fast_backward(np.array([[3.0]]), np.array([[0.0]]), p, cot)
         assert abs(g_g[0, 0] - a * 2.0) < 1e-12
 
+    @pytest.mark.parametrize("hidden", [1, 5, 100])
+    def test_matches_hidden_width_form(self, hidden):
+        # the O(P) collapse against the stack evaluated H wide
+        p = FastNetParams.init(Rng(hidden), hidden=hidden)
+        rng = Rng(200 + hidden)
+        for _, arr in p.named_arrays():
+            arr[...] = rng.normals(arr.shape) / np.sqrt(hidden)
+        g, wh, cot = rng.normals((7, 9)), rng.normals((7, 9)), rng.normals((7, 9))
+        pairs = np.stack([g.ravel(), wh.ravel()], axis=1)
+        h1 = pairs @ p.m1 + p.b1
+        h2 = h1 @ p.m2 + p.b2
+        out = h2 @ p.m3 + p.b3
+        co = cot.reshape(-1, 1)
+        g_h2 = co @ p.m3.T
+        g_h1 = g_h2 @ p.m2.T
+        g_pairs = g_h1 @ p.m1.T
+        expect = {
+            "fast.m3": h2.T @ co, "fast.b3": co.sum(axis=0),
+            "fast.m2": h1.T @ g_h2, "fast.b2": g_h2.sum(axis=0),
+            "fast.m1": pairs.T @ g_h1, "fast.b1": g_h1.sum(axis=0),
+        }
+        grads, g_g, g_wh = fast_backward(g, wh, p, cot)
+        got = dict(grads, out=fast_forward(g, wh, p), g_g=g_g, g_wh=g_wh)
+        expect.update(out=out[:, 0].reshape(g.shape), g_g=g_pairs[:, 0].reshape(g.shape),
+                      g_wh=g_pairs[:, 1].reshape(g.shape))
+        assert sorted(grads) == sorted(name for name, _ in p.named_arrays())
+        for name, ref in expect.items():
+            assert got[name].shape == ref.shape, name
+            assert np.max(np.abs(got[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
     @pytest.mark.parametrize("seed", range(3))
     def test_finite_differences_all_params(self, seed):
         p = FastNetParams.init(Rng(seed), hidden=5)
