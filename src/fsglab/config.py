@@ -6,19 +6,21 @@ Unknown keys are rejected.  `save_config` emits the canonical form (sorted
 keys, shortest round-tripping float repr), so load -> save -> load is the
 identity and the canonical bytes are stable enough to hash.
 
-An empty file is a valid config: every field has a default.  Defaults
-follow the experiment-setup table this lab is derived from (beta = 0.3,
-history length l = 6, hyper optimizer Adam at 1e-3, learning-rate decay x0.1
-every 30 epochs).
+An empty file is a valid config: every field has a default.  The train
+settings, their defaults, types and checks are those of `TrainConfig`; its
+nested dataclasses give the dotted `base_optimizer.*` and `lr_decay.*` keys.
+Only the run-level keys (method, dataset, model, output, bench) are listed
+here.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
-from .trainer import LrDecay, OptimizerConfig, TrainConfig
+from .trainer import TrainConfig
 
 _DEFAULT_LAYERS = [
     "dense:2:32", "bias:32", "relu",
@@ -26,34 +28,25 @@ _DEFAULT_LAYERS = [
     "dense:32:2", "bias:2",
 ]
 
+_TAGS = {int: "int", float: "float", str: "str", bool: "bool"}
+
+
+def _flatten(obj, prefix: str = "") -> dict:
+    """Dotted key -> value of every leaf field of a (nested) dataclass."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(_flatten(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
 # key -> (type tag, default); type tags: int, float, str, bool, list
-_SCHEMA = {
+_SCHEMA = {key: (_TAGS[type(v)], v) for key, v in _flatten(TrainConfig()).items()}
+_SCHEMA.update({
     "method": ("str", "fsg"),
-    "alpha": ("float", 1.0),
-    "beta": ("float", 0.3),
-    "l": ("int", 6),
-    "hyper_lr": ("float", 1e-3),
-    "epochs": ("int", 100),
-    "batch_size": ("int", 64),
-    "seed": ("int", 0),
-    "slow_kind": ("str", "selective-ssm"),
-    "fast_kind": ("str", "mlp"),
-    "bit_width": ("int", 1),
-    "fast_hidden": ("int", 100),
-    "token_dim": ("int", 16),
-    "state_dim": ("int", 8),
-    "expand": ("int", 2),
-    "scan_chunk": ("int", 128),
-    "history_source": ("str", "raw"),
-    "record_timing": ("bool", False),
-    "base_optimizer.kind": ("str", "adam"),
-    "base_optimizer.lr": ("float", 1e-3),
-    "base_optimizer.momentum": ("float", 0.0),
-    "base_optimizer.beta1": ("float", 0.9),
-    "base_optimizer.beta2": ("float", 0.999),
-    "base_optimizer.eps": ("float", 1e-8),
-    "lr_decay.every": ("int", 30),
-    "lr_decay.factor": ("float", 0.1),
     "dataset.kind": ("str", "spirals"),
     "dataset.classes": ("int", 2),
     "dataset.n_per_class": ("int", 200),
@@ -76,14 +69,10 @@ _SCHEMA = {
     "bench.omega": ("float", 0.8),
     "bench.theta": ("float", 1.25),
     "bench.components": ("int", 64),
-}
+})
 
 _ENUMS = {
     "method": ("fsg", "ste"),
-    "slow_kind": ("selective-ssm", "lstm", "off"),
-    "fast_kind": ("mlp", "identity", "off"),
-    "history_source": ("raw", "composed"),
-    "base_optimizer.kind": ("sgd", "adam"),
     "dataset.kind": ("blobs", "spirals", "idx"),
 }
 
@@ -101,22 +90,11 @@ class RunConfig:
         return self.values[key]
 
     def to_train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            alpha=v["alpha"], beta=v["beta"], l=v["l"],
-            base_optimizer=OptimizerConfig(
-                kind=v["base_optimizer.kind"], lr=v["base_optimizer.lr"],
-                momentum=v["base_optimizer.momentum"], beta1=v["base_optimizer.beta1"],
-                beta2=v["base_optimizer.beta2"], eps=v["base_optimizer.eps"],
-            ),
-            hyper_lr=v["hyper_lr"], epochs=v["epochs"], batch_size=v["batch_size"],
-            lr_decay=LrDecay(every=v["lr_decay.every"], factor=v["lr_decay.factor"]),
-            seed=v["seed"], slow_kind=v["slow_kind"], fast_kind=v["fast_kind"],
-            bit_width=v["bit_width"], fast_hidden=v["fast_hidden"],
-            token_dim=v["token_dim"], state_dim=v["state_dim"], expand=v["expand"],
-            scan_chunk=v["scan_chunk"], history_source=v["history_source"],
-            record_timing=v["record_timing"],
-        )
+        tc = TrainConfig()
+        for key in _flatten(tc):
+            *path, name = key.split(".")
+            setattr(functools.reduce(getattr, path, tc), name, self.values[key])
+        return tc
 
 
 def _parse_value(key: str, raw: str, lineno: int, col: int):
@@ -144,26 +122,6 @@ def _parse_value(key: str, raw: str, lineno: int, col: int):
         ) from None
 
 
-def _validate(values: dict) -> None:
-    if values["l"] < 1:
-        raise ConfigError(f"field 'l' must be >= 1, got {values['l']}")
-    if values["base_optimizer.lr"] <= 0:
-        raise ConfigError(
-            f"field 'base_optimizer.lr' must be positive, got {values['base_optimizer.lr']}"
-        )
-    if not 0.0 <= values["beta"] <= 1.0:
-        raise ConfigError(f"field 'beta' must be in [0, 1], got {values['beta']}")
-    if values["epochs"] < 1:
-        raise ConfigError(f"field 'epochs' must be >= 1, got {values['epochs']}")
-    if values["batch_size"] < 1:
-        raise ConfigError(f"field 'batch_size' must be >= 1, got {values['batch_size']}")
-    for key, allowed in _ENUMS.items():
-        if values[key] not in allowed:
-            raise ConfigError(
-                f"field {key!r} must be one of {allowed}, got {values[key]!r}"
-            )
-
-
 def loads_config(text: str) -> RunConfig:
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -183,7 +141,10 @@ def loads_config(text: str) -> RunConfig:
         col = line.index("=") + 2
         values[key] = _parse_value(key, raw, lineno, col)
     cfg = RunConfig(values)
-    _validate(cfg.values)
+    for key, allowed in _ENUMS.items():
+        if cfg[key] not in allowed:
+            raise ConfigError(f"field {key!r} must be one of {allowed}, got {cfg[key]!r}")
+    cfg.to_train_config().validate()
     return cfg
 
 

@@ -58,10 +58,3 @@ class GradientHistoryBuffer:
         self.clear()
         for row in np.asarray(stacked, dtype=DTYPE).reshape(-1, self.xi):
             self.push(row)
-
-    def dump_csv(self, path) -> None:
-        """Debug dump: one row per stored step, columns are flat indices."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"g{i}" for i in range(self.xi)) + "\n")
-            for entry in self._entries:
-                fh.write(",".join(repr(float(v)) for v in entry) + "\n")

@@ -719,16 +719,6 @@ def _lstm_block_backward(g_out: np.ndarray, p: LstmParams, cache, grads):
     return g_tokens
 
 
-def lstm_slow_forward(layer_index: int, history, bundle: HyperNetBundle, out_shape):
-    """Convenience wrapper; bundle.slow_kind must be 'lstm'."""
-    return slow_forward(layer_index, history, bundle, out_shape)
-
-
-def lstm_slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
-                       cotangent):
-    return slow_backward(layer_index, history, bundle, out_shape, cotangent)
-
-
 # ---------------------------------------------------------------------------
 # selective parameter inspection (exposed for tests / analysis)
 # ---------------------------------------------------------------------------

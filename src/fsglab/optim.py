@@ -45,6 +45,17 @@ class OptimizerState:
             out.append((f"{prefix}.{name}.count", np.asarray([self.counts[name]], dtype=DTYPE)))
         return out
 
+    def load_named_arrays(self, arrays: dict, prefix: str = "opt") -> None:
+        """Inverse of `named_arrays`: replace this state by the `prefix.*` arrays."""
+        self.slots, self.counts = {}, {}
+        for key, arr in arrays.items():
+            if key.startswith(prefix + "."):
+                name, slot_key = key[len(prefix) + 1:].rsplit(".", 1)
+                if slot_key == "count":
+                    self.counts[name] = int(arr[0])
+                else:
+                    self.slots.setdefault(name, {})[slot_key] = arr.copy()
+
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
     params -= lr * grad

@@ -40,17 +40,20 @@ dA/dW), or the composed G when cfg.history_source == "composed".
 from __future__ import annotations
 
 import hashlib
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DivergenceError
+from .errors import ConfigError, ContractError, DimensionError, DivergenceError, FormatError
 from .history import GradientHistoryBuffer
 from .hypernet import (
     HyperNetBundle,
     fast_backward,
     fast_forward,
+    load_arrays,
+    save_arrays,
     slow_backward,
     slow_forward_cached,
 )
@@ -61,9 +64,19 @@ from .rng import Rng
 from .tensor import DTYPE, softmax_cross_entropy
 
 
+_AT_LEAST_ONE = ("l", "epochs", "batch_size", "bit_width", "fast_hidden",
+                 "token_dim", "state_dim", "expand", "scan_chunk")
+_ENUMS = {
+    "slow_kind": ("selective-ssm", "lstm", "off"),
+    "fast_kind": ("mlp", "identity", "off"),
+    "history_source": ("raw", "composed"),
+    "base_optimizer.kind": ("sgd", "adam"),
+}
+
+
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"  # sgd | adam
+    kind: str = "adam"
     lr: float = 1e-3
     momentum: float = 0.0
     beta1: float = 0.9
@@ -79,6 +92,9 @@ class LrDecay:
 
 @dataclass
 class TrainConfig:
+    """Every train setting; each leaf field is a config key (nested ones dotted).
+    Defaults follow the experiment-setup table this lab is derived from."""
+
     alpha: float = 1.0
     beta: float = 0.3
     l: int = 6
@@ -88,30 +104,33 @@ class TrainConfig:
     batch_size: int = 64
     lr_decay: LrDecay = field(default_factory=LrDecay)
     seed: int = 0
-    slow_kind: str = "selective-ssm"  # selective-ssm | lstm | off
-    fast_kind: str = "mlp"  # mlp | identity | off
+    slow_kind: str = "selective-ssm"
+    fast_kind: str = "mlp"
     bit_width: int = 1
     fast_hidden: int = 100
     token_dim: int = 16
     state_dim: int = 8
     expand: int = 2
     scan_chunk: int = 128
-    history_source: str = "raw"  # raw | composed
+    history_source: str = "raw"
     record_timing: bool = False
 
     def validate(self) -> None:
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
+        """The one check of the train settings; raises ConfigError naming the field."""
+        def fail(key, problem):
+            raise ConfigError(f"field {key!r}: {problem}")
+
+        for key in _AT_LEAST_ONE:
+            if getattr(self, key) < 1:
+                fail(key, f"{key} must be >= 1, got {getattr(self, key)}")
         if self.base_optimizer.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.base_optimizer.lr}")
+            fail("base_optimizer.lr", f"lr must be > 0, got {self.base_optimizer.lr}")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.slow_kind not in ("selective-ssm", "lstm", "off"):
-            raise ValueError(f"unknown slow_kind {self.slow_kind!r}")
-        if self.fast_kind not in ("mlp", "identity", "off"):
-            raise ValueError(f"unknown fast_kind {self.fast_kind!r}")
-        if self.history_source not in ("raw", "composed"):
-            raise ValueError(f"unknown history_source {self.history_source!r}")
+            fail("beta", f"beta must be in [0, 1], got {self.beta}")
+        for key, allowed in _ENUMS.items():
+            value = operator.attrgetter(key)(self)
+            if value not in allowed:
+                fail(key, f"{key} must be one of {allowed}, got {value!r}")
 
 
 @dataclass
@@ -155,6 +174,22 @@ def compose_gradient(g_fast, g_slow, da_dw, alpha: float, beta: float) -> np.nda
     return out
 
 
+def _layer_index(param_name: str) -> int:
+    """Model layer index of a parameter name `layer{i}.{w|b}`."""
+    return int(param_name.split(".")[0][5:])
+
+
+def _restore_params(named_params, arrays: dict) -> None:
+    """Copy checkpoint arrays into live parameters of exactly the same shape."""
+    for name, arr in named_params:
+        if name not in arrays:
+            raise FormatError(f"checkpoint lacks array {name!r} of shape {arr.shape}")
+        if arrays[name].shape != arr.shape:
+            raise FormatError(f"checkpoint array {name!r} has shape "
+                              f"{arrays[name].shape}, expected {arr.shape}")
+        arr[...] = arrays[name]
+
+
 class _TrainerBase:
     """Shared batching, optimizer plumbing and evaluation."""
 
@@ -191,11 +226,9 @@ class _TrainerBase:
                 sgd_momentum_step(params, grad, self.base_state, name, lr, opt.momentum)
             else:
                 sgd_step(params, grad, lr)
-        elif opt.kind == "adam":
+        else:
             adam_step(params, grad, self.base_state, name, lr,
                       opt.beta1, opt.beta2, opt.eps)
-        else:
-            raise ValueError(f"unknown base optimizer {opt.kind!r}")
 
     # -- data plumbing -------------------------------------------------------
 
@@ -214,7 +247,7 @@ class _TrainerBase:
             return
         snap = {f"layer{i}.w_eff": w.copy() for i, w in overrides.items()}
         for name, arr in self.model.named_params():
-            i = int(name.split(".")[0][5:])
+            i = _layer_index(name)
             if i not in overrides:
                 snap[name] = arr.copy()
         self.forward_trace.append((self.iteration + 1, loss, snap))
@@ -285,26 +318,14 @@ class _TrainerBase:
 
     def save_checkpoint(self, path) -> None:
         """Model + optimizer state (+ hypernets/buffers in subclasses) as npz."""
-        from .hypernet import save_arrays
-
         save_arrays(path, self._checkpoint_arrays())
 
     def load_checkpoint(self, path) -> None:
-        from .hypernet import load_arrays
-
-        arrays = load_arrays(path)
-        self._restore_arrays(arrays)
+        self._restore_arrays(load_arrays(path))
 
     def _restore_arrays(self, arrays: dict) -> None:
-        for name, arr in self.model.named_params():
-            arr[...] = arrays[name]
-        for key, val in arrays.items():
-            if key.startswith("base.") and key.endswith((".m", ".v", ".velocity")):
-                parts = key.split(".")
-                pname, slot_key = ".".join(parts[1:-1]), parts[-1]
-                self.base_state.slots.setdefault(pname, {})[slot_key] = val.copy()
-            elif key.startswith("base.") and key.endswith(".count"):
-                self.base_state.counts[".".join(key.split(".")[1:-1])] = int(val[0])
+        _restore_params(self.model.named_params(), arrays)
+        self.base_state.load_named_arrays(arrays, "base")
         self.iteration = int(arrays["meta.iteration"][0])
         self.epoch = int(arrays["meta.epoch"][0])
         self.data_rng.set_state(int(arrays["meta.data_rng_state"][0]))
@@ -330,7 +351,7 @@ class SteTrainer(_TrainerBase):
         self._record_forward(loss, overrides)
         _, grads = self.model.backward(g_logits, caches)
         for name, arr in self.model.named_params():
-            i = int(name.split(".")[0][5:])
+            i = _layer_index(name)
             if i in self.bin_indices:
                 g = ste_backward(grads[name]) * da[i]
             else:
@@ -481,7 +502,7 @@ class FsgTrainer(_TrainerBase):
                     adam_step(arr, result["hyper_grads"][name], self.hyper_state,
                               name, cfg.hyper_lr)
         for name, arr in self.model.named_params():
-            i = int(name.split(".")[0][5:])
+            i = _layer_index(name)
             if i in self.bin_indices:
                 entry = result["per_layer"][i]
                 st = self.quant_states[i]
@@ -519,15 +540,8 @@ class FsgTrainer(_TrainerBase):
 
     def _restore_arrays(self, arrays: dict) -> None:
         super()._restore_arrays(arrays)
-        for name, arr in self.bundle.named_params():
-            arr[...] = arrays[name]
-        for key, val in arrays.items():
-            if key.startswith("hyper.") and key.endswith((".m", ".v")):
-                parts = key.split(".")
-                pname, slot_key = ".".join(parts[1:-1]), parts[-1]
-                self.hyper_state.slots.setdefault(pname, {})[slot_key] = val.copy()
-            elif key.startswith("hyper.") and key.endswith(".count"):
-                self.hyper_state.counts[".".join(key.split(".")[1:-1])] = int(val[0])
+        _restore_params(self.bundle.named_params(), arrays)
+        self.hyper_state.load_named_arrays(arrays, "hyper")
         for i in self.bin_indices:
             if f"history.layer{i}" in arrays:
                 self.buffers[i].load(arrays[f"history.layer{i}"])

@@ -2,6 +2,7 @@ import pytest
 
 from fsglab.config import (
     RunConfig,
+    _flatten,
     config_hash,
     dumps_config,
     load_config,
@@ -75,6 +76,17 @@ def test_duplicate_key_rejected():
         loads_config("beta = 0.5\nbeta = 0.6\n")
 
 
+@pytest.mark.parametrize("text", [
+    *(f"{key} = 0" for key in ("scan_chunk", "token_dim", "state_dim", "expand",
+                               "fast_hidden", "bit_width")),
+    "scan_chunk = -5",
+])
+def test_nonpositive_size_names_field(text):
+    key = text.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        loads_config(text)
+
+
 def test_enum_validation():
     with pytest.raises(ConfigError, match="slow_kind"):
         loads_config("slow_kind = transformer\n")
@@ -93,6 +105,21 @@ def test_to_train_config_carries_fields():
     assert tc.l == 5
     assert tc.hyper_lr == 0.01
     tc.validate()
+
+
+def test_to_train_config_carries_every_train_key():
+    cfg = loads_config("base_optimizer.momentum = 0.5\nlr_decay.every = 7\n"
+                       "scan_chunk = 16\nrecord_timing = true\n")
+    flat = _flatten(cfg.to_train_config())
+    assert flat == {key: cfg[key] for key in flat}
+    assert flat["lr_decay.every"] == 7 and flat["record_timing"] is True
+
+
+def test_config_hash_pinned():
+    assert config_hash(loads_config("")) == (
+        "35877688f73c81b94ca0ed8c6dbae0e7cf9f10751375c34b1fae89094d34f07c")
+    assert config_hash(loads_config("beta = 0.5\nl = 4\nbase_optimizer.kind = sgd")) == (
+        "eb067d9d0f6044d53f2efd49e9c95e8c483f7a98ea84fc42fa54d92143dac506")
 
 
 def test_runconfig_defaults_are_isolated():

@@ -83,14 +83,3 @@ def test_load_round_trip():
     buf.load(stacked)
     assert np.array_equal(buf.window(), [1.0, 2.0, 3.0, 4.0])
 
-
-def test_csv_dump(tmp_path):
-    buf = GradientHistoryBuffer(0, 2, capacity=2)
-    buf.push(np.array([0.5, -1.5]))
-    buf.push(np.array([2.5, 3.5]))
-    path = tmp_path / "hist.csv"
-    buf.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "g0,g1"
-    assert lines[1] == "0.5,-1.5"
-    assert lines[2] == "2.5,3.5"

@@ -8,8 +8,6 @@ from fsglab.hypernet import (
     fast_backward,
     fast_forward,
     load_arrays,
-    lstm_slow_backward,
-    lstm_slow_forward,
     save_arrays,
     selective_params,
     slow_backward,
@@ -298,7 +296,7 @@ class TestLstmSlowNet:
                                      slow_kind="lstm", d=3)
         for _, arr in bundle.named_params():
             arr[...] = 0.0
-        out = lstm_slow_forward(0, np.zeros(6), bundle, (3, 2))
+        out = slow_forward(0, np.zeros(6), bundle, (3, 2))
         assert np.max(np.abs(out)) == 0.0
 
     def test_single_step_hand_gates(self):
@@ -320,7 +318,7 @@ class TestLstmSlowNet:
             h = o * np.tanh(c)
             outs.append(h.copy())
         expect = (np.stack(outs)[-1:] @ bundle.w_head)[:, 0].reshape(1, 1)
-        got = lstm_slow_forward(1, hist, bundle, (1, 1))
+        got = slow_forward(1, hist, bundle, (1, 1))
         assert np.allclose(got, expect, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -329,14 +327,13 @@ class TestLstmSlowNet:
         rng = Rng(60 + seed)
         hist = rng.normals(8) * 0.5
         cot = rng.normals((2, 2))
-        grads = lstm_slow_backward(1, hist, bundle, (2, 2), cot)
+        grads = slow_backward(1, hist, bundle, (2, 2), cot)
         for name, arr in bundle.named_params():
             def f(val, arr=arr):
                 saved = arr.copy()
                 arr[...] = val
                 try:
-                    return float(np.sum(cot * lstm_slow_forward(1, hist, bundle,
-                                                                (2, 2))))
+                    return float(np.sum(cot * slow_forward(1, hist, bundle, (2, 2))))
                 finally:
                     arr[...] = saved
             assert finite_diff_check(f, arr, grads[name]) < 1e-4, name

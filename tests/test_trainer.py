@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsglab.data import gen_synthetic
-from fsglab.errors import ContractError, DimensionError, DivergenceError
+from fsglab.errors import ContractError, DimensionError, DivergenceError, FormatError
 from fsglab.model import Model
 from fsglab.rng import Rng
 from fsglab.trainer import (
@@ -327,6 +327,29 @@ class TestIntegration:
         rec_other = other.train_epoch(blobs.x, blobs.y)
         # resumed trainer reproduces the original's next epoch exactly
         assert repr(rec_other) == repr(rec_next)
+
+    @pytest.mark.parametrize("corrupt", ["cut_lre", "drop_w_in"])
+    def test_checkpoint_shape_mismatch_raises(self, blobs, tmp_path, corrupt):
+        from fsglab.hypernet import load_arrays, save_arrays
+        layers = ["dense:2:8", "bias:8", "relu", "dense:8:8:bin", "relu",
+                  "dense:8:2:bin", "bias:2"]
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2)
+        tr = FsgTrainer(Model.build(layers, Rng(8)), cfg)
+        tr.train_epoch(blobs.x, blobs.y)
+        path = tmp_path / "state.npz"
+        tr.save_checkpoint(path)
+        arrays = load_arrays(path)
+        assert arrays["lre"].shape == (2, cfg.token_dim)
+        if corrupt == "cut_lre":
+            arrays["lre"] = arrays["lre"][:1]
+            match = r"'lre'.*\(1, 4\).*\(2, 4\)"
+        else:
+            del arrays["slow.w_in"]
+            match = "'slow.w_in'"
+        save_arrays(path, arrays)
+        other = FsgTrainer(Model.build(layers, Rng(8)), cfg)
+        with pytest.raises(FormatError, match=match):
+            other.load_checkpoint(path)
 
     def test_lstm_slow_net_trains(self, blobs):
         cfg = toy_config(fast_kind="mlp", slow_kind="lstm", l=2,
