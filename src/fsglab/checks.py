@@ -1,12 +1,19 @@
-"""Self-contained property suite behind the `check` CLI subcommand.
+"""The fast acceptance criteria, one function each, behind `fsglab check`.
 
-Each check returns (ok, detail).  These are fast spot versions of the full
-pytest suite, meant as a smoke test of an installed build.
+Each check returns (ok, detail) and draws exactly the data of its acceptance
+criterion; `tests/test_acceptance.py` runs the same `CHECKS`.  Criteria 7
+(spirals training) and 8 (rate bench) are long real runs and live only in
+the test suite.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,227 +26,300 @@ from .optim import momentum_expand
 from .quantize import preprocess, quantize
 from .rng import Rng
 from .ssm import discretize_zoh, ssm_conv, ssm_scan
-from .tensor import conv2d_backward, conv2d_forward, finite_diff_check
-from .trainer import FsgTrainer, SteTrainer, TrainConfig, OptimizerConfig, LrDecay
+from .tensor import conv2d_backward, conv2d_forward, finite_diff_check, matmul
+from .trainer import FsgTrainer, LrDecay, OptimizerConfig, SteTrainer, TrainConfig
 
 
-def check_quantize_contract():
-    rng = Rng(11)
-    for i in range(200):
-        w = rng.normals((4, 5)) * (10.0 ** (i % 5 - 2))
-        w_hat, _ = preprocess(w)
-        if w_hat.min() < 0.0 or w_hat.max() > 1.0:
-            return False, f"w_hat out of [0,1] on draw {i}"
-        w_b = quantize(w_hat, 1)
-        if not np.all(np.isin(w_b, (-1.0, 1.0))):
-            return False, f"non-binary output on draw {i}"
-    w_hat, da = preprocess(np.zeros((3, 3)))
-    if not (np.all(w_hat == 0.5) and np.all(da == 0.0) and np.all(np.isfinite(w_hat))):
-        return False, "zero-tensor guard failed"
-    return True, "200 random draws binary, degenerate guard clean"
+def _o1_slow_bundle(seed, slow_kind, d=3, n_state=2, expand=2):
+    bundle = HyperNetBundle.init(Rng(seed), n_layers=2, fast_kind="off",
+                                 slow_kind=slow_kind, d=d, n_state=n_state,
+                                 expand=expand)
+    r = Rng(seed ^ 0xACCE)
+    for name, arr in bundle.named_params():
+        if name == "slow.a_log":
+            arr[...] = r.uniforms(arr.shape) * 1.2 - 0.6
+        else:
+            arr[...] = 0.8 * r.normals(arr.shape)
+    return bundle
 
 
-def check_history_fifo():
-    for cap in (1, 3, 6):
-        buf = GradientHistoryBuffer(0, 4, cap)
-        pushed = []
-        for t in range(1, 13):
-            g = np.full(4, float(t))
-            buf.push(g)
-            pushed.append(g)
-            if len(buf) != min(t, cap):
-                return False, f"length {len(buf)} != min({t},{cap})"
-            win = buf.window()
-            if not np.array_equal(win[-4:], pushed[-1]):
-                return False, "window tail is not the newest gradient"
-    return True, "FIFO length and window tail hold for l in {1,3,6}"
+def _group_norm_fd(fn, arr, analytic, h=1e-6):
+    """Central FD of a whole parameter group, compared in infinity norm."""
+    fd = np.zeros_like(arr)
+    flat = arr.ravel()
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        fp = fn()
+        flat[j] = orig - h
+        fm = fn()
+        flat[j] = orig
+        fd.ravel()[j] = (fp - fm) / (2.0 * h)
+    return np.max(np.abs(fd - analytic)) / (np.max(np.abs(analytic)) + 1e-12)
 
 
-def check_zoh_scalar():
+def criterion_1_gradients():
+    """Every backward matches central finite differences: < 1e-5 for plain
+    layers, < 1e-4 for hypernetwork paths, >= 20 random instances each.
+
+    Plain layers and the fast net are checked per coordinate with the
+    documented relative-error formula.  The slow net and the end-to-end
+    hypernetwork paths are checked per parameter group in infinity norm,
+    because the finite-difference noise floor is set by the O(1) loss value
+    and individual near-zero gradient coordinates carry no signal."""
+    t0 = time.time()
+    rng = Rng(20240)
+    worst_plain = 0.0
+    for _ in range(20):  # dense
+        x = rng.normals((3, 4))
+        w = rng.normals((4, 2))
+        cot = rng.normals((3, 2))
+        g_w = np.einsum("bi,bo->io", x, cot)
+        err = finite_diff_check(lambda p: float(np.sum(cot * matmul(x, p))), w, g_w)
+        worst_plain = max(worst_plain, err)
+    for k in range(20):  # conv2d
+        x = rng.normals((1, 2, 4, 4))
+        w = rng.normals((2, 2, 2, 2))
+        stride, pad = (1, 1) if k % 2 else (2, 0)
+        cot = rng.normals(conv2d_forward(x, w, stride, pad).shape)
+        g_x, g_w = conv2d_backward(x, w, cot, stride, pad)
+        worst_plain = max(worst_plain, finite_diff_check(
+            lambda p: float(np.sum(cot * conv2d_forward(p, w, stride, pad))), x, g_x))
+        worst_plain = max(worst_plain, finite_diff_check(
+            lambda p: float(np.sum(cot * conv2d_forward(x, p, stride, pad))), w, g_w))
+
+    worst_fast = 0.0
+    for k in range(20):  # fast net, all parameter groups per coordinate
+        p = FastNetParams.init(Rng(300 + k), hidden=4)
+        p.b1[...] = 0.3 * rng.normals(p.b1.shape)
+        p.b2[...] = 0.3 * rng.normals(p.b2.shape)
+        g = rng.normals((2, 2))
+        wh = rng.normals((2, 2))
+        cot = rng.normals((2, 2))
+        grads, _, _ = fast_backward(g, wh, p, cot)
+        for name, arr in p.named_arrays():
+            def f(val, arr=arr):
+                saved = arr.copy()
+                arr[...] = val
+                try:
+                    return float(np.sum(cot * fast_forward(g, wh, p)))
+                finally:
+                    arr[...] = saved
+            worst_fast = max(worst_fast, finite_diff_check(f, arr, grads[name]))
+
+    worst_slow = 0.0
+    for k in range(20):  # slow net, both variants, incl. lre/w_a/w_head
+        kind = "selective-ssm" if k % 2 == 0 else "lstm"
+        bundle = _o1_slow_bundle(400 + k, kind)
+        hist = rng.normals(8) * 0.5
+        cot = rng.normals((2, 2))
+        grads = slow_backward(1, hist, bundle, (2, 2), cot)
+        for name, arr in bundle.named_params():
+            err = _group_norm_fd(
+                lambda: float(np.sum(cot * slow_forward(1, hist, bundle, (2, 2)))),
+                arr, grads[name])
+            worst_slow = max(worst_slow, err)
+
+    worst_e2e = 0.0
+    blobs = gen_synthetic("blobs", 12, 0.5, Rng(31))
+    for k in range(20):  # end-to-end through the re-parameterized forward
+        cfg = TrainConfig(alpha=0.7, beta=0.4, l=2,
+                          base_optimizer=OptimizerConfig(kind="sgd", lr=0.1),
+                          hyper_lr=1e-3, epochs=1, batch_size=8,
+                          lr_decay=LrDecay(every=0, factor=1.0), seed=k,
+                          slow_kind="selective-ssm", fast_kind="mlp",
+                          fast_hidden=4, token_dim=3, state_dim=2, expand=1)
+        tr = FsgTrainer(Model.build(["dense:2:4:bin", "bias:4", "tanh",
+                                     "dense:4:2", "bias:2"], Rng(500 + k)), cfg)
+        r = Rng(600 + k)
+        for name, arr in tr.bundle.named_params():
+            if name == "slow.a_log":
+                # long-memory systems keep the leading embedding token's
+                # influence on the sliced outputs above the FD noise floor
+                arr[...] = -2.0 + 1.7 * r.uniforms(arr.shape)
+            else:
+                arr[...] = 0.8 * r.normals(arr.shape)
+        tr.step(blobs.x[:8], blobs.y[:8])
+        for i in tr.bin_indices:
+            tr.buffers[i].load(r.normals((1, tr.buffers[i].xi)))
+            tr.prev_quant_grad[i] = r.normals(tr.model.layers[i].w.shape)
+        batch = (blobs.x[8:16], blobs.y[8:16])
+        hyper = tr._compute_step(*batch, quantizer="surrogate")["hyper_grads"]
+        for name, arr in tr.bundle.named_params():
+            err = _group_norm_fd(lambda: tr.surrogate_loss(*batch), arr, hyper[name])
+            worst_e2e = max(worst_e2e, err)
+
+    elapsed = time.time() - t0
+    ok = (worst_plain < 1e-5 and worst_fast < 1e-5 and worst_slow < 1e-4
+          and worst_e2e < 1e-4 and elapsed < 60.0)
+    return ok, (f"plain={worst_plain:.2e} fast={worst_fast:.2e} slow={worst_slow:.2e} "
+                f"end-to-end={worst_e2e:.2e} in {elapsed:.1f}s")
+
+
+def criterion_2_ssm_duality():
+    """ZOH hand values, and the recurrent scan equals the convolution form."""
     a_bar, b_bar = discretize_zoh(np.array(-1.0), np.array(1.0), np.array(0.1))
-    ok = (abs(float(a_bar) - math.exp(-0.1)) < 1e-12
-          and abs(float(b_bar) - (1.0 - math.exp(-0.1))) < 1e-12)
-    return ok, f"a_bar={float(a_bar):.9f} b_bar={float(b_bar):.9f}"
-
-
-def check_scan_conv_duality():
-    rng = Rng(7)
+    zoh_ok = (abs(float(a_bar) - 0.904837418035960) < 1e-9
+              and abs(float(b_bar) - 0.095162581964040) < 1e-9
+              and abs(float(a_bar) - math.exp(-0.1)) < 1e-12
+              and abs(float(b_bar) - (1.0 - math.exp(-0.1))) < 1e-12)
+    rng = Rng(47)
     worst = 0.0
-    for _ in range(50):
-        n = 1 + rng.integer(3)
-        a = -rng.uniforms((n,)) * 0.9 - 0.05
-        a_bar, b_bar = discretize_zoh(a, rng.normals((n,)), np.array(0.3))
-        c = rng.normals((n,))
-        x = rng.normals((32,))
-        diff = np.max(np.abs(ssm_scan(a_bar, b_bar, c, x) - ssm_conv(a_bar, b_bar, c, x)))
-        worst = max(worst, float(diff))
-    return worst < 1e-10, f"max |scan - conv| = {worst:.2e} over 50 systems"
+    for _ in range(200):
+        n = 1 + rng.integer(4)
+        a = -(0.05 + rng.uniforms(n))
+        ab, bb = discretize_zoh(a, rng.normals(n), np.array(0.1 + 0.6 * rng.uniform()))
+        c = rng.normals(n)
+        x = rng.normals(4 + rng.integer(61))
+        worst = max(worst, float(np.max(np.abs(
+            ssm_scan(ab, bb, c, x) - ssm_conv(ab, bb, c, x)))))
+    return zoh_ok and worst < 1e-10, (f"zoh hand values ok={zoh_ok}, duality max "
+                                      f"diff={worst:.2e} over 200 systems")
 
 
-def check_momentum_identity():
-    rng = Rng(3)
+def criterion_3_momentum_identity():
+    """Iterated momentum equals its closed-form expansion."""
+    rng = Rng(48)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(100):
         beta = rng.uniform()
-        alpha = 0.1 + rng.uniform()
-        grads = [rng.normals((3,)) for _ in range(20)]
-        v = np.zeros(3)
+        alpha = 0.05 + rng.uniform()
+        grads = [rng.normals(4) for _ in range(20)]
+        v = np.zeros(4)
         for g in grads:
             v = beta * v - alpha * g
         worst = max(worst, float(np.max(np.abs(v - momentum_expand(beta, alpha, grads)))))
-    return worst < 1e-12, f"max |iterated - closed form| = {worst:.2e}"
+    return worst < 1e-12, f"max |iterated - closed form| = {worst:.2e} over 100 sequences"
 
 
-def check_fast_linearity():
-    rng = Rng(5)
-    p = FastNetParams.init(rng, hidden=16)
-    u = rng.normals((3, 3))
-    v = rng.normals((3, 3))
-    uh = rng.normals((3, 3))
-    vh = rng.normals((3, 3))
-    lhs = fast_forward(2.0 * u + 3.0 * v, 2.0 * uh + 3.0 * vh, p)
-    rhs = 2.0 * fast_forward(u, uh, p) + 3.0 * fast_forward(v, vh, p)
-    worst = float(np.max(np.abs(lhs - rhs)))
-    return worst < 1e-12, f"max |f(au+bv) - af(u)-bf(v)| = {worst:.2e}"
-
-
-def _scalarized_fd(f_forward, f_backward, x, rng, h=1e-6):
-    """FD-check a tensor op through a fixed random scalarization."""
-    out = f_forward(x)
-    cot = rng.normals(out.shape)
-    analytic = f_backward(x, cot)
-    return finite_diff_check(lambda p: float(np.sum(cot * f_forward(p))), x, analytic, h)
-
-
-def check_gradients():
-    rng = Rng(21)
-    worst = 0.0
-    # conv2d
-    for _ in range(2):
-        x = rng.normals((2, 2, 4, 4))
-        w = rng.normals((3, 2, 3, 3))
-        err = _scalarized_fd(
-            lambda p: conv2d_forward(p, w, 1, 1),
-            lambda p, cot: conv2d_backward(p, w, cot, 1, 1)[0], x, rng)
-        worst = max(worst, err)
-    # fast net
-    p = FastNetParams.init(rng, hidden=8)
-    g = rng.normals((2, 3))
-    wh = rng.normals((2, 3))
-    cot = rng.normals((2, 3))
-    grads, _, _ = fast_backward(g, wh, p, cot)
-    err = finite_diff_check(
-        lambda m: float(np.sum(cot * fast_forward(g, wh,
-            FastNetParams(m, p.m2, p.m3, p.b1, p.b2, p.b3)))), p.m1, grads["fast.m1"])
-    worst = max(worst, err)
-    # slow net (tiny dims, O(1) parameter scales for FD conditioning)
-    bundle = HyperNetBundle.init(Rng(9), n_layers=2, fast_kind="off",
-                                 slow_kind="selective-ssm", d=3, n_state=2, expand=2)
-    r2 = Rng(90)
-    for name, arr in bundle.named_params():
-        if name == "slow.a_log":
-            arr[...] = r2.uniforms(arr.shape) - 0.7
-        else:
-            arr[...] = 0.8 * r2.normals(arr.shape)
-    hist = rng.normals((8,)) * 0.5
-    cot = rng.normals((2, 2))
-    grads = slow_backward(1, hist, bundle, (2, 2), cot)
-    err = finite_diff_check(
-        lambda w: float(np.sum(cot * _slow_with(bundle, "w_in", w, hist))),
-        bundle.slow.w_in, grads["slow.w_in"], h=1e-6)
-    worst = max(worst, err)
-    return worst < 1e-4, f"max FD relative error = {worst:.2e}"
-
-
-def _slow_with(bundle, attr, value, hist):
-    saved = getattr(bundle.slow, attr).copy()
-    getattr(bundle.slow, attr)[...] = value
-    try:
-        return slow_forward(1, hist, bundle, (2, 2))
-    finally:
-        getattr(bundle.slow, attr)[...] = saved
-
-
-def _toy_config(**kw):
-    base = dict(
-        alpha=1.0, beta=0.3, l=3,
-        base_optimizer=OptimizerConfig(kind="sgd", lr=0.05),
-        hyper_lr=1e-3, epochs=1, batch_size=8,
-        lr_decay=LrDecay(every=0, factor=1.0), seed=99,
-        slow_kind="off", fast_kind="identity",
-        token_dim=4, state_dim=2, expand=2, fast_hidden=8,
-    )
-    base.update(kw)
-    return TrainConfig(**base)
-
-
-def check_degeneracy_short():
-    data = gen_synthetic("blobs", 16, 0.4, Rng(17))
+def criterion_4_degeneracy():
+    """Identity fast net and no slow net reproduce the STE baseline bit for bit."""
+    data = gen_synthetic("blobs", 40, 0.4, Rng(17))
     layers = ["dense:2:8", "bias:8", "relu", "dense:8:2:bin", "bias:2"]
-    fsg = FsgTrainer(Model.build(layers, Rng(99)), _toy_config())
-    ste = SteTrainer(Model.build(layers, Rng(99)), _toy_config())
-    fsg.keep_forward_trace = True
-    ste.keep_forward_trace = True
-    for trainer in (fsg, ste):
-        for _ in range(3):
-            for bx, by in trainer._batches(data.x, data.y):
-                trainer.step(bx, by)
-    for (it_f, loss_f, snap_f), (it_s, loss_s, snap_s) in zip(fsg.forward_trace,
-                                                              ste.forward_trace):
-        if loss_f != loss_s:
-            return False, f"loss diverged at iteration {it_f}"
-        for key in snap_s:
-            if not np.array_equal(snap_f[key], snap_s[key]):
-                return False, f"forward state {key} diverged at iteration {it_f}"
-    return True, f"{len(ste.forward_trace)} iterations bit-identical"
+    cfg = dict(alpha=1.0, beta=0.3, l=3,
+               base_optimizer=OptimizerConfig(kind="sgd", lr=0.05),
+               hyper_lr=1e-3, epochs=1, batch_size=16,
+               lr_decay=LrDecay(every=0, factor=1.0), seed=99,
+               slow_kind="off", fast_kind="identity")
+    fsg = FsgTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg))
+    ste = SteTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg))
+    for tr in (fsg, ste):
+        tr.keep_forward_trace = True
+        steps = 0
+        while steps < 52:
+            for bx, by in tr._batches(data.x, data.y):
+                tr.step(bx, by)
+                steps += 1
+                if steps >= 52:
+                    break
+    ok = min(len(fsg.forward_trace), len(ste.forward_trace)) >= 50 and all(
+        loss_f == loss_s and all(np.array_equal(snap_f[key], snap_s[key]) for key in snap_s)
+        for (_, loss_f, snap_f), (_, loss_s, snap_s)
+        in zip(fsg.forward_trace[:50], ste.forward_trace[:50]))
+    return ok, ("identity-fast/off-slow forward states and losses "
+                "bit-identical to the baseline for 50 steps")
 
 
-def check_pk_identity():
-    rng = Rng(31)
-    problem = make_quadratic_problem(dim=3, n_components=16, noise=0.1, rng=rng)
-    trace = run_fsg_convex(problem, C=1.0, beta=0.5, T=200, repeats=2,
-                           rng=rng.derive("bench"), slow_noise=0.05)
-    resid = pk_recursion_check(trace, 0.5)
-    return resid < 1e-10, f"max recursion residual = {resid:.2e}"
+def criterion_5_binarization_contract():
+    """Preprocessing lands in [0, 1], 1-bit quantization in {-1, +1}."""
+    rng = Rng(49)
+    ok = True
+    for i in range(10_000):
+        w = rng.normals((2, 3)) * 10.0 ** (i % 7 - 3)
+        w_hat, _ = preprocess(w)
+        if (w_hat.min() < 0.0 or w_hat.max() > 1.0
+                or not np.all(np.isin(quantize(w_hat, 1), (-1.0, 1.0)))):
+            ok = False
+            break
+    w_hat, da = preprocess(np.zeros((4, 4)))
+    guard_ok = np.all(w_hat == 0.5) and np.all(da == 0.0) and np.all(np.isfinite(w_hat))
+    return bool(ok and guard_ok), ("10^4 random tensors map to {-1,+1}, w_hat in [0,1], "
+                                   "zero-tensor guard clean")
 
 
-def check_determinism():
-    data = gen_synthetic("blobs", 8, 0.3, Rng(23))
-    layers = ["dense:2:4", "bias:4", "relu", "dense:4:2:bin", "bias:2"]
+def criterion_6_hgs_contract():
+    """The history buffer is a FIFO of the last l gradients, read oldest first."""
+    ok = True
+    for cap in (1, 3, 6):
+        rng = Rng(50 + cap)
+        buf = GradientHistoryBuffer(0, 3, cap)
+        grads = []
+        for t in range(1, 21):
+            g = rng.normals(3)
+            buf.push(g)
+            grads.append(g)
+            win = buf.window()
+            ok &= (len(buf) == min(t, cap) and win.shape == (3 * min(t, cap),)
+                   and np.array_equal(win[-3:], grads[-1]))
+    return ok, ("length = min(t, l) and window tail = newest gradient, "
+                "exhaustive t <= 20, l in {1, 3, 6}")
 
-    def run():
-        cfg = _toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2,
-                          base_optimizer=OptimizerConfig(kind="adam", lr=1e-3))
-        tr = FsgTrainer(Model.build(layers, Rng(5)), cfg)
-        recs = [tr.train_epoch(data.x, data.y) for _ in range(2)]
-        return [repr(r) for r in recs]
 
-    first, second = run(), run()
-    return first == second, "two runs produced identical metric streams" if first == second \
-        else "metric streams differ"
+def criterion_9_pk_recursion():
+    """The auxiliary-sequence recursion holds to rounding for several beta."""
+    residuals = []
+    rng = Rng(2100)
+    for beta in (0.0, 0.3, 0.5, 0.9):
+        problem = make_quadratic_problem(4, 16, 0.2, rng.derive(f"p{beta}"))
+        trace = run_fsg_convex(problem, C=1.0, beta=beta, T=300, repeats=2,
+                               rng=rng.derive(f"r{beta}"), slow_noise=0.1)
+        residuals.append(pk_recursion_check(trace, beta))
+    worst = max(residuals)
+    return worst < 1e-10, f"max recursion residual over {len(residuals)} runs = {worst:.2e}"
 
 
-ALL_CHECKS = [
-    ("quantize-contract", check_quantize_contract),
-    ("history-fifo", check_history_fifo),
-    ("zoh-scalar", check_zoh_scalar),
-    ("scan-conv-duality", check_scan_conv_duality),
-    ("momentum-identity", check_momentum_identity),
-    ("fast-linearity", check_fast_linearity),
-    ("gradient-checks", check_gradients),
-    ("degeneracy", check_degeneracy_short),
-    ("pk-recursion", check_pk_identity),
-    ("determinism", check_determinism),
+def criterion_10_determinism():
+    """Two `fsglab train` runs of one config write byte-identical metrics."""
+    from .cli import main  # cli imports this module
+
+    cfg_text = "\n".join([
+        "method = fsg", "epochs = 3", "batch_size = 8", "l = 2", "seed = 5",
+        "fast_hidden = 6", "token_dim = 3", "state_dim = 2", "expand = 1",
+        "dataset.kind = blobs", "dataset.n_per_class = 10", "dataset.noise = 0.3",
+        "model.layers = dense:2:4, bias:4, relu, dense:4:2:bin, bias:2",
+        "lr_decay.factor = 1.0",
+    ])
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        (root / "det.cfg").write_text(cfg_text + "\n")
+        runs = []
+        for out in (root / "r1", root / "r2"):
+            code = main(["train", str(root / "det.cfg"), "--out", str(out)])
+            if code != 0:
+                return False, f"train exited with code {code}"
+            runs.append((out / "metrics.csv").read_bytes())
+    return runs[0] == runs[1], (f"two train runs wrote byte-identical metrics "
+                                f"({len(runs[0])} bytes)")
+
+
+CHECKS = [
+    criterion_1_gradients,
+    criterion_2_ssm_duality,
+    criterion_3_momentum_identity,
+    criterion_4_degeneracy,
+    criterion_5_binarization_contract,
+    criterion_6_hgs_contract,
+    criterion_9_pk_recursion,
+    criterion_10_determinism,
 ]
+
+
+def criterion_number(check) -> int:
+    """The acceptance criterion a check implements, from its `criterion_<n>_` name."""
+    return int(check.__name__.split("_")[1])
+
+
+def verdict_line(criterion: int, ok: bool, detail: str) -> str:
+    return f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
 
 
 def run_all(printer=print) -> bool:
     all_ok = True
-    for name, fn in ALL_CHECKS:
+    for check in CHECKS:
         try:
-            ok, detail = fn()
+            ok, detail = check()
         except Exception as exc:  # a crash is a failure, not a stop
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        all_ok &= ok
-        printer(f"{'PASS' if ok else 'FAIL'}  {name:<20} {detail}")
+        all_ok &= bool(ok)
+        printer(verdict_line(criterion_number(check), ok, detail))
     return all_ok

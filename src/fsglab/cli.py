@@ -4,12 +4,16 @@ Subcommands:
     train <config>              train per config (fsg or ste method)
     ablate <config> --sweep A   sweep beta=0.1,0.3 | l=3..7 | slow=lstm,ssm
     bench-convergence <config>  run the convex-rate bench
-    check                       run the property suite, nonzero exit on failure
+    check                       run the fast acceptance criteria (fsglab.checks)
     dump-curve <metrics.csv>    project a loss-curve CSV for plotting
 
 Every output-producing run writes a manifest.json (config hash, seed, start
 time, version) next to its outputs.  The FSGLAB_OUTPUT_ROOT environment
 variable re-roots relative output directories.
+
+Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
+error; 3 an input file does not match its format (FormatError); 4 training
+diverged (DivergenceError).  Errors print one line to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .convergence import (
     theorem_bound,
 )
 from .data import gen_synthetic, load_idx
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError, FormatError
 from .metrics import MetricsWriter, dump_curve, write_manifest
 from .model import Model
 from .rng import Rng
@@ -233,6 +237,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     parser.print_usage(sys.stderr)
     return 2
 

@@ -8,8 +8,7 @@ where G_k is an unbiased stochastic gradient, Phi_f a fixed well-conditioned
 linear map standing in for the fast net (singular values inside a known
 [omega, theta] bracket), and the slow branch is the exact previous step plus
 zero-mean noise xi_k, honoring the zero-expected-error assumption on the
-generated momentum.  alpha is held at C / sqrt(T+1) for the whole horizon
-(per-step C / sqrt(k+1) available behind a flag).
+generated momentum.  alpha is held at C / sqrt(T+1) for the whole horizon.
 
 Besides the averaged-iterate gap curve, every run records its realized
 update terms so the auxiliary-sequence recursion
@@ -46,79 +45,38 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass
 class ConvexProblem:
-    """Finite-sum convex problem with a known minimizer."""
+    """Finite-sum quadratic f_i = 0.5 ||x - c_i||^2 with a known minimizer."""
 
-    kind: str
     dim: int
     n_components: int
     x_star: np.ndarray
     f_star: float
-    # quadratic: f_i = 0.5 ||x - c_i||^2
-    centers: np.ndarray | None = None
-    # logistic: f_i = log(1 + exp(-b_i a_i.x)) + 0.5 reg ||x||^2
-    features: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    reg: float = 0.0
+    centers: np.ndarray
 
     def value(self, x) -> float:
-        if self.kind == "quadratic":
-            mean_c = self.centers.mean(axis=0)
-            const = 0.5 * float(np.mean(np.sum((self.centers - mean_c) ** 2, axis=1)))
-            return 0.5 * float(np.sum((x - mean_c) ** 2)) + const
-        margins = -self.labels * (self.features @ x)
-        return float(np.mean(np.logaddexp(0.0, margins)) + 0.5 * self.reg * np.sum(x * x))
+        mean_c = self.centers.mean(axis=0)
+        const = 0.5 * float(np.mean(np.sum((self.centers - mean_c) ** 2, axis=1)))
+        return 0.5 * float(np.sum((x - mean_c) ** 2)) + const
 
     def grad(self, x) -> np.ndarray:
-        if self.kind == "quadratic":
-            return x - self.centers.mean(axis=0)
-        margins = -self.labels * (self.features @ x)
-        sig = 1.0 / (1.0 + np.exp(-margins))
-        return (self.features * (-self.labels * sig)[:, None]).mean(axis=0) + self.reg * x
+        return x - self.centers.mean(axis=0)
 
     def grad_component(self, x, i: int) -> np.ndarray:
-        if self.kind == "quadratic":
-            return x - self.centers[i]
-        margin = -self.labels[i] * float(self.features[i] @ x)
-        sig = 1.0 / (1.0 + np.exp(-margin))
-        return self.features[i] * (-self.labels[i] * sig) + self.reg * x
+        return x - self.centers[i]
 
     def gradient_noise_sq(self) -> float:
-        """Exact E||grad_i - grad||^2 for quadratics (x-independent)."""
-        if self.kind != "quadratic":
-            raise ContractError("closed-form noise only available for quadratics")
+        """Exact E||grad_i - grad||^2 (x-independent)."""
         mean_c = self.centers.mean(axis=0)
         return float(np.mean(np.sum((self.centers - mean_c) ** 2, axis=1)))
 
 
-def make_quadratic_problem(dim: int, n_components: int, noise: float, rng: Rng,
-                           center_scale: float = 0.0) -> ConvexProblem:
+def make_quadratic_problem(dim: int, n_components: int, noise: float,
+                           rng: Rng) -> ConvexProblem:
     """Component quadratics with gradient-noise RMS ~= noise."""
     centers = noise * rng.normals((n_components, dim)) / np.sqrt(dim)
-    if center_scale:
-        centers += center_scale * rng.normals(dim) / np.sqrt(dim)
     x_star = centers.mean(axis=0)
     f_star = 0.5 * float(np.mean(np.sum((centers - x_star) ** 2, axis=1)))
-    return ConvexProblem("quadratic", dim, n_components, x_star, f_star, centers=centers)
-
-
-def make_logistic_problem(dim: int, n_components: int, rng: Rng,
-                          reg: float = 1e-2) -> ConvexProblem:
-    feats = rng.normals((n_components, dim))
-    truth = rng.normals(dim)
-    labels = np.sign(feats @ truth + 0.3 * rng.normals(n_components))
-    labels[labels == 0] = 1.0
-    prob = ConvexProblem("logistic", dim, n_components, np.zeros(dim), 0.0,
-                         features=feats, labels=labels, reg=reg)
-    # high-precision pre-solve for the minimizer (strongly convex via reg)
-    x = np.zeros(dim, dtype=DTYPE)
-    for _ in range(200000):
-        g = prob.grad(x)
-        if np.linalg.norm(g) < 1e-13:
-            break
-        x -= 0.5 * g
-    prob.x_star = x
-    prob.f_star = prob.value(x)
-    return prob
+    return ConvexProblem(dim, n_components, x_star, f_star, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +135,6 @@ class IterateTrace:
     x_hat: list = field(default_factory=list)  # per repeat: final running average
     failed_repeats: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
-    alphas: np.ndarray | None = None  # realized per-step alpha
 
     @property
     def failed(self) -> bool:
@@ -191,8 +148,7 @@ def _log_spaced_ts(total: int, points: int = 60) -> np.ndarray:
 
 def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
                    repeats: int, rng: Rng, phi: PhiMap | None = None,
-                   slow_noise: float = 0.0, x0=None, log_ts=None,
-                   per_step_alpha: bool = False) -> IterateTrace:
+                   slow_noise: float = 0.0, x0=None) -> IterateTrace:
     """Run the fast/slow iteration `repeats` times and log the gap curve."""
     if C <= 0:
         raise ContractError(f"C must be positive, got {C}")
@@ -201,17 +157,13 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
     dim = problem.dim
     phi = phi or identity_phi(dim)
     x0 = np.full(dim, 1.0, dtype=DTYPE) if x0 is None else np.asarray(x0, dtype=DTYPE)
-    log_ts = _log_spaced_ts(T) if log_ts is None else np.asarray(log_ts, dtype=int)
+    log_ts = _log_spaced_ts(T)
     alpha = C / np.sqrt(T + 1.0)
 
     gap_rows = np.zeros((repeats, log_ts.size), dtype=DTYPE)
     trace = IterateTrace(ts=log_ts, gaps=np.zeros(log_ts.size),
                          gap_stderr=np.zeros(log_ts.size),
                          alpha=float(alpha), beta=beta, C=C)
-    if per_step_alpha:
-        trace.alphas = C / np.sqrt(np.arange(1, T + 1, dtype=DTYPE))
-    else:
-        trace.alphas = np.full(T, alpha, dtype=DTYPE)
     g_max = 0.0
     dist_min = np.inf
     dist_max = 0.0
@@ -228,12 +180,11 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
         log_idx = 0
         failed = False
         for k in range(T):
-            a_k = C / np.sqrt(k + 1.0) if per_step_alpha else alpha
             g_stoch = problem.grad_component(x, rrng.integer(problem.n_components))
             mapped = phi(g_stoch)
             noise_k = (slow_noise * rrng.normals(dim) / np.sqrt(dim)
                        if slow_noise else np.zeros(dim, dtype=DTYPE))
-            x_next = x - a_k * mapped + beta * ((x - x_prev) + noise_k)
+            x_next = x - alpha * mapped + beta * ((x - x_prev) + noise_k)
             phig[k] = mapped
             xi[k] = noise_k
             x_prev = x
@@ -267,8 +218,7 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
     trace.constants = dict(
         omega=phi.omega, theta=phi.theta, G=g_max,
         kappa=float(dist_min), rho=float(dist_max),
-        delta_sq=(problem.gradient_noise_sq() + slow_noise**2
-                  if problem.kind == "quadratic" else float("nan")),
+        delta_sq=problem.gradient_noise_sq() + slow_noise**2,
         f0_gap=problem.value(x0) - problem.f_star, x0_dist=x0_dist,
     )
     return trace
@@ -289,12 +239,10 @@ def pk_recursion_check(trace: IterateTrace, beta: float) -> float:
         diffs = np.diff(xs, axis=0)  # x_{k+1} - x_k
         p = ratio * diffs  # p_{k+1} for k = 0..steps-1
         p_prev = np.zeros_like(xs[0])
-        alphas = (trace.alphas if trace.alphas is not None
-                  else np.full(steps, trace.alpha, dtype=DTYPE))
         for k in range(steps):
             lhs = xs[k + 1] + p[k]
             rhs = (xs[k] + p_prev
-                   - alphas[k] / (1.0 - beta) * phig[k]
+                   - trace.alpha / (1.0 - beta) * phig[k]
                    + ratio * xi[k])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             p_prev = p[k]

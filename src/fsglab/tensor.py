@@ -21,17 +21,6 @@ from .rng import Rng
 DTYPE = np.float64
 
 
-def as_tensor(values) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(np.asarray(values, dtype=DTYPE))
-
-
-def require_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError(f"{what} contains non-finite values")
-    return x
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with deterministic (ascending-k) summation order.
 

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, DivergenceError, FormatError
+from .errors import (ConfigError, ContractError, DimensionError, DivergenceError,
+                     EvaluationError, FormatError)
 from .history import GradientHistoryBuffer
 from .hypernet import (
     HyperNetBundle,
@@ -179,15 +180,31 @@ def _layer_index(param_name: str) -> int:
     return int(param_name.split(".")[0][5:])
 
 
+def _checked(arrays: dict, name: str, shape: tuple) -> np.ndarray:
+    """The checkpoint array `name`; FormatError unless it exists with `shape`."""
+    if name not in arrays:
+        raise FormatError(f"checkpoint lacks array {name!r} of shape {shape}")
+    if arrays[name].shape != shape:
+        raise FormatError(f"checkpoint array {name!r} has shape "
+                          f"{arrays[name].shape}, expected {shape}")
+    return arrays[name]
+
+
 def _restore_params(named_params, arrays: dict) -> None:
     """Copy checkpoint arrays into live parameters of exactly the same shape."""
     for name, arr in named_params:
-        if name not in arrays:
-            raise FormatError(f"checkpoint lacks array {name!r} of shape {arr.shape}")
-        if arrays[name].shape != arr.shape:
-            raise FormatError(f"checkpoint array {name!r} has shape "
-                              f"{arrays[name].shape}, expected {arr.shape}")
-        arr[...] = arrays[name]
+        arr[...] = _checked(arrays, name, arr.shape)
+
+
+def _restore_slots(state: OptimizerState, prefix: str, named_params, arrays: dict) -> None:
+    """Load the `prefix.*` optimizer slots; each must match its parameter's shape."""
+    state.load_named_arrays(arrays, prefix)
+    shapes = {name: arr.shape for name, arr in named_params}
+    for name, slot in state.slots.items():
+        if name not in shapes:
+            raise FormatError(f"checkpoint slots '{prefix}.{name}.*' belong to no parameter")
+        for key in slot:
+            _checked(arrays, f"{prefix}.{name}.{key}", shapes[name])
 
 
 class _TrainerBase:
@@ -325,7 +342,7 @@ class _TrainerBase:
 
     def _restore_arrays(self, arrays: dict) -> None:
         _restore_params(self.model.named_params(), arrays)
-        self.base_state.load_named_arrays(arrays, "base")
+        _restore_slots(self.base_state, "base", self.model.named_params(), arrays)
         self.iteration = int(arrays["meta.iteration"][0])
         self.epoch = int(arrays["meta.epoch"][0])
         self.data_rng.set_state(int(arrays["meta.data_rng_state"][0]))
@@ -436,7 +453,11 @@ class FsgTrainer(_TrainerBase):
                     )
                 g_fsg = compose_gradient(g_fast, g_slow, da_t, cfg.alpha, cfg.beta)
                 w_prime = st.w - lr * g_fsg
-                w_eff, da_p = self._effective_weight(w_prime, quantizer, st.w)
+                try:
+                    w_eff, da_p = self._effective_weight(w_prime, quantizer, st.w)
+                except EvaluationError as exc:  # W was finite, so G is not
+                    raise DivergenceError(it, f"non-finite generated gradient G for "
+                                              f"layer {i} at iteration {it}") from exc
                 entry.update(w_hat_t=w_hat_t, da_t=da_t, g_fast=g_fast,
                              g_slow=g_slow, slow_cache=slow_cache, g_fsg=g_fsg,
                              w_eff=w_eff, da_p=da_p)
@@ -541,9 +562,13 @@ class FsgTrainer(_TrainerBase):
     def _restore_arrays(self, arrays: dict) -> None:
         super()._restore_arrays(arrays)
         _restore_params(self.bundle.named_params(), arrays)
-        self.hyper_state.load_named_arrays(arrays, "hyper")
+        _restore_slots(self.hyper_state, "hyper", self.bundle.named_params(), arrays)
         for i in self.bin_indices:
-            if f"history.layer{i}" in arrays:
-                self.buffers[i].load(arrays[f"history.layer{i}"])
-            if f"prev_grad.layer{i}" in arrays:
-                self.prev_quant_grad[i] = arrays[f"prev_grad.layer{i}"].copy()
+            name, buf = f"history.layer{i}", self.buffers[i]
+            if name in arrays:
+                rows = arrays[name].shape[0] if arrays[name].ndim else 0
+                buf.load(_checked(arrays, name, (min(rows, buf.capacity), buf.xi)))
+            name = f"prev_grad.layer{i}"
+            if name in arrays:
+                self.prev_quant_grad[i] = _checked(
+                    arrays, name, self.model.layers[i].w.shape).copy()

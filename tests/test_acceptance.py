@@ -1,15 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
-The heavier behavioral checks (toy training, rate bench) are real runs and
-take a few minutes combined.
+Criteria 1-6, 9 and 10 are the registered checks of `fsglab.checks.CHECKS`,
+the same code `fsglab check` runs.  The behavioral checks (toy training,
+rate bench) are real runs, take a few minutes combined and live only here.
 """
 
 import time
 
 import numpy as np
-import pytest
 
+from fsglab import checks
 from fsglab.convergence import (
     make_phi,
     make_quadratic_problem,
@@ -19,29 +20,31 @@ from fsglab.convergence import (
     theorem_bound,
 )
 from fsglab.data import gen_synthetic
-from fsglab.history import GradientHistoryBuffer
-from fsglab.hypernet import (
-    FastNetParams,
-    HyperNetBundle,
-    fast_backward,
-    fast_forward,
-    slow_backward,
-    slow_forward,
-    slow_forward_cached,
-)
 from fsglab.model import Model
-from fsglab.optim import momentum_expand
-from fsglab.quantize import preprocess, quantize
 from fsglab.rng import Rng
-from fsglab.ssm import discretize_zoh, ssm_conv, ssm_scan
-from fsglab.tensor import conv2d_backward, conv2d_forward, finite_diff_check, matmul
 from fsglab.trainer import FsgTrainer, LrDecay, OptimizerConfig, SteTrainer, TrainConfig
 
 
 def report(criterion, ok, detail):
-    line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
+    line = checks.verdict_line(criterion, ok, detail)
     print(line)
     assert ok, line
+
+
+def _registered_check_test(check):
+    def test(self):
+        report(checks.criterion_number(check), *check())
+    return test
+
+
+# One test class per registered check, named after it:
+# `criterion_2_ssm_duality` runs as TestCriterion2SsmDuality::test_criterion_2.
+for _check in checks.CHECKS:
+    _name = "Test" + _check.__name__.title().replace("_", "")
+    globals()[_name] = type(_name, (), {
+        "__doc__": _check.__doc__,
+        f"test_criterion_{checks.criterion_number(_check)}": _registered_check_test(_check),
+    })
 
 
 # -- criterion 7 configuration (desk-scale toy comparison) -------------------
@@ -71,252 +74,6 @@ def build_spiral_model(seed):
     model = Model.build(SPIRAL_LAYERS, Rng(seed))
     model.layers[5].w *= 0.1  # calibrated start: logits near zero
     return model
-
-
-def _o1_slow_bundle(seed, slow_kind, d=3, n_state=2, expand=2):
-    bundle = HyperNetBundle.init(Rng(seed), n_layers=2, fast_kind="off",
-                                 slow_kind=slow_kind, d=d, n_state=n_state,
-                                 expand=expand)
-    r = Rng(seed ^ 0xACCE)
-    for name, arr in bundle.named_params():
-        if name == "slow.a_log":
-            arr[...] = r.uniforms(arr.shape) * 1.2 - 0.6
-        else:
-            arr[...] = 0.8 * r.normals(arr.shape)
-    return bundle
-
-
-class TestCriterion1Gradients:
-    """Every backward matches central finite differences: < 1e-5 for plain
-    layers, < 1e-4 for hypernetwork paths, >= 20 random instances each.
-
-    Plain layers and the fast net are checked per coordinate with the
-    documented relative-error formula.  The slow net and the end-to-end
-    hypernetwork paths are checked per parameter group in infinity norm,
-    because the finite-difference noise floor is set by the O(1) loss value
-    and individual near-zero gradient coordinates carry no signal."""
-
-    def test_criterion_1(self):
-        t0 = time.time()
-        rng = Rng(20240)
-        worst_plain = 0.0
-        for _ in range(20):  # dense
-            x = rng.normals((3, 4))
-            w = rng.normals((4, 2))
-            cot = rng.normals((3, 2))
-            g_w = np.einsum("bi,bo->io", x, cot)
-            err = finite_diff_check(lambda p: float(np.sum(cot * matmul(x, p))), w, g_w)
-            worst_plain = max(worst_plain, err)
-        for k in range(20):  # conv2d
-            x = rng.normals((1, 2, 4, 4))
-            w = rng.normals((2, 2, 2, 2))
-            stride, pad = (1, 1) if k % 2 else (2, 0)
-            cot = rng.normals(conv2d_forward(x, w, stride, pad).shape)
-            g_x, g_w = conv2d_backward(x, w, cot, stride, pad)
-            worst_plain = max(worst_plain, finite_diff_check(
-                lambda p: float(np.sum(cot * conv2d_forward(p, w, stride, pad))), x, g_x))
-            worst_plain = max(worst_plain, finite_diff_check(
-                lambda p: float(np.sum(cot * conv2d_forward(x, p, stride, pad))), w, g_w))
-
-        worst_fast = 0.0
-        for k in range(20):  # fast net, all parameter groups per coordinate
-            p = FastNetParams.init(Rng(300 + k), hidden=4)
-            p.b1[...] = 0.3 * rng.normals(p.b1.shape)
-            p.b2[...] = 0.3 * rng.normals(p.b2.shape)
-            g = rng.normals((2, 2))
-            wh = rng.normals((2, 2))
-            cot = rng.normals((2, 2))
-            grads, g_g, g_wh = fast_backward(g, wh, p, cot)
-            arrays = dict(p.named_arrays())
-            for name, arr in arrays.items():
-                def f(val, arr=arr):
-                    saved = arr.copy()
-                    arr[...] = val
-                    try:
-                        return float(np.sum(cot * fast_forward(g, wh, p)))
-                    finally:
-                        arr[...] = saved
-                worst_fast = max(worst_fast, finite_diff_check(f, arr, grads[name]))
-
-        def group_norm_fd(fn, arr, analytic, h=1e-6):
-            fd = np.zeros_like(arr)
-            flat = arr.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                fp = fn()
-                flat[j] = orig - h
-                fm = fn()
-                flat[j] = orig
-                fd.ravel()[j] = (fp - fm) / (2.0 * h)
-            return np.max(np.abs(fd - analytic)) / (np.max(np.abs(analytic)) + 1e-12)
-
-        worst_slow = 0.0
-        for k in range(20):  # slow net, both variants, incl. lre/w_a/w_head
-            kind = "selective-ssm" if k % 2 == 0 else "lstm"
-            bundle = _o1_slow_bundle(400 + k, kind)
-            hist = rng.normals(8) * 0.5
-            cot = rng.normals((2, 2))
-            grads = slow_backward(1, hist, bundle, (2, 2), cot)
-            for name, arr in bundle.named_params():
-                err = group_norm_fd(
-                    lambda: float(np.sum(cot * slow_forward(1, hist, bundle, (2, 2)))),
-                    arr, grads[name])
-                worst_slow = max(worst_slow, err)
-
-        worst_e2e = 0.0
-        blobs = gen_synthetic("blobs", 12, 0.5, Rng(31))
-        for k in range(20):  # end-to-end through the re-parameterized forward
-            cfg = TrainConfig(alpha=0.7, beta=0.4, l=2,
-                              base_optimizer=OptimizerConfig(kind="sgd", lr=0.1),
-                              hyper_lr=1e-3, epochs=1, batch_size=8,
-                              lr_decay=LrDecay(every=0, factor=1.0), seed=k,
-                              slow_kind="selective-ssm", fast_kind="mlp",
-                              fast_hidden=4, token_dim=3, state_dim=2, expand=1)
-            tr = FsgTrainer(Model.build(["dense:2:4:bin", "bias:4", "tanh",
-                                         "dense:4:2", "bias:2"], Rng(500 + k)), cfg)
-            r = Rng(600 + k)
-            for name, arr in tr.bundle.named_params():
-                if name == "slow.a_log":
-                    # long-memory systems keep the leading embedding token's
-                    # influence on the sliced outputs above the FD noise floor
-                    arr[...] = -2.0 + 1.7 * r.uniforms(arr.shape)
-                else:
-                    arr[...] = 0.8 * r.normals(arr.shape)
-            tr.step(blobs.x[:8], blobs.y[:8])
-            for i in tr.bin_indices:
-                tr.buffers[i].load(r.normals((1, tr.buffers[i].xi)))
-                tr.prev_quant_grad[i] = r.normals(tr.model.layers[i].w.shape)
-            batch = (blobs.x[8:16], blobs.y[8:16])
-            hyper = tr._compute_step(*batch, quantizer="surrogate")["hyper_grads"]
-            for name, arr in tr.bundle.named_params():
-                err = group_norm_fd(lambda: tr.surrogate_loss(*batch), arr, hyper[name])
-                worst_e2e = max(worst_e2e, err)
-
-        elapsed = time.time() - t0
-        ok = (worst_plain < 1e-5 and worst_fast < 1e-5 and worst_slow < 1e-4
-              and worst_e2e < 1e-4 and elapsed < 60.0)
-        report(1, ok,
-               f"plain={worst_plain:.2e} fast={worst_fast:.2e} slow={worst_slow:.2e} "
-               f"end-to-end={worst_e2e:.2e} in {elapsed:.1f}s")
-
-
-class TestCriterion2SsmDuality:
-    def test_criterion_2(self):
-        a_bar, b_bar = discretize_zoh(np.array(-1.0), np.array(1.0), np.array(0.1))
-        zoh_ok = (abs(float(a_bar) - 0.904837418035960) < 1e-9
-                  and abs(float(b_bar) - 0.095162581964040) < 1e-9)
-        rng = Rng(47)
-        worst = 0.0
-        for _ in range(200):
-            n = 1 + rng.integer(4)
-            a = -(0.05 + rng.uniforms(n))
-            ab, bb = discretize_zoh(a, rng.normals(n),
-                                    np.array(0.1 + 0.6 * rng.uniform()))
-            c = rng.normals(n)
-            x = rng.normals(4 + rng.integer(61))
-            worst = max(worst, float(np.max(np.abs(
-                ssm_scan(ab, bb, c, x) - ssm_conv(ab, bb, c, x)))))
-        ok = zoh_ok and worst < 1e-10
-        report(2, ok, f"zoh hand values ok={zoh_ok}, duality max diff={worst:.2e} "
-                      f"over 200 systems")
-
-
-class TestCriterion3MomentumIdentity:
-    def test_criterion_3(self):
-        rng = Rng(48)
-        worst = 0.0
-        for _ in range(100):
-            beta = rng.uniform()
-            alpha = 0.05 + rng.uniform()
-            grads = [rng.normals(4) for _ in range(20)]
-            v = np.zeros(4)
-            for g in grads:
-                v = beta * v - alpha * g
-            worst = max(worst, float(np.max(np.abs(
-                v - momentum_expand(beta, alpha, grads)))))
-        report(3, worst < 1e-12, f"max |iterated - closed form| = {worst:.2e} "
-                                 f"over 100 sequences")
-
-
-class TestCriterion4Degeneracy:
-    def test_criterion_4(self):
-        data = gen_synthetic("blobs", 40, 0.4, Rng(17))
-        layers = ["dense:2:8", "bias:8", "relu", "dense:8:2:bin", "bias:2"]
-        cfg = dict(alpha=1.0, beta=0.3, l=3,
-                   base_optimizer=OptimizerConfig(kind="sgd", lr=0.05),
-                   hyper_lr=1e-3, epochs=1, batch_size=16,
-                   lr_decay=LrDecay(every=0, factor=1.0), seed=99,
-                   slow_kind="off", fast_kind="identity")
-        fsg = FsgTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg))
-        ste = SteTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg))
-        fsg.keep_forward_trace = True
-        ste.keep_forward_trace = True
-        for tr in (fsg, ste):
-            steps = 0
-            while steps < 52:
-                for bx, by in tr._batches(data.x, data.y):
-                    tr.step(bx, by)
-                    steps += 1
-                    if steps >= 52:
-                        break
-        ok = True
-        for k in range(50):
-            _, loss_f, snap_f = fsg.forward_trace[k]
-            _, loss_s, snap_s = ste.forward_trace[k]
-            if loss_f != loss_s:
-                ok = False
-                break
-            for key in snap_s:
-                if not np.array_equal(snap_f[key], snap_s[key]):
-                    ok = False
-                    break
-        report(4, ok, "identity-fast/off-slow forward states and losses "
-                      "bit-identical to the baseline for 50 steps")
-
-
-class TestCriterion5BinarizationContract:
-    def test_criterion_5(self):
-        rng = Rng(49)
-        ok = True
-        for i in range(10_000):
-            w = rng.normals((2, 3)) * 10.0 ** (i % 7 - 3)
-            w_hat, _ = preprocess(w)
-            if w_hat.min() < 0.0 or w_hat.max() > 1.0:
-                ok = False
-                break
-            w_b = quantize(w_hat, 1)
-            if not np.all(np.isin(w_b, (-1.0, 1.0))):
-                ok = False
-                break
-        w_hat, da = preprocess(np.zeros((4, 4)))
-        guard_ok = (np.all(w_hat == 0.5) and np.all(da == 0.0)
-                    and np.all(np.isfinite(w_hat)))
-        report(5, ok and guard_ok,
-               "10^4 random tensors map to {-1,+1}, w_hat in [0,1], "
-               "zero-tensor guard clean")
-
-
-class TestCriterion6HgsContract:
-    def test_criterion_6(self):
-        ok = True
-        for cap in (1, 3, 6):
-            rng = Rng(50 + cap)
-            buf = GradientHistoryBuffer(0, 3, cap)
-            grads = []
-            for t in range(1, 21):
-                g = rng.normals(3)
-                buf.push(g)
-                grads.append(g)
-                if len(buf) != min(t, cap):
-                    ok = False
-                win = buf.window()
-                if win.shape != (3 * min(t, cap),):
-                    ok = False
-                if not np.array_equal(win[-3:], grads[-1]):
-                    ok = False
-        report(6, ok, "length = min(t, l) and window tail = newest gradient, "
-                      "exhaustive t <= 20, l in {1, 3, 6}")
 
 
 class TestCriterion7ToyTraining:
@@ -351,7 +108,7 @@ class TestCriterion8ConvergenceRate:
         t0 = time.time()
         in_bracket = 0
         bound_ok = True
-        self._residuals = []
+        residuals = []
         for seed in range(10):
             rng = Rng(1000 + seed)
             problem = make_quadratic_problem(10, 64, 0.1, rng.derive("p"))
@@ -362,55 +119,12 @@ class TestCriterion8ConvergenceRate:
             if -1.2 <= slope <= -0.3:
                 in_bracket += 1
             bound_ok &= bool(np.all(trace.gaps <= theorem_bound(trace, trace.ts)))
-            self._residuals.append(pk_recursion_check(trace, 0.5))
+            residuals.append(pk_recursion_check(trace, 0.5))
         elapsed = time.time() - t0
-        TestCriterion9PkRecursion.bench_residuals = self._residuals
-        ok = in_bracket >= 8 and bound_ok and elapsed < 120.0
-        report(8, ok, f"slope in [-1.2,-0.3] for {in_bracket}/10 seeds, "
-                      f"bound holds={bound_ok}, {elapsed:.0f}s")
-
-
-class TestCriterion9PkRecursion:
-    bench_residuals: list = []
-
-    def test_criterion_9(self):
-        residuals = list(self.bench_residuals)
-        rng = Rng(2100)
-        for beta in (0.0, 0.3, 0.5, 0.9):
-            problem = make_quadratic_problem(4, 16, 0.2, rng.derive(f"p{beta}"))
-            trace = run_fsg_convex(problem, C=1.0, beta=beta, T=300, repeats=2,
-                                   rng=rng.derive(f"r{beta}"), slow_noise=0.1)
-            residuals.append(pk_recursion_check(trace, beta))
         worst = max(residuals)
-        report(9, worst < 1e-10,
-               f"max recursion residual over {len(residuals)} runs = {worst:.2e}")
+        ok = in_bracket >= 8 and bound_ok and worst < 1e-10 and elapsed < 120.0
+        report(8, ok, f"slope in [-1.2,-0.3] for {in_bracket}/10 seeds, "
+                      f"bound holds={bound_ok}, max recursion residual = {worst:.2e}, "
+                      f"{elapsed:.0f}s")
 
 
-class TestCriterion10Determinism:
-    def test_criterion_10(self, tmp_path):
-        from fsglab.cli import main
-        cfg_text = "\n".join([
-            "method = fsg",
-            "epochs = 3",
-            "batch_size = 8",
-            "l = 2",
-            "seed = 5",
-            "fast_hidden = 6",
-            "token_dim = 3",
-            "state_dim = 2",
-            "expand = 1",
-            "dataset.kind = blobs",
-            "dataset.n_per_class = 10",
-            "dataset.noise = 0.3",
-            "model.layers = dense:2:4, bias:4, relu, dense:4:2:bin, bias:2",
-            "lr_decay.factor = 1.0",
-        ])
-        cfg_path = tmp_path / "det.cfg"
-        cfg_path.write_text(cfg_text + "\n")
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["train", str(cfg_path), "--out", str(out1)]) == 0
-        assert main(["train", str(cfg_path), "--out", str(out2)]) == 0
-        b1 = (out1 / "metrics.csv").read_bytes()
-        b2 = (out2 / "metrics.csv").read_bytes()
-        report(10, b1 == b2, f"two train runs wrote byte-identical metrics "
-                             f"({len(b1)} bytes)")

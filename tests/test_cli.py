@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from fsglab import checks
 from fsglab.cli import main
+from fsglab.data import write_idx
 from fsglab.metrics import METRICS_HEADER, MetricsWriter, dump_curve, read_metrics
 from fsglab.trainer import MetricsRecord
 
@@ -60,6 +63,30 @@ class TestTrainCommand:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "l = 0")
         assert main(["train", str(cfg)]) == 2
+
+    def test_truncated_idx_one_line_exit_3(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(images, labels, np.zeros((4, 3, 3), dtype=np.uint8), np.arange(4) % 2)
+        images.write_bytes(images.read_bytes()[:-5])
+        cfg = write_cfg(tmp_path, "\n".join([
+            "method = ste", "dataset.kind = idx",
+            f"dataset.images_path = {images}", f"dataset.labels_path = {labels}",
+            "model.layers = flatten, dense:9:2"]))
+        assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "payload holds 31 bytes" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_one_line_exit_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "\n".join([
+            "method = ste", "epochs = 50", "dataset.kind = blobs",
+            "base_optimizer.kind = sgd", "base_optimizer.lr = 1e300",
+            "model.layers = dense:2:8, dense:8:2"]))
+        assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at iteration ")
+        assert err.count("\n") == 1
 
 
 class TestAblateCommand:
@@ -173,3 +200,20 @@ class TestMetricsIo:
 
 def test_check_subcommand_clean_build_exit_zero():
     assert main(["check"]) == 0
+
+
+@pytest.mark.parametrize("failure", ["returns_false", "raises"])
+def test_check_subcommand_failing_entry_exit_one(monkeypatch, capsys, failure):
+    def criterion_11_broken():
+        if failure == "raises":
+            raise RuntimeError("boom")
+        return False, "broken on purpose"
+
+    def criterion_12_fine():
+        return True, "still runs"
+
+    monkeypatch.setattr(checks, "CHECKS", [criterion_11_broken, criterion_12_fine])
+    assert main(["check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    detail = "raised RuntimeError: boom" if failure == "raises" else "broken on purpose"
+    assert out == [f"ACCEPTANCE 11: FAIL - {detail}", "ACCEPTANCE 12: PASS - still runs"]

@@ -4,7 +4,6 @@ import pytest
 from fsglab.convergence import (
     IterateTrace,
     identity_phi,
-    make_logistic_problem,
     make_phi,
     make_quadratic_problem,
     pk_recursion_check,
@@ -36,10 +35,6 @@ class TestProblems:
                           for i in range(prob.n_components)])
         se = np.sqrt(dev_sq / prob.dim / draws)
         assert np.max(np.abs(mean - prob.grad(x))) < 3.0 * se + 1e-12
-
-    def test_logistic_presolve(self):
-        prob = make_logistic_problem(3, 40, Rng(4))
-        assert np.linalg.norm(prob.grad(prob.x_star)) < 1e-10
 
 
 class TestRunConvex:
@@ -143,13 +138,3 @@ class TestBookkeepingAndBound:
             n = np.linalg.norm(phi(v))
             assert 0.8 * np.linalg.norm(v) - 1e-9 <= n <= 1.25 * np.linalg.norm(v) + 1e-9
 
-
-def test_per_step_alpha_flag():
-    prob = make_quadratic_problem(2, 8, 0.2, Rng(30))
-    trace = run_fsg_convex(prob, C=1.0, beta=0.4, T=100, repeats=1,
-                           rng=Rng(31), slow_noise=0.05, per_step_alpha=True)
-    assert trace.alphas.shape == (100,)
-    assert trace.alphas[0] == pytest.approx(1.0)
-    assert trace.alphas[-1] == pytest.approx(1.0 / np.sqrt(100.0))
-    # the recursion identity holds with the realized per-step alphas
-    assert pk_recursion_check(trace, 0.4) < 1e-10

@@ -185,6 +185,15 @@ class TestTrainerBehavior:
                 tr.train_epoch(blobs.x, blobs.y)
         assert err.value.iteration > 0
 
+    def test_nonfinite_generated_gradient_names_layer(self, blobs):
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2)
+        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(5)), cfg)
+        tr.train_epoch(blobs.x, blobs.y)
+        tr.bundle.w_head[...] = np.nan
+        with pytest.raises(DivergenceError, match="layer 3") as err:
+            tr.train_epoch(blobs.x, blobs.y)
+        assert err.value.iteration == tr.iteration + 1
+
     def test_evaluate_purity(self, blobs):
         cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm")
         tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(5)), cfg)
@@ -328,12 +337,15 @@ class TestIntegration:
         # resumed trainer reproduces the original's next epoch exactly
         assert repr(rec_other) == repr(rec_next)
 
-    @pytest.mark.parametrize("corrupt", ["cut_lre", "drop_w_in"])
+    @pytest.mark.parametrize("corrupt", ["cut_lre", "drop_w_in", "cut_hyper_slots",
+                                         "cut_base_slot", "narrow_history",
+                                         "long_history", "transposed_prev_grad"])
     def test_checkpoint_shape_mismatch_raises(self, blobs, tmp_path, corrupt):
         from fsglab.hypernet import load_arrays, save_arrays
         layers = ["dense:2:8", "bias:8", "relu", "dense:8:8:bin", "relu",
                   "dense:8:2:bin", "bias:2"]
-        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2)
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2,
+                         base_optimizer=OptimizerConfig(kind="adam", lr=1e-3))
         tr = FsgTrainer(Model.build(layers, Rng(8)), cfg)
         tr.train_epoch(blobs.x, blobs.y)
         path = tmp_path / "state.npz"
@@ -343,9 +355,27 @@ class TestIntegration:
         if corrupt == "cut_lre":
             arrays["lre"] = arrays["lre"][:1]
             match = r"'lre'.*\(1, 4\).*\(2, 4\)"
-        else:
+        elif corrupt == "drop_w_in":
             del arrays["slow.w_in"]
             match = "'slow.w_in'"
+        elif corrupt == "cut_hyper_slots":
+            # a (1, d) slot would fail later inside adam_step, unnamed
+            arrays["hyper.lre.m"] = arrays["hyper.lre.m"][:1]
+            arrays["hyper.lre.v"] = arrays["hyper.lre.v"][:1]
+            match = r"'hyper.lre.m'.*\(1, 4\).*\(2, 4\)"
+        elif corrupt == "cut_base_slot":
+            arrays["base.layer3.w.v"] = arrays["base.layer3.w.v"][:1]
+            match = r"'base.layer3.w.v'.*\(1, 8\).*\(8, 8\)"
+        elif corrupt == "narrow_history":
+            # a reshape to (-1, xi) would fuse the two half rows into one
+            arrays["history.layer5"] = arrays["history.layer5"][:, :8]
+            match = r"'history.layer5'.*\(2, 8\).*\(2, 16\)"
+        elif corrupt == "long_history":
+            arrays["history.layer5"] = np.concatenate([arrays["history.layer5"]] * 2)
+            match = r"'history.layer5'.*\(4, 16\).*\(2, 16\)"
+        else:
+            arrays["prev_grad.layer5"] = arrays["prev_grad.layer5"].T
+            match = r"'prev_grad.layer5'.*\(2, 8\).*\(8, 2\)"
         save_arrays(path, arrays)
         other = FsgTrainer(Model.build(layers, Rng(8)), cfg)
         with pytest.raises(FormatError, match=match):
