@@ -12,8 +12,10 @@ time, version) next to its outputs.  The FSGLAB_OUTPUT_ROOT environment
 variable re-roots relative output directories.
 
 Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
-error; 3 an input file does not match its format (FormatError); 4 training
-diverged (DivergenceError).  Errors print one line to stderr.
+error, including a model whose layer shapes do not fit the data or each
+other (DimensionError, naming the layer); 3 an input file does not match its
+format (FormatError); 4 training diverged (DivergenceError).  Errors print
+one line to stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .convergence import (
     theorem_bound,
 )
 from .data import gen_synthetic, load_idx
-from .errors import ConfigError, DivergenceError, FormatError
+from .errors import ConfigError, DimensionError, DivergenceError, FormatError
 from .metrics import MetricsWriter, dump_curve, write_manifest
 from .model import Model
 from .rng import Rng
@@ -236,6 +238,9 @@ def main(argv=None) -> int:
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DimensionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,12 +221,19 @@ class Model:
         return out
 
     def forward(self, x, overrides=None):
-        """Returns (output, caches); overrides maps layer index -> weight array."""
+        """Returns (output, caches); overrides maps layer index -> weight array.
+
+        A shape that does not fit a layer raises DimensionError naming the
+        layer's index and kind.
+        """
         overrides = overrides or {}
         caches = []
         out = np.asarray(x, dtype=DTYPE)
         for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(out, overrides.get(i))
+            try:
+                out, cache = layer.forward(out, overrides.get(i))
+            except DimensionError as exc:
+                raise DimensionError(f"layer {i} ({layer.kind}): {exc}") from exc
             caches.append(cache)
         return out, caches
 

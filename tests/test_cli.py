@@ -53,6 +53,26 @@ class TestTrainCommand:
         assert main(["train", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("model", ["dense", "conv"])
+    def test_rerun_byte_identical_without_timing(self, tmp_path, model):
+        if model == "dense":
+            text = TINY_TRAIN.replace("method = fsg", "method = ste")
+        else:
+            images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+            pixels = (np.arange(8 * 36).reshape(8, 6, 6) * 37 % 251).astype(np.uint8)
+            write_idx(images, labels, pixels, np.arange(8) % 2)
+            text = "\n".join([
+                line for line in TINY_TRAIN.splitlines()
+                if not line.startswith(("dataset.", "model."))] + [
+                "dataset.kind = idx",
+                f"dataset.images_path = {images}", f"dataset.labels_path = {labels}",
+                "model.layers = conv2d:1:2:3:pad=1:bin, relu, flatten, dense:72:2"])
+        cfg = write_cfg(tmp_path, text + "\nrecord_timing = false")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["train", str(cfg), "--out", str(out1)]) == 0
+        assert main(["train", str(cfg), "--out", str(out2)]) == 0
+        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
     def test_test_split_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_TRAIN + "\ndataset.test_per_class = 4")
         out = tmp_path / "out"
@@ -76,6 +96,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "payload holds 31 bytes" in err
         assert err.count("\n") == 1
+
+    def test_model_not_fitting_data_one_line_exit_2(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(images, labels, np.zeros((4, 3, 3), dtype=np.uint8), np.arange(4) % 2)
+        cfg = write_cfg(tmp_path, "\n".join([
+            "dataset.kind = idx",
+            f"dataset.images_path = {images}", f"dataset.labels_path = {labels}",
+            "model.layers = flatten, dense:10:2:bin"]))
+        assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: layer 1 (dense): matmul shape mismatch: (4, 9) x (10, 2)\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_one_line_exit_4(self, tmp_path, capsys):

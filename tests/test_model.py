@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsglab.errors import ContractError
+from fsglab.errors import ContractError, DimensionError
 from fsglab.model import Model, parse_layer
 from fsglab.rng import Rng
 from fsglab.tensor import finite_diff_check, softmax_cross_entropy
@@ -23,6 +23,13 @@ def test_parse_layer_options():
     assert conv.stride == 2 and conv.pad == 1 and conv.binarize
     dense = parse_layer("dense:5:7:bin")
     assert dense.binarize and dense.w.shape == (5, 7)
+
+
+def test_forward_shape_error_names_layer():
+    model = Model.build(["flatten", "dense:10:2:bin"], Rng(0))
+    with pytest.raises(DimensionError,
+                       match=r"^layer 1 \(dense\): matmul shape mismatch: \(4, 9\) x \(10, 2\)$"):
+        model.forward(np.zeros((4, 3, 3)))
 
 
 def test_binarized_indices_and_named_params():

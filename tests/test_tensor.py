@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fsglab import tensor
 from fsglab.errors import DimensionError, DomainError, EvaluationError
 from fsglab.rng import Rng
 from fsglab.tensor import (
@@ -238,3 +241,169 @@ class TestLayerRules:
     def test_cross_entropy_shape_error(self):
         with pytest.raises(DimensionError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+
+def naive_conv2d_backward(x, w, g_out, stride, pad):
+    """Gradients of sum(g_out * conv2d) by the 7-loop chain rule."""
+    batch, c_in, height, width = x.shape
+    c_out, _, kh, kw = w.shape
+    h_out, w_out = g_out.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    g_xp = np.zeros_like(xp)
+    g_w = np.zeros_like(w)
+    for b in range(batch):
+        for co in range(c_out):
+            for i in range(h_out):
+                for j in range(w_out):
+                    g = g_out[b, co, i, j]
+                    for ci in range(c_in):
+                        for p in range(kh):
+                            for q in range(kw):
+                                r, c = i * stride + p, j * stride + q
+                                g_w[co, ci, p, q] += g * xp[b, ci, r, c]
+                                g_xp[b, ci, r, c] += g * w[co, ci, p, q]
+    return g_xp[:, :, pad : pad + height, pad : pad + width], g_w
+
+
+def wide_normals(rng, shape):
+    """Normals scaled over ~20 binary orders, so additions really round."""
+    return rng.normals(shape) * np.exp2(np.round(rng.normals(shape) * 6.0))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+class TestMatmulBlocking:
+    # (m, k, n, scratch): scratch=None keeps the module's scratch size; a small
+    # one forces several k-blocks (and row tiles) on small operands.
+    CASES = [
+        (3, 5, 4, None),     # one k-block
+        (4, 37, 5, 16),      # k-blocks of 3, the last one ragged (37 = 12*3 + 1)
+        (2, 300, 1000, None),  # blocks of _K_BLOCK k over single-row tiles, ragged
+        (9, 23, 3, 16),      # m > n: the transpose is accumulated
+        (6, 11, 6, 16),      # m == n
+        (1, 17, 6, 16),      # m = 1
+        (6, 17, 1, 16),      # n = 1 (flipped to one accumulator row)
+        (1, 40, 1, None),    # m = n = 1: a dot product, one k at a time
+        (5, 1, 7, 16),       # k = 1
+    ]
+
+    @pytest.mark.parametrize("m,k,n,scratch", CASES)
+    def test_matches_triple_loop_bits(self, monkeypatch, m, k, n, scratch):
+        if scratch is not None:
+            monkeypatch.setattr(tensor, "_SCRATCH", scratch)
+        rng = Rng(1000 + m * 31 + k * 7 + n)
+        a, b = wide_normals(rng, (m, k)), wide_normals(rng, (k, n))
+        assert_same_bits(matmul(a, b), naive_matmul(a, b))
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (4, 3)])
+    def test_empty_contraction_gives_zeros(self, m, n):
+        out = matmul(np.zeros((m, 0)), np.zeros((0, n)))
+        assert_same_bits(out, np.zeros((m, n)))
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+    def test_negative_zero_products_sum_to_positive_zero(self, monkeypatch, m, n):
+        monkeypatch.setattr(tensor, "_SCRATCH", 8)
+        out = matmul(np.full((m, 5), -0.0), np.ones((5, n)))
+        assert not np.signbit(out).any()
+        assert_same_bits(out, naive_matmul(np.full((m, 5), -0.0), np.ones((5, n))))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m,n", [(4, 6), (6, 4)])
+    def test_nonfinite_entries(self, monkeypatch, m, n):
+        monkeypatch.setattr(tensor, "_SCRATCH", 16)
+        rng = Rng(77 + m)
+        a, b = rng.normals((m, 9)), rng.normals((9, n))
+        a[0, 2], a[1, 4], a[2, 0] = np.inf, -np.inf, np.nan
+        b[3, 1], b[5, 0] = np.inf, 0.0
+        a[3, 5] = 1e308
+        b[5, 2] = 1e308  # overflows to inf
+        assert_same_bits(matmul(a, b), naive_matmul(a, b))
+
+
+class TestConvTiling:
+    # (x shape, w shape, stride, pad, scratch): the scratch size gives a batch
+    # tile that does not divide the batch (or one image per tile).
+    CASES = [
+        ((1, 1, 5, 5), (2, 1, 3, 3), 1, 0, None),   # batch 1, c_in 1
+        ((3, 3, 5, 7), (2, 3, 3, 3), 1, 1, 400),    # H != W, c_in 3; tiles 2 + 1
+        ((5, 1, 6, 4), (3, 1, 2, 2), 2, 1, 100),    # stride 2 with pad; tiles 2 + 2 + 1
+        ((4, 3, 7, 7), (2, 3, 3, 3), 2, 1, 1),      # stride 2 with pad, c_in 3; one image a tile
+        ((7, 1, 4, 6), (2, 1, 3, 3), 1, 1, None),   # whole batch in one tile
+    ]
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    def test_forward_matches_naive_bits(self, monkeypatch, x_shape, w_shape, stride, pad,
+                                        scratch):
+        if scratch is not None:
+            monkeypatch.setattr(tensor, "_SCRATCH", scratch)
+        rng = Rng(sum(x_shape) * 13 + stride)
+        x, w = wide_normals(rng, x_shape), wide_normals(rng, w_shape)
+        assert_same_bits(conv2d_forward(x, w, stride, pad), naive_conv2d(x, w, stride, pad))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        x = np.full((2, 2, 4, 5), -0.0)
+        w = np.ones((3, 2, 3, 3))
+        out = conv2d_forward(x, w, 1, 1)
+        assert not np.signbit(out).any()
+        assert_same_bits(out, naive_conv2d(x, w, 1, 1))
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    def test_backward_matches_naive(self, monkeypatch, x_shape, w_shape, stride, pad,
+                                    scratch):
+        if scratch is not None:
+            monkeypatch.setattr(tensor, "_SCRATCH", scratch)
+        rng = Rng(sum(x_shape) * 17 + pad)
+        x, w = rng.normals(x_shape), rng.normals(w_shape)
+        g_out = rng.normals(naive_conv2d(x, w, stride, pad).shape)
+        for got, want in zip(conv2d_backward(x, w, g_out, stride, pad),
+                             naive_conv2d_backward(x, w, g_out, stride, pad)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_backward_checks_geometry_like_forward(self):
+        x, w = np.zeros((2, 3, 5, 5)), np.zeros((4, 3, 3, 3))
+        g_out = np.zeros((2, 4, 3, 3))
+        with pytest.raises(DimensionError, match="channel mismatch"):
+            conv2d_backward(x, np.zeros((4, 2, 3, 3)), g_out)
+        with pytest.raises(DomainError, match="stride"):
+            conv2d_backward(x, w, g_out, stride=0)
+        with pytest.raises(DimensionError, match="4-D"):
+            conv2d_backward(np.zeros((3, 5, 5)), w, g_out)
+        for kernel in (conv2d_forward, lambda x, w, pad: conv2d_backward(x, w, g_out, pad=pad)):
+            with pytest.raises(DomainError, match="pad"):
+                kernel(x, w, pad=-1)
+
+
+# tracemalloc peaks of one call at the conv-idx shapes, x (64, 8, 16, 16)
+# with w (8, 8, 3, 3) and pad 1, for the kernels that padded the whole batch
+# (numpy 2.4).  Forward: the padded input (64*8*18*18*8 B = 1,327,104), the
+# output (1,048,576) and one tap's output-sized product (1,048,576), plus
+# about 133 KB of np.pad and ufunc buffering.  Backward: the padded input and
+# its gradient (2 * 1,327,104) and one output-sized einsum result
+# (1,048,576), plus about 138 KB of the same.  The tiled kernels keep
+# tile-sized scratch instead and must not peak higher.
+CONV_IDX_FORWARD_PEAK = 3_557_568
+CONV_IDX_BACKWARD_PEAK = 3_841_214
+
+
+def traced_peak(fn):
+    fn()  # warm numpy's caches before measuring
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_peaks_at_conv_idx_shapes():
+    rng = Rng(5)
+    x, w = rng.normals((64, 8, 16, 16)), rng.normals((8, 8, 3, 3))
+    g_out = rng.normals((64, 8, 16, 16))
+    assert traced_peak(lambda: conv2d_forward(x, w, 1, 1)) <= CONV_IDX_FORWARD_PEAK
+    assert traced_peak(lambda: conv2d_backward(x, w, g_out, 1, 1)) <= CONV_IDX_BACKWARD_PEAK
