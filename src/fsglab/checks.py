@@ -32,8 +32,8 @@ from .trainer import FsgTrainer, LrDecay, OptimizerConfig, SteTrainer, TrainConf
 
 def _o1_slow_bundle(seed, slow_kind, d=3, n_state=2, expand=2):
     bundle = HyperNetBundle.init(Rng(seed), n_layers=2, fast_kind="off",
-                                 slow_kind=slow_kind, d=d, n_state=n_state,
-                                 expand=expand)
+                                 slow_kind=slow_kind, fast_hidden=1, d=d,
+                                 n_state=n_state, expand=expand)
     r = Rng(seed ^ 0xACCE)
     for name, arr in bundle.named_params():
         if name == "slow.a_log":

@@ -12,10 +12,11 @@ time, version) next to its outputs.  The FSGLAB_OUTPUT_ROOT environment
 variable re-roots relative output directories.
 
 Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
-error, including a model whose layer shapes do not fit the data or each
-other (DimensionError, naming the layer); 3 an input file does not match its
-format (FormatError); 4 training diverged (DivergenceError).  Errors print
-one line to stderr.
+error (ConfigError), including a model whose layer shapes do not fit the
+data or each other (DimensionError, naming the layer), a malformed layer
+spec (ContractError) or a value outside its domain (DomainError); 3 an input
+file does not match its format (FormatError); 4 training diverged
+(DivergenceError).  Errors print one line to stderr (`_EXIT_CODES`).
 """
 
 from __future__ import annotations
@@ -39,11 +40,22 @@ from .convergence import (
     theorem_bound,
 )
 from .data import gen_synthetic, load_idx
-from .errors import ConfigError, DimensionError, DivergenceError, FormatError
+from .errors import (ConfigError, ContractError, DimensionError, DivergenceError, DomainError,
+                     FormatError)
 from .metrics import MetricsWriter, dump_curve, write_manifest
 from .model import Model
 from .rng import Rng
 from .trainer import FsgTrainer, SteTrainer
+
+# error class -> (exit code, prefix of its one-line stderr message)
+_EXIT_CODES = {
+    ConfigError: (2, "config error"),
+    ContractError: (2, "error"),
+    DimensionError: (2, "error"),
+    DomainError: (2, "error"),
+    FormatError: (3, "error"),
+    DivergenceError: (4, "error"),
+}
 
 
 def resolve_outdir(cfg: RunConfig, override=None) -> Path:
@@ -236,18 +248,10 @@ def main(argv=None) -> int:
                            {"command": "dump-curve", "rows": rows})
             print(f"wrote {out}")
             return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(v for cls, v in _EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     parser.print_usage(sys.stderr)
     return 2
 

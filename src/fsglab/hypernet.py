@@ -15,9 +15,10 @@ in-projection to d_inner = expand * d, input-dependent (B, C, delta) with
 delta kept positive through softplus, ZOH-discretized diagonal scan, a
 sigmoid gate driven by a parallel projection of the tokens, out-projection
 back to d, and a residual connection.  It runs as a streaming kernel over
-chunks of the history, with the full-sequence block kept as its reference
-(see the comment above `_ChunkTerms`).  An LSTM of hidden size d can replace
-the whole block for ablations (no gate/projections around it).
+chunks of the history (see the comment above `_ChunkTerms`); its oracle is
+the per-token reference in `tests/slow_reference.py`.  An LSTM of hidden
+size d can replace the whole block for ablations (no gate/projections
+around it).
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -31,13 +32,11 @@ import numpy as np
 
 from .errors import DimensionError, EmptyHistoryError
 from .rng import Rng
-from .ssm import chunk_plan, linear_recurrence, linear_recurrence_backward
+from .ssm import chunk_plan
+# unused here, but perfbench/tracer.py wraps these bindings and `--trace 1` fails without them
+from .ssm import linear_recurrence, linear_recurrence_backward  # noqa: F401
 from .tensor import DTYPE, orthogonal_init
 
-FAST_HIDDEN_DEFAULT = 100
-TOKEN_DIM_DEFAULT = 16
-STATE_DIM_DEFAULT = 8
-EXPAND_DEFAULT = 2
 _LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
 
 
@@ -66,7 +65,7 @@ class FastNetParams:
     b3: np.ndarray
 
     @classmethod
-    def init(cls, rng: Rng, hidden: int = FAST_HIDDEN_DEFAULT) -> "FastNetParams":
+    def init(cls, rng: Rng, hidden: int) -> "FastNetParams":
         return cls(
             m1=orthogonal_init(2, hidden, rng),
             m2=orthogonal_init(hidden, hidden, rng),
@@ -165,8 +164,7 @@ class SelectiveSsmParams:
         return self.d * self.expand
 
     @classmethod
-    def init(cls, rng: Rng, d: int = TOKEN_DIM_DEFAULT, n_state: int = STATE_DIM_DEFAULT,
-             expand: int = EXPAND_DEFAULT) -> "SelectiveSsmParams":
+    def init(cls, rng: Rng, d: int, n_state: int, expand: int) -> "SelectiveSsmParams":
         din = d * expand
         return cls(
             d=d, n_state=n_state, expand=expand,
@@ -206,7 +204,7 @@ class LstmParams:
     b: np.ndarray  # (4d,)
 
     @classmethod
-    def init(cls, rng: Rng, d: int = TOKEN_DIM_DEFAULT) -> "LstmParams":
+    def init(cls, rng: Rng, d: int) -> "LstmParams":
         return cls(
             d=d,
             w_x=rng.normals((d, 4 * d)) / np.sqrt(d),
@@ -231,10 +229,8 @@ class HyperNetBundle:
     w_head: np.ndarray | None = None  # (d, 1) output head
 
     @classmethod
-    def init(cls, rng: Rng, n_layers: int, fast_kind: str = "mlp",
-             slow_kind: str = "selective-ssm", fast_hidden: int = FAST_HIDDEN_DEFAULT,
-             d: int = TOKEN_DIM_DEFAULT, n_state: int = STATE_DIM_DEFAULT,
-             expand: int = EXPAND_DEFAULT) -> "HyperNetBundle":
+    def init(cls, rng: Rng, n_layers: int, fast_kind: str, slow_kind: str, fast_hidden: int,
+             d: int, n_state: int, expand: int) -> "HyperNetBundle":
         if fast_kind not in ("mlp", "identity", "off"):
             raise ValueError(f"unknown fast_kind {fast_kind!r}")
         if slow_kind not in ("selective-ssm", "lstm", "off"):
@@ -346,20 +342,18 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # forward keeps token-level arrays plus the state entering every chunk, and
 # the backward walks the chunks in reverse, recomputing each one from its
 # boundary state.  Only the last xi tokens feed the head, so the readout
-# (y, gate, out-projection, residual) runs on that tail alone.
-# `_ssm_block_forward` / `_ssm_block_backward` below are the full-sequence
-# reference the streaming block is tested against.
+# (y, gate, out-projection, residual) runs on that tail alone.  The oracle it
+# is tested against, `tests/slow_reference.py`, steps the scan token by token.
 
 
 class _ChunkTerms:
     """Per-chunk terms of the selective scan, in scratch buffers reused across chunks.
 
-    For tokens s..e-1 it fills ld = delta_t * A (clamped like the reference
-    block), decay = exp(S) with S the chunk-local inclusive cumsum of ld,
+    For tokens s..e-1 it fills ld = delta_t * A, clamped to <= -_LD_CLAMP,
+    decay = exp(S) with S the chunk-local inclusive cumsum of ld,
     em = expm1(ld), phi = em / ld, r = (delta_t u_t) outer B_t and
     inp = phi * r.  While the clamp cannot fire, S is taken in the factored
-    form A * cumsum(delta).  The elementwise formulas are the reference
-    block's, so ld, phi and exp(ld) agree with it bit for bit.
+    form A * cumsum(delta).
     """
 
     def __init__(self, delta, du, braw, a, chunk: int):
@@ -409,7 +403,7 @@ def _ssm_stream_forward(tokens: np.ndarray, p: SelectiveSsmParams, chunk: int, x
     draw += p.b_delta  # (T, 1)
     delta = _softplus(draw)[:, 0]
     a = -np.exp(p.a_log)  # (din, N), strictly negative
-    # the reference scan's guards, on max |ld| of the clamped ld = min(delta * A, -eps)
+    # chunk_plan's overflow guards, on max |ld| of the clamped ld = min(delta * A, -eps)
     chunk, step = chunk_plan(max(float(delta.max()) * float(-a.min()), _LD_CLAMP), chunk)
     terms = _ChunkTerms(delta, delta[:, None] * u, braw, a, chunk)
     starts = range(0, total, chunk)
@@ -483,7 +477,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, cache, grads
         c = e - s
         dl = delta[s:e]
         ld, decay, em, phi, r, inp = terms.fill(s, e)
-        np.add(em, 1.0, out=em)  # exp(ld), as the reference block forms it
+        np.add(em, 1.0, out=em)  # exp(ld)
         lam = lam_buf[:c]
         lo = max(s, tail0)
         if lo < e or step:  # states in full, lambda by a reverse scan of the chunk
@@ -561,99 +555,6 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, cache, grads
     return g_tokens
 
 
-def _ssm_block_forward(tokens: np.ndarray, p: SelectiveSsmParams, chunk: int):
-    u = tokens @ p.w_in  # (T, din)
-    z = tokens @ p.w_gate
-    braw = u @ p.w_b
-    braw += p.b_b  # (T, N)
-    craw = u @ p.w_c
-    craw += p.b_c
-    draw = u @ p.w_delta
-    draw += p.b_delta  # (T, 1)
-    delta = _softplus(draw)
-    a = -np.exp(p.a_log)  # (din, N), strictly negative
-    ld = delta[:, :, None] * a[None, :, :]  # (T, din, N); delta broadcasts over din
-    # delta > 0 and A < 0 make ld strictly negative; the clamp only guards
-    # against underflow-to-zero deltas and shifts phi by < 1e-12
-    np.minimum(ld, -_LD_CLAMP, out=ld)
-    exp_ld = np.expm1(ld)
-    phi = exp_ld / ld  # (e^x - 1) / x
-    exp_ld += 1.0
-    du = delta * u  # (T, din)
-    inp = phi * du[:, :, None]
-    inp *= braw[:, None, :]
-    h = linear_recurrence(ld, inp, chunk=chunk)
-    y = np.einsum("tcn,tn->tc", h, craw)
-    gate = _sigmoid(z)
-    gated = y * gate
-    out = gated @ p.w_out
-    out += tokens  # residual
-    cache = dict(u=u, z=z, braw=braw, craw=craw, draw=draw, delta=delta, a=a,
-                 ld=ld, phi=phi, exp_ld=exp_ld, du=du, inp=inp, h=h, y=y,
-                 gate=gate, gated=gated)
-    return out, cache
-
-
-def _ssm_block_backward(g_out: np.ndarray, p: SelectiveSsmParams, cache, grads):
-    u, z = cache["u"], cache["z"]
-    braw, craw = cache["braw"], cache["craw"]
-    delta, a = cache["delta"], cache["a"]
-    ld, phi, exp_ld = cache["ld"], cache["phi"], cache["exp_ld"]
-    du, inp, h, y, gate = cache["du"], cache["inp"], cache["h"], cache["y"], cache["gate"]
-    tokens = cache["tokens"]
-    chunk = cache["chunk"]
-
-    g_tokens = g_out.copy()  # residual branch
-    g_gated = g_out @ p.w_out.T
-    grads["slow.w_out"] = cache["gated"].T @ g_out
-    g_y = g_gated * gate
-    g_z = g_gated * y
-    g_z *= gate
-    g_z *= 1.0 - gate
-
-    g_h = g_y[:, :, None] * craw[:, None, :]
-    g_craw = np.einsum("tcn,tc->tn", h, g_y)
-
-    g_ld, g_inp = linear_recurrence_backward(ld, inp, h, g_h, chunk=chunk,
-                                             exp_log_decay=exp_ld)
-    pg = g_inp * phi
-    g_du = np.einsum("tcn,tn->tc", pg, braw)
-    g_braw = np.einsum("tcn,tc->tn", pg, du)
-    # d/dx[(e^x - 1)/x] = (e^x - phi) / x, -> 1/2 as x -> 0
-    dphi = exp_ld - phi
-    dphi /= ld
-    # gradient into ld: scan decay path plus the phi factor of the input
-    np.multiply(g_inp, dphi, out=pg)
-    pg *= du[:, :, None]
-    pg *= braw[:, None, :]
-    g_ld += pg
-
-    g_delta = np.einsum("tcn,cn->t", g_ld, a)[:, None]
-    g_a = np.einsum("tcn,t->cn", g_ld, delta[:, 0])
-    grads["slow.a_log"] = g_a * a  # A = -exp(a_log)
-
-    g_delta += np.einsum("tc,tc->t", g_du, u)[:, None]
-    g_u = g_du * delta
-
-    grads["slow.w_c"] = u.T @ g_craw
-    grads["slow.b_c"] = g_craw.sum(axis=0)
-    g_u += g_craw @ p.w_c.T
-    grads["slow.w_b"] = u.T @ g_braw
-    grads["slow.b_b"] = g_braw.sum(axis=0)
-    g_u += g_braw @ p.w_b.T
-
-    g_draw = g_delta * _sigmoid(cache["draw"])  # softplus'
-    grads["slow.w_delta"] = u.T @ g_draw
-    grads["slow.b_delta"] = g_draw.sum(axis=0)
-    g_u += g_draw @ p.w_delta.T
-
-    grads["slow.w_in"] = tokens.T @ g_u
-    g_tokens += g_u @ p.w_in.T
-    grads["slow.w_gate"] = tokens.T @ g_z
-    g_tokens += g_z @ p.w_gate.T
-    return g_tokens
-
-
 def _lstm_block_forward(tokens: np.ndarray, p: LstmParams):
     total, d = tokens.shape
     gates_i = np.empty((total, d), dtype=DTYPE)
@@ -717,24 +618,6 @@ def _lstm_block_backward(g_out: np.ndarray, p: LstmParams, cache, grads):
     grads["slow.w_h"] = g_w_h
     grads["slow.b"] = g_b
     return g_tokens
-
-
-# ---------------------------------------------------------------------------
-# selective parameter inspection (exposed for tests / analysis)
-# ---------------------------------------------------------------------------
-
-
-def selective_params(tokens_inner: np.ndarray, p: SelectiveSsmParams):
-    """Input-dependent (B_t, C_t, delta_t) from in-projected tokens (T, d_inner)."""
-    u = np.asarray(tokens_inner, dtype=DTYPE)
-    if u.ndim != 2 or u.shape[1] != p.d_inner:
-        raise DimensionError(
-            f"tokens shape {u.shape} incompatible with d_inner={p.d_inner}"
-        )
-    b = u @ p.w_b + p.b_b
-    c = u @ p.w_c + p.b_c
-    delta = np.broadcast_to(_softplus(u @ p.w_delta + p.b_delta), u.shape).copy()
-    return b, c, delta
 
 
 # ---------------------------------------------------------------------------

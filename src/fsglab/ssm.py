@@ -13,13 +13,14 @@ The discrete system is the linear recurrence
 
 which for time-invariant parameters is also the causal convolution of x with
 the kernel (C b_bar, C a_bar b_bar, ..., C a_bar^{L-1} b_bar).  `ssm_scan` is
-the plain sequential reference; `linear_recurrence` is the chunked form used
-by the slow hypernetwork's reference block: it processes the sequence in
-chunks, replacing the per-step product of decays with cumulative sums in log
-space (safe because the decays enter as exp(log_decay) with log_decay <= 0
+the plain sequential reference.  `chunk_plan` holds the guard of a chunked
+scan, which replaces the per-step product of decays with cumulative sums in
+log space (safe because the decays enter as exp(log_decay) with log_decay <= 0
 for stable systems; chunks whose log range would overflow fall back to
-stepping).  `chunk_plan` holds that guard; the streaming slow block in
-`hypernet` applies the same one.
+stepping); the streaming slow block in `hypernet` applies it.
+`linear_recurrence` is that chunked scan on its own.  No package code calls
+it: it stays only because perfbench's tracer wraps it, until the tracer
+spans the streaming block instead.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def ssm_conv(a_bar, b_bar, c, x):
     return y[:, 0] if squeeze else y
 
 
-# -- chunked recurrence (the slow hypernetwork's reference block) -----------
+# -- chunked recurrence ------------------------------------------------------
 
 
 def chunk_plan(amax: float, chunk: int):

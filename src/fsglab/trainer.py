@@ -427,25 +427,15 @@ class FsgTrainer(_TrainerBase):
         overrides = {}
         for i in self.bin_indices:
             st = self.quant_states[i]
-            entry = {}
-            if it == 1:
-                w_hat_t, da_t = preprocess(st.w)
-                if quantizer == "dorefa":
-                    w_eff = quantize(w_hat_t, cfg.bit_width)
-                else:
-                    w_eff = w_hat_t
-                entry.update(w_hat_t=w_hat_t, da_t=da_t, w_eff=w_eff, da_p=da_t,
-                             g_fsg=None, slow_cache=None)
-            else:
-                w_hat_t, da_t = preprocess(st.w)
+            prev = self.prev_quant_grad[i]
+            w_hat_t, da_t = preprocess(st.w)
+            g_fast = g_slow = slow_cache = g_fsg = None
+            w_prime = st.w
+            if prev is not None:  # no gradient to generate from before the first step: W' = W
                 if cfg.fast_kind == "mlp":
-                    g_fast = fast_forward(self.prev_quant_grad[i], w_hat_t, self.bundle.fast)
+                    g_fast = fast_forward(prev, w_hat_t, self.bundle.fast)
                 elif cfg.fast_kind == "identity":
-                    g_fast = self.prev_quant_grad[i]
-                else:
-                    g_fast = None
-                g_slow = None
-                slow_cache = None
+                    g_fast = prev
                 if cfg.slow_kind != "off" and len(self.buffers[i]) > 0:
                     g_slow, slow_cache = slow_forward_cached(
                         self._row[i], self.buffers[i].window(), self.bundle,
@@ -453,16 +443,14 @@ class FsgTrainer(_TrainerBase):
                     )
                 g_fsg = compose_gradient(g_fast, g_slow, da_t, cfg.alpha, cfg.beta)
                 w_prime = st.w - lr * g_fsg
-                try:
-                    w_eff, da_p = self._effective_weight(w_prime, quantizer, st.w)
-                except EvaluationError as exc:  # W was finite, so G is not
-                    raise DivergenceError(it, f"non-finite generated gradient G for "
-                                              f"layer {i} at iteration {it}") from exc
-                entry.update(w_hat_t=w_hat_t, da_t=da_t, g_fast=g_fast,
-                             g_slow=g_slow, slow_cache=slow_cache, g_fsg=g_fsg,
-                             w_eff=w_eff, da_p=da_p)
-            overrides[i] = entry["w_eff"]
-            per_layer[i] = entry
+            try:
+                w_eff, da_p = self._effective_weight(w_prime, quantizer, st.w)
+            except EvaluationError as exc:  # W was finite, so G is not
+                raise DivergenceError(it, f"non-finite generated gradient G for "
+                                          f"layer {i} at iteration {it}") from exc
+            overrides[i] = w_eff
+            per_layer[i] = dict(w_hat_t=w_hat_t, da_t=da_t, g_fast=g_fast, g_slow=g_slow,
+                                slow_cache=slow_cache, g_fsg=g_fsg, w_eff=w_eff, da_p=da_p)
 
         logits, caches = self.model.forward(x, overrides)
         loss, g_logits, _ = softmax_cross_entropy(logits, y)
@@ -482,7 +470,7 @@ class FsgTrainer(_TrainerBase):
             fresh_g_w = ste_backward(cot_wb) * entry["da_p"]
             entry["cot_wb"] = cot_wb
             entry["fresh_g_w"] = fresh_g_w
-            if it == 1:
+            if entry["g_fsg"] is None:
                 continue
             # cotangents through W' = W - lr*(alpha*F(*)dA - beta*S)
             if cfg.fast_kind == "mlp":
@@ -515,7 +503,6 @@ class FsgTrainer(_TrainerBase):
 
     def _apply_step(self, result) -> None:
         cfg = self.cfg
-        it = result["iteration"]
         lr = result["lr"]
         if result["hyper_grads"]:
             for name, arr in self.bundle.named_params():
@@ -527,7 +514,7 @@ class FsgTrainer(_TrainerBase):
             if i in self.bin_indices:
                 entry = result["per_layer"][i]
                 st = self.quant_states[i]
-                if it > 1:  # before that no generated gradient exists: weights hold still
+                if entry["g_fsg"] is not None:  # without one the weights hold still
                     self._base_update(name, arr, entry["g_fsg"], lr)
                 st.w_hat, st.da_dw = entry["w_hat_t"], entry["da_t"]
                 st.w_b = entry["w_eff"]
@@ -540,7 +527,7 @@ class FsgTrainer(_TrainerBase):
             else:
                 self.buffers[i].push(entry["fresh_g_w"])
             self.prev_quant_grad[i] = entry["cot_wb"]
-        self.iteration = it
+        self.iteration = result["iteration"]
 
     def step(self, x, y):
         result = self._compute_step(x, y, quantizer="dorefa")

@@ -120,6 +120,34 @@ class TestTrainCommand:
         assert err.count("\n") == 1
 
 
+IDX_DATA = ["dataset.kind = idx", "dataset.images_path = {images}",
+            "dataset.labels_path = {labels}"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lines,code,prefix", [
+    pytest.param(["l = 0"], 2, "config error: field 'l'", id="ConfigError"),
+    pytest.param(["model.layers = dense:3"], 2, "error: dense needs IN:OUT", id="ContractError"),
+    pytest.param(IDX_DATA + ["model.layers = flatten, dense:10:2:bin"], 2,
+                 "error: layer 1 (dense): matmul shape mismatch", id="DimensionError"),
+    pytest.param(IDX_DATA + ["model.layers = conv2d:1:2:3:pad=-1, flatten, dense:18:2"], 2,
+                 "error: pad must be >= 0", id="DomainError"),
+    pytest.param([IDX_DATA[0], IDX_DATA[1], "dataset.labels_path = {images}"], 3,
+                 "error: {images}: bad label magic", id="FormatError"),
+    pytest.param(["method = ste", "epochs = 50", "base_optimizer.kind = sgd",
+                  "base_optimizer.lr = 1e300", "model.layers = dense:2:8, dense:8:2"], 4,
+                 "error: non-finite loss at iteration ", id="DivergenceError"),
+])
+def test_error_class_exit_code_and_one_line(tmp_path, capsys, lines, code, prefix):
+    paths = {"images": tmp_path / "img.idx", "labels": tmp_path / "lab.idx"}
+    write_idx(paths["images"], paths["labels"], np.zeros((4, 3, 3), dtype=np.uint8),
+              np.arange(4) % 2)
+    cfg = write_cfg(tmp_path, "\n".join(line.format(**paths) for line in lines))
+    assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(**paths)) and err.count("\n") == 1
+
+
 class TestAblateCommand:
     def test_beta_sweep_emits_per_value_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_TRAIN)

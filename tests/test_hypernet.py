@@ -9,7 +9,6 @@ from fsglab.hypernet import (
     fast_forward,
     load_arrays,
     save_arrays,
-    selective_params,
     slow_backward,
     slow_forward,
     slow_forward_cached,
@@ -21,8 +20,8 @@ from fsglab.tensor import finite_diff_check
 def o1_bundle(seed, n_layers=3, d=4, n_state=3, expand=2, slow_kind="selective-ssm"):
     """Bundle with O(1)-scale parameters so coordinatewise FD is well conditioned."""
     bundle = HyperNetBundle.init(Rng(seed), n_layers=n_layers, fast_kind="off",
-                                 slow_kind=slow_kind, d=d, n_state=n_state,
-                                 expand=expand)
+                                 slow_kind=slow_kind, fast_hidden=1, d=d,
+                                 n_state=n_state, expand=expand)
     r = Rng(seed ^ 0x5EED)
     for name, arr in bundle.named_params():
         if name == "slow.a_log":
@@ -143,55 +142,13 @@ class TestFastBackward:
             lambda v: float(np.sum(cot * fast_forward(g, v, p))), wh, g_wh) < 1e-5
 
 
-class TestSelectiveParams:
-    def test_zero_token(self):
-        bundle = o1_bundle(7)
-        p = bundle.slow
-        p.b_b[...] = 0.0
-        p.b_c[...] = 0.0
-        p.b_delta[...] = 0.0
-        b, c, delta = selective_params(np.zeros((2, p.d_inner)), p)
-        assert not b.any() and not c.any()
-        assert np.allclose(delta, np.log(2.0))
-
-    def test_linear_scaling(self):
-        bundle = o1_bundle(8)
-        p = bundle.slow
-        rng = Rng(9)
-        u = rng.normals((3, p.d_inner))
-        b1, c1, _ = selective_params(u, p)
-        b2, c2, _ = selective_params(2.0 * u, p)
-        assert np.allclose(b2 - p.b_b, 2.0 * (b1 - p.b_b), atol=1e-12)
-        assert np.allclose(c2 - p.b_c, 2.0 * (c1 - p.b_c), atol=1e-12)
-
-    def test_dot_product_oracle(self):
-        bundle = o1_bundle(10)
-        p = bundle.slow
-        rng = Rng(11)
-        u = rng.normals((2, p.d_inner))
-        b, c, delta = selective_params(u, p)
-        for t in range(2):
-            for n in range(p.n_state):
-                assert abs(b[t, n] - (float(u[t] @ p.w_b[:, n]) + p.b_b[n])) < 1e-12
-                assert abs(c[t, n] - (float(u[t] @ p.w_c[:, n]) + p.b_c[n])) < 1e-12
-            raw = float(u[t] @ p.w_delta[:, 0]) + p.b_delta[0]
-            assert abs(delta[t, 0] - np.logaddexp(0.0, raw)) < 1e-12
-        assert delta.shape == u.shape  # broadcast across channels
-        assert np.all(delta > 0.0)
-
-    def test_shape_check(self):
-        bundle = o1_bundle(12)
-        with pytest.raises(DimensionError):
-            selective_params(np.zeros((2, bundle.slow.d_inner + 1)), bundle.slow)
-
-
 class TestSlowForward:
     def test_output_shape_for_conv_layer(self):
         # 4x3x3x3 conv gradients with 6 stored steps: 649-token sequence in,
         # gradient-shaped tensor out
         bundle = HyperNetBundle.init(Rng(1), n_layers=2, fast_kind="off",
-                                     slow_kind="selective-ssm", d=4, n_state=2,
-                                     expand=2)
+                                     slow_kind="selective-ssm", fast_hidden=1, d=4,
+                                     n_state=2, expand=2)
         xi = 4 * 3 * 3 * 3
         hist = Rng(2).normals(xi * 6)
         out = slow_forward(0, hist, bundle, (4, 3, 3, 3))
@@ -293,7 +250,8 @@ class TestSlowBackward:
 class TestLstmSlowNet:
     def test_zero_params_zero_input_fixed_point(self):
         bundle = HyperNetBundle.init(Rng(31), n_layers=2, fast_kind="off",
-                                     slow_kind="lstm", d=3)
+                                     slow_kind="lstm", fast_hidden=1, d=3, n_state=1,
+                                     expand=1)
         for _, arr in bundle.named_params():
             arr[...] = 0.0
         out = slow_forward(0, np.zeros(6), bundle, (3, 2))

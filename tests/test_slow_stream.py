@@ -1,9 +1,8 @@
-"""The streaming selective block against the full-sequence reference block.
+"""The streaming selective block against the per-token reference in `slow_reference`.
 
-`slow_forward_cached` / `slow_backward` run the streaming kernel; the
-reference path below composes the same token build, head and embedding
-gradients around `_ssm_block_forward` / `_ssm_block_backward`, which keep
-every (T, d_inner, N) intermediate.
+`slow_forward_cached` / `slow_backward` run the streaming kernel, which scans
+the history chunk by chunk in log space; the reference steps the recurrence
+one token at a time and keeps every (T, d_inner, N) intermediate.
 """
 
 import tracemalloc
@@ -11,25 +10,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fsglab.hypernet import (
-    HyperNetBundle,
-    _build_tokens,
-    _ssm_block_backward,
-    _ssm_block_forward,
-    selective_params,
-    slow_backward,
-    slow_forward_cached,
-)
+from fsglab.hypernet import HyperNetBundle, _build_tokens, slow_backward, slow_forward_cached
 from fsglab.rng import Rng
 from fsglab.ssm import discretize_zoh, ssm_scan
+from slow_reference import selective_terms, slow_net
 
 TOL = 1e-10
 
 
 def o1_bundle(seed, d=4, n_state=3, expand=2):
     bundle = HyperNetBundle.init(Rng(seed), n_layers=3, fast_kind="off",
-                                 slow_kind="selective-ssm", d=d, n_state=n_state,
-                                 expand=expand)
+                                 slow_kind="selective-ssm", fast_hidden=1, d=d,
+                                 n_state=n_state, expand=expand)
     r = Rng(seed ^ 0x5EED)
     for name, arr in bundle.named_params():
         if name == "slow.a_log":
@@ -37,24 +29,6 @@ def o1_bundle(seed, d=4, n_state=3, expand=2):
         else:
             arr[...] = 0.5 * r.normals(arr.shape)
     return bundle
-
-
-def reference_slow(layer, history, bundle, shape, cot, chunk):
-    """Output and gradients of the slow net built on the reference block."""
-    xi = int(np.prod(shape))
-    history, tokens = _build_tokens(layer, history, bundle)
-    out, cache = _ssm_block_forward(tokens, bundle.slow, chunk)
-    cache.update(tokens=tokens, chunk=chunk)
-    sliced = out[-xi:]
-    gs = cot.reshape(xi, 1)
-    grads = {"w_head": sliced.T @ gs}
-    g_block = np.zeros_like(tokens)
-    g_block[-xi:] = gs @ bundle.w_head.T
-    g_tokens = _ssm_block_backward(g_block, bundle.slow, cache, grads)
-    grads["lre"] = np.zeros_like(bundle.lre)
-    grads["lre"][layer] = g_tokens[0]
-    grads["w_a"] = (history @ g_tokens[1:])[None, :]
-    return (sliced @ bundle.w_head)[:, 0].reshape(shape), grads
 
 
 def rel_err(got, ref):
@@ -65,7 +39,7 @@ def rel_err(got, ref):
 
 def check_against_reference(bundle, history, shape, chunk, layer=1):
     cot = Rng(5).normals(shape)
-    ref_out, ref_grads = reference_slow(layer, history, bundle, shape, cot, chunk)
+    ref_out, ref_grads = slow_net(layer, history, bundle, shape, cot)
     out, cache = slow_forward_cached(layer, history, bundle, shape, chunk=chunk)
     grads = slow_backward(layer, None, bundle, shape, cot, cache=cache)
     assert rel_err(out, ref_out) < TOL
@@ -126,7 +100,7 @@ def test_pre_gate_output_matches_reference_scan():
     _, cache = slow_forward_cached(2, history, bundle, (xi,), chunk=6)
     _, tokens = _build_tokens(2, history, bundle)
     u = tokens @ p.w_in
-    b_t, c_t, delta_t = selective_params(u, p)
+    b_t, c_t, delta_t = selective_terms(u, p)
     a_bar, b_bar = discretize_zoh(-np.exp(p.a_log), b_t[:, None, :], delta_t[:, :, None])
     y = ssm_scan(a_bar, b_bar, c_t, u)
     assert rel_err(cache["y"], y[-xi:]) < TOL
@@ -135,7 +109,8 @@ def test_pre_gate_output_matches_reference_scan():
 def test_memory_bound_at_paper_dims():
     """tracemalloc peak of slow fwd+bwd at xi = 1024 (6145 tokens); a bound, not a speed."""
     bundle = HyperNetBundle.init(Rng(11), n_layers=1, fast_kind="off",
-                                 slow_kind="selective-ssm", d=16, n_state=8, expand=2)
+                                 slow_kind="selective-ssm", fast_hidden=1, d=16,
+                                 n_state=8, expand=2)
     xi = 1024
     history = 1e-2 * Rng(12).normals(xi * 6)
     cot = Rng(13).normals((32, 32))

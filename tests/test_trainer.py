@@ -67,11 +67,19 @@ class TestComposeGradient:
 
 
 class TestFirstIteration:
-    def test_no_binarized_update(self, blobs):
-        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(99)), toy_config())
+    @pytest.mark.parametrize("opt", [
+        OptimizerConfig(kind="sgd", lr=0.05),
+        OptimizerConfig(kind="sgd", lr=0.05, momentum=0.9),
+        OptimizerConfig(kind="adam", lr=0.05),
+    ], ids=["sgd", "sgd-momentum", "adam"])
+    def test_no_binarized_update(self, blobs, opt):
+        """No generated gradient exists yet, so none reaches the base optimizer:
+        a zero one would still create (and, for Adam, advance) its slots."""
+        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(99)), toy_config(base_optimizer=opt))
         before = tr.model.layers[3].w.copy()
         tr.step(blobs.x[:16], blobs.y[:16])
         assert np.array_equal(tr.model.layers[3].w, before)
+        assert "layer3.w" not in tr.base_state.slots
 
     def test_buffers_seeded(self, blobs):
         tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(99)), toy_config())
