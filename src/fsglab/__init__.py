@@ -16,7 +16,7 @@ from .hypernet import (  # noqa: F401
     slow_forward,
 )
 from .model import Model  # noqa: F401
-from .quantize import QuantLayerState, preprocess, quantize, ste_backward  # noqa: F401
+from .quantize import preprocess, quantize, ste_backward  # noqa: F401
 from .rng import Rng  # noqa: F401
 from .trainer import (  # noqa: F401
     FsgTrainer,

@@ -192,6 +192,24 @@ def criterion_3_momentum_identity():
     return worst < 1e-12, f"max |iterated - closed form| = {worst:.2e} over 100 sequences"
 
 
+def _forward_states(tr, data, steps: int):
+    """(loss, forward state) of each of `steps` training steps: every
+    non-binarized parameter as it was before the step, plus each binarized
+    layer's forward weight."""
+    binarized = {f"layer{i}.w" for i in tr.bin_indices}
+    states = []
+    while len(states) < steps:
+        for bx, by in tr._batches(data.x, data.y):
+            state = {name: arr.copy() for name, arr in tr.model.named_params()
+                     if name not in binarized}
+            loss, info = tr.step(bx, by)
+            state.update({f"layer{i}.w_fwd": s.w_fwd for i, s in info["layers"].items()})
+            states.append((loss, state))
+            if len(states) == steps:
+                break
+    return states
+
+
 def criterion_4_degeneracy():
     """Identity fast net and no slow net reproduce the STE baseline bit for bit."""
     data = gen_synthetic("blobs", 40, 0.4, Rng(17))
@@ -201,21 +219,13 @@ def criterion_4_degeneracy():
                hyper_lr=1e-3, epochs=1, batch_size=16,
                lr_decay=LrDecay(every=0, factor=1.0), seed=99,
                slow_kind="off", fast_kind="identity")
-    fsg = FsgTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg))
-    ste = SteTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg))
-    for tr in (fsg, ste):
-        tr.keep_forward_trace = True
-        steps = 0
-        while steps < 52:
-            for bx, by in tr._batches(data.x, data.y):
-                tr.step(bx, by)
-                steps += 1
-                if steps >= 52:
-                    break
-    ok = min(len(fsg.forward_trace), len(ste.forward_trace)) >= 50 and all(
-        loss_f == loss_s and all(np.array_equal(snap_f[key], snap_s[key]) for key in snap_s)
-        for (_, loss_f, snap_f), (_, loss_s, snap_s)
-        in zip(fsg.forward_trace[:50], ste.forward_trace[:50]))
+    fsg = _forward_states(FsgTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg)), data, 50)
+    ste = _forward_states(SteTrainer(Model.build(layers, Rng(99)), TrainConfig(**cfg)), data, 50)
+    # the guard against a vacuous pass: 50 states each, every one with layer 3's weights
+    ok = len(fsg) == len(ste) == 50 and all(
+        "layer3.w_fwd" in state_f and state_f.keys() == state_s.keys() and loss_f == loss_s
+        and all(np.array_equal(state_f[key], state_s[key]) for key in state_s)
+        for (loss_f, state_f), (loss_s, state_s) in zip(fsg, ste))
     return ok, ("identity-fast/off-slow forward states and losses "
                 "bit-identical to the baseline for 50 steps")
 

@@ -12,11 +12,15 @@ time, version) next to its outputs.  The FSGLAB_OUTPUT_ROOT environment
 variable re-roots relative output directories.
 
 Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
-error (ConfigError), including a model whose layer shapes do not fit the
-data or each other (DimensionError, naming the layer), a malformed layer
-spec (ContractError) or a value outside its domain (DomainError); 3 an input
-file does not match its format (FormatError); 4 training diverged
-(DivergenceError).  Errors print one line to stderr (`_EXIT_CODES`).
+error (ConfigError), including a malformed sweep spec, a model whose layer
+shapes do not fit the data or each other (DimensionError, naming the layer),
+a malformed layer spec (ContractError) or a value outside its domain
+(DomainError), an empty gradient history (EmptyHistoryError) or a rate fit
+on invalid gaps (FitError); 3 an input file does not match its format
+(FormatError); 4 training or the convex bench diverged (DivergenceError,
+naming the iteration, and the layer for non-finite weights) or a numeric
+evaluation was non-finite (EvaluationError).  Errors print one line to
+stderr (`_EXIT_CODES`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .convergence import (
 )
 from .data import gen_synthetic, load_idx
 from .errors import (ConfigError, ContractError, DimensionError, DivergenceError, DomainError,
-                     FormatError)
+                     EmptyHistoryError, EvaluationError, FitError, FormatError)
 from .metrics import MetricsWriter, dump_curve, write_manifest
 from .model import Model
 from .rng import Rng
@@ -53,8 +57,11 @@ _EXIT_CODES = {
     ContractError: (2, "error"),
     DimensionError: (2, "error"),
     DomainError: (2, "error"),
+    EmptyHistoryError: (2, "error"),
+    FitError: (2, "error"),
     FormatError: (3, "error"),
     DivergenceError: (4, "error"),
+    EvaluationError: (4, "error"),
 }
 
 
@@ -113,13 +120,16 @@ def _parse_sweep(spec: str):
         raise ConfigError(f"sweep spec must be key=values, got {spec!r}")
     key, raw = spec.split("=", 1)
     key = key.strip()
-    if key == "beta":
-        return "beta", "beta", [float(v) for v in raw.split(",") if v.strip()]
-    if key == "l":
-        if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            return "l", "l", list(range(int(lo), int(hi) + 1))
-        return "l", "l", [int(v) for v in raw.split(",") if v.strip()]
+    try:
+        if key == "beta":
+            return "beta", "beta", [float(v) for v in raw.split(",") if v.strip()]
+        if key == "l":
+            if ".." in raw:
+                lo, hi = raw.split("..", 1)
+                return "l", "l", list(range(int(lo), int(hi) + 1))
+            return "l", "l", [int(v) for v in raw.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad value in sweep spec {spec!r}: {exc}") from None
     if key == "slow":
         names = {"ssm": "selective-ssm", "lstm": "lstm", "off": "off"}
         vals = []
@@ -160,6 +170,10 @@ def run_bench(cfg: RunConfig, outdir: Path):
         trace = run_fsg_convex(problem, C=v["bench.c"], beta=v["beta"], T=t_max,
                                repeats=repeats, rng=rng.derive("runs"), phi=phi,
                                slow_noise=v["bench.slow_noise"])
+        if len(trace.failed_repeats) == repeats:
+            first = min(len(trace.phi_g[r]) for r in trace.failed_repeats)
+            raise DivergenceError(first, f"bench seed {s}: every repeat diverged, "
+                                         f"the first at iteration {first}")
         slopes.append(rate_fit(trace.ts, trace.gaps))
         residuals.append(pk_recursion_check(trace, v["beta"]))
         bound_ok &= bool(np.all(trace.gaps <= theorem_bound(trace, trace.ts)))

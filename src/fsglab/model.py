@@ -155,6 +155,17 @@ class FlattenLayer:
         return g_out.reshape(cache), {}
 
 
+def _integer(text: str, descriptor: str, minimum=None) -> int:
+    """An integer field of a layer descriptor; sizes pass minimum=1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ContractError(f"{text!r} is not an integer in {descriptor!r}") from None
+    if minimum is not None and value < minimum:
+        raise ContractError(f"size {value} must be >= {minimum} in {descriptor!r}")
+    return value
+
+
 def parse_layer(descriptor: str):
     parts = [p.strip() for p in descriptor.strip().split(":") if p.strip()]
     if not parts:
@@ -166,7 +177,7 @@ def parse_layer(descriptor: str):
     if kind == "dense":
         if len(flags) != 2:
             raise ContractError(f"dense needs IN:OUT, got {descriptor!r}")
-        return DenseLayer(int(flags[0]), int(flags[1]), binarize)
+        return DenseLayer(*(_integer(f, descriptor, 1) for f in flags), binarize)
     if kind == "conv2d":
         opts = {"stride": 1, "pad": 0}
         dims = []
@@ -175,16 +186,16 @@ def parse_layer(descriptor: str):
                 key, val = f.split("=", 1)
                 if key not in opts:
                     raise ContractError(f"unknown conv2d option {key!r}")
-                opts[key] = int(val)
+                opts[key] = _integer(val, descriptor)  # ranges: tensor._conv_geometry
             else:
-                dims.append(int(f))
+                dims.append(_integer(f, descriptor, 1))
         if len(dims) != 3:
             raise ContractError(f"conv2d needs CIN:COUT:K, got {descriptor!r}")
         return Conv2dLayer(dims[0], dims[1], dims[2], opts["stride"], opts["pad"], binarize)
     if kind == "bias":
         if len(flags) != 1:
             raise ContractError(f"bias needs a width, got {descriptor!r}")
-        return BiasLayer(int(flags[0]))
+        return BiasLayer(_integer(flags[0], descriptor, 1))
     if kind == "relu":
         return ReluLayer()
     if kind == "tanh":

@@ -21,8 +21,6 @@ is defined as 0.5 everywhere with zero derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DomainError, EvaluationError
@@ -68,23 +66,3 @@ def quantize(w_hat: np.ndarray, k: int = 1) -> np.ndarray:
 def ste_backward(g_out: np.ndarray) -> np.ndarray:
     """Straight-through rule across the quantizer: identity pass-through."""
     return np.asarray(g_out, dtype=DTYPE)
-
-
-@dataclass
-class QuantLayerState:
-    """Per-layer carrier for a binarized layer's tensors.
-
-    Keeps the full-precision weights alongside the cached preprocessed and
-    binarized views.
-    """
-
-    layer_index: int
-    w: np.ndarray
-    w_hat: np.ndarray = field(default=None)
-    w_b: np.ndarray = field(default=None)
-    da_dw: np.ndarray = field(default=None)
-
-    def refresh(self, k: int = 1) -> None:
-        """Recompute w_hat, w_b, da_dw from the current weights."""
-        self.w_hat, self.da_dw = preprocess(self.w)
-        self.w_b = quantize(self.w_hat, k)

@@ -60,7 +60,7 @@ from .hypernet import (
 )
 from .model import Model
 from .optim import OptimizerState, adam_step, sgd_momentum_step, sgd_step
-from .quantize import QuantLayerState, preprocess, quantize, ste_backward
+from .quantize import preprocess, quantize, ste_backward
 from .rng import Rng
 from .tensor import DTYPE, softmax_cross_entropy
 
@@ -151,6 +151,26 @@ class MetricsRecord:
             raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
 
 
+@dataclass
+class LayerStep:
+    """One binarized layer's record of one step, the same for both trainers.
+
+    The straight-through baseline forwards at W' = W and generates nothing,
+    so its g_fast, g_slow, slow_cache and g_fsg stay None.
+    """
+
+    w_hat: np.ndarray  # A(W)
+    da_dw: np.ndarray  # dA/dW at W
+    g_fast: np.ndarray | None = None
+    g_slow: np.ndarray | None = None
+    slow_cache: object = None
+    g_fsg: np.ndarray | None = None  # G; None until a gradient has been generated
+    w_fwd: np.ndarray | None = None  # the forward weight Q(A(W'))
+    da_fwd: np.ndarray | None = None  # dA/dW at W'
+    g_fwd: np.ndarray | None = None  # loss gradient with respect to w_fwd
+    g_ste: np.ndarray | None = None  # straight-through weight gradient, g_fwd * da_fwd
+
+
 def compose_gradient(g_fast, g_slow, da_dw, alpha: float, beta: float) -> np.ndarray:
     """G = alpha * g_fast (*) da_dw - beta * g_slow; absent terms are zero."""
     da_dw = np.asarray(da_dw, dtype=DTYPE)
@@ -219,13 +239,9 @@ class _TrainerBase:
         self.base_state = OptimizerState()
         self.iteration = 0  # completed iterations
         self.epoch = 0
-        self.keep_forward_trace = False
-        self.forward_trace: list = []
         self.bin_indices = model.binarized_indices()
-        self.quant_states = {
-            i: QuantLayerState(layer_index=i, w=model.layers[i].w)
-            for i in self.bin_indices
-        }
+        # perfbench/workloads.py reads quant_states[i].w, so the name stays
+        self.quant_states = {i: model.layers[i] for i in self.bin_indices}
 
     # -- learning-rate schedule --------------------------------------------
 
@@ -259,39 +275,45 @@ class _TrainerBase:
             idx = perm[start : start + bs]
             yield x[idx], y[idx]
 
-    def _record_forward(self, loss, overrides):
-        if not self.keep_forward_trace:
-            return
-        snap = {f"layer{i}.w_eff": w.copy() for i, w in overrides.items()}
-        for name, arr in self.model.named_params():
-            i = _layer_index(name)
-            if i not in overrides:
-                snap[name] = arr.copy()
-        self.forward_trace.append((self.iteration + 1, loss, snap))
+    # -- binarized layers ------------------------------------------------------
 
-    # -- shared inference -----------------------------------------------------
+    def _preprocess(self, w, i: int, it: int, which: str = "W"):
+        """preprocess(w) of binarized layer i; non-finite weights end the run."""
+        try:
+            return preprocess(w)
+        except EvaluationError as exc:
+            raise DivergenceError(it, f"non-finite weights {which} of layer {i} "
+                                      f"at iteration {it}") from exc
 
-    def _inference_overrides(self):
-        overrides = {}
-        for i in self.bin_indices:
-            w_hat, _ = preprocess(self.model.layers[i].w)
-            overrides[i] = quantize(w_hat, self.cfg.bit_width)
-        return overrides
+    def _ste_layer(self, i: int, it: int) -> LayerStep:
+        """Layer i's record with the forward at Q(A(W)), i.e. W' = W."""
+        w_hat, da_dw = self._preprocess(self.model.layers[i].w, i, it)
+        return LayerStep(w_hat, da_dw, w_fwd=quantize(w_hat, self.cfg.bit_width),
+                         da_fwd=da_dw)
 
-    def evaluate(self, x, y, split: str = "test", dump_path=None) -> MetricsRecord:
+    def _forward_backward(self, x, y, layers: dict, it: int):
+        """Forward at each layer's w_fwd and backward; fills g_fwd and g_ste.
+
+        Returns (loss, correct predictions, gradients of all parameters)."""
+        logits, caches = self.model.forward(x, {i: s.w_fwd for i, s in layers.items()})
+        loss, g_logits, _ = softmax_cross_entropy(logits, y)
+        if not np.isfinite(loss):
+            raise DivergenceError(it)
+        _, grads = self.model.backward(g_logits, caches)
+        for i, s in layers.items():
+            s.g_fwd = grads[f"layer{i}.w"]
+            s.g_ste = ste_backward(s.g_fwd) * s.da_fwd
+        return loss, float((logits.argmax(axis=1) == y).sum()), grads
+
+    def evaluate(self, x, y, split: str = "test") -> MetricsRecord:
         """Binarized-weight inference; never mutates weights or state."""
         if x.shape[0] == 0:
             raise ContractError("empty dataset")
         t0 = time.perf_counter()
-        logits, _ = self.model.forward(x, self._inference_overrides())
-        loss, _, probs = softmax_cross_entropy(logits, y)
-        pred = logits.argmax(axis=1)
-        acc = float((pred == y).mean())
-        if dump_path is not None:
-            with open(dump_path, "w", encoding="utf-8") as fh:
-                fh.write("label," + ",".join(f"logit{k}" for k in range(logits.shape[1])) + "\n")
-                for yi, row in zip(y, logits):
-                    fh.write(str(int(yi)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        overrides = {i: self._ste_layer(i, self.iteration).w_fwd for i in self.bin_indices}
+        logits, _ = self.model.forward(x, overrides)
+        loss, _, _ = softmax_cross_entropy(logits, y)
+        acc = float((logits.argmax(axis=1) == y).mean())
         ms = int((time.perf_counter() - t0) * 1000) if self.cfg.record_timing else 0
         rec = MetricsRecord(self.epoch, self.iteration, split, loss, acc,
                             self.current_lr(), ms)
@@ -354,29 +376,13 @@ class SteTrainer(_TrainerBase):
     def step(self, x, y):
         lr = self.current_lr()
         it = self.iteration + 1
-        overrides = {}
-        da = {}
-        for i in self.bin_indices:
-            st = self.quant_states[i]
-            st.refresh(self.cfg.bit_width)
-            overrides[i] = st.w_b
-            da[i] = st.da_dw
-        logits, caches = self.model.forward(x, overrides)
-        loss, g_logits, _ = softmax_cross_entropy(logits, y)
-        if not np.isfinite(loss):
-            raise DivergenceError(it)
-        self._record_forward(loss, overrides)
-        _, grads = self.model.backward(g_logits, caches)
+        layers = {i: self._ste_layer(i, it) for i in self.bin_indices}
+        loss, correct, grads = self._forward_backward(x, y, layers, it)
         for name, arr in self.model.named_params():
             i = _layer_index(name)
-            if i in self.bin_indices:
-                g = ste_backward(grads[name]) * da[i]
-            else:
-                g = grads[name]
-            self._base_update(name, arr, g, lr)
+            self._base_update(name, arr, layers[i].g_ste if i in layers else grads[name], lr)
         self.iteration = it
-        pred = logits.argmax(axis=1)
-        return loss, {"correct": float((pred == y).sum())}
+        return loss, {"correct": correct, "layers": layers}
 
 
 class FsgTrainer(_TrainerBase):
@@ -402,9 +408,9 @@ class FsgTrainer(_TrainerBase):
 
     # -- one iteration, split into pure compute + state mutation -------------
 
-    def _effective_weight(self, w_prime, quantizer: str, w_base):
+    def _effective_weight(self, w_prime, quantizer: str, w_base, i: int, it: int):
         if quantizer == "dorefa":
-            w_hat_p, da_p = preprocess(w_prime)
+            w_hat_p, da_p = self._preprocess(w_prime, i, it, "W' = W - lr*G")
             return quantize(w_hat_p, self.cfg.bit_width), da_p
         if quantizer == "surrogate":
             # Q replaced by identity, and the preprocessing normalization is
@@ -423,40 +429,27 @@ class FsgTrainer(_TrainerBase):
         cfg = self.cfg
         lr = self.current_lr()
         it = self.iteration + 1
-        per_layer = {}
-        overrides = {}
+        layers = {}
         for i in self.bin_indices:
-            st = self.quant_states[i]
+            w = self.model.layers[i].w
             prev = self.prev_quant_grad[i]
-            w_hat_t, da_t = preprocess(st.w)
-            g_fast = g_slow = slow_cache = g_fsg = None
-            w_prime = st.w
+            s = layers[i] = LayerStep(*self._preprocess(w, i, it))
+            w_prime = w
             if prev is not None:  # no gradient to generate from before the first step: W' = W
                 if cfg.fast_kind == "mlp":
-                    g_fast = fast_forward(prev, w_hat_t, self.bundle.fast)
+                    s.g_fast = fast_forward(prev, s.w_hat, self.bundle.fast)
                 elif cfg.fast_kind == "identity":
-                    g_fast = prev
+                    s.g_fast = prev
                 if cfg.slow_kind != "off" and len(self.buffers[i]) > 0:
-                    g_slow, slow_cache = slow_forward_cached(
+                    s.g_slow, s.slow_cache = slow_forward_cached(
                         self._row[i], self.buffers[i].window(), self.bundle,
-                        st.w.shape, chunk=cfg.scan_chunk,
+                        w.shape, chunk=cfg.scan_chunk,
                     )
-                g_fsg = compose_gradient(g_fast, g_slow, da_t, cfg.alpha, cfg.beta)
-                w_prime = st.w - lr * g_fsg
-            try:
-                w_eff, da_p = self._effective_weight(w_prime, quantizer, st.w)
-            except EvaluationError as exc:  # W was finite, so G is not
-                raise DivergenceError(it, f"non-finite generated gradient G for "
-                                          f"layer {i} at iteration {it}") from exc
-            overrides[i] = w_eff
-            per_layer[i] = dict(w_hat_t=w_hat_t, da_t=da_t, g_fast=g_fast, g_slow=g_slow,
-                                slow_cache=slow_cache, g_fsg=g_fsg, w_eff=w_eff, da_p=da_p)
+                s.g_fsg = compose_gradient(s.g_fast, s.g_slow, s.da_dw, cfg.alpha, cfg.beta)
+                w_prime = w - lr * s.g_fsg
+            s.w_fwd, s.da_fwd = self._effective_weight(w_prime, quantizer, w, i, it)
 
-        logits, caches = self.model.forward(x, overrides)
-        loss, g_logits, _ = softmax_cross_entropy(logits, y)
-        if not np.isfinite(loss):
-            raise DivergenceError(it)
-        _, grads = self.model.backward(g_logits, caches)
+        loss, correct, grads = self._forward_backward(x, y, layers, it)
 
         hyper_grads: dict[str, np.ndarray] = {}
 
@@ -464,37 +457,29 @@ class FsgTrainer(_TrainerBase):
             for k, v in new.items():
                 hyper_grads[k] = hyper_grads[k] + v if k in hyper_grads else v
 
-        for i in self.bin_indices:
-            entry = per_layer[i]
-            cot_wb = grads[f"layer{i}.w"]
-            fresh_g_w = ste_backward(cot_wb) * entry["da_p"]
-            entry["cot_wb"] = cot_wb
-            entry["fresh_g_w"] = fresh_g_w
-            if entry["g_fsg"] is None:
+        for i, s in layers.items():
+            if s.g_fsg is None:
                 continue
             # cotangents through W' = W - lr*(alpha*F(*)dA - beta*S)
             if cfg.fast_kind == "mlp":
-                cot_fast = -lr * cfg.alpha * fresh_g_w * entry["da_t"]
-                fgrads, _, _ = fast_backward(self.prev_quant_grad[i],
-                                             entry["w_hat_t"], self.bundle.fast, cot_fast)
+                cot_fast = -lr * cfg.alpha * s.g_ste * s.da_dw
+                fgrads, _, _ = fast_backward(self.prev_quant_grad[i], s.w_hat,
+                                             self.bundle.fast, cot_fast)
                 accumulate(fgrads)
-            if entry["slow_cache"] is not None:
-                cot_slow = lr * cfg.beta * fresh_g_w
-                sgrads = slow_backward(self._row[i], None, self.bundle,
-                                       self.quant_states[i].w.shape, cot_slow,
-                                       cache=entry["slow_cache"])
+            if s.slow_cache is not None:
+                cot_slow = lr * cfg.beta * s.g_ste
+                sgrads = slow_backward(self._row[i], None, self.bundle, s.w_hat.shape,
+                                       cot_slow, cache=s.slow_cache)
                 accumulate(sgrads)
 
-        pred = logits.argmax(axis=1)
         return {
             "iteration": it,
             "loss": loss,
             "lr": lr,
-            "overrides": overrides,
-            "per_layer": per_layer,
+            "layers": layers,
             "grads": grads,
             "hyper_grads": hyper_grads,
-            "correct": float((pred == y).sum()),
+            "correct": correct,
         }
 
     def surrogate_loss(self, x, y) -> float:
@@ -504,6 +489,7 @@ class FsgTrainer(_TrainerBase):
     def _apply_step(self, result) -> None:
         cfg = self.cfg
         lr = result["lr"]
+        layers = result["layers"]
         if result["hyper_grads"]:
             for name, arr in self.bundle.named_params():
                 if name in result["hyper_grads"]:
@@ -511,27 +497,20 @@ class FsgTrainer(_TrainerBase):
                               name, cfg.hyper_lr)
         for name, arr in self.model.named_params():
             i = _layer_index(name)
-            if i in self.bin_indices:
-                entry = result["per_layer"][i]
-                st = self.quant_states[i]
-                if entry["g_fsg"] is not None:  # without one the weights hold still
-                    self._base_update(name, arr, entry["g_fsg"], lr)
-                st.w_hat, st.da_dw = entry["w_hat_t"], entry["da_t"]
-                st.w_b = entry["w_eff"]
-            else:
+            if i not in layers:
                 self._base_update(name, arr, result["grads"][name], lr)
-        for i in self.bin_indices:
-            entry = result["per_layer"][i]
-            if cfg.history_source == "composed" and entry["g_fsg"] is not None:
-                self.buffers[i].push(entry["g_fsg"])
+            elif layers[i].g_fsg is not None:  # without one the weights hold still
+                self._base_update(name, arr, layers[i].g_fsg, lr)
+        for i, s in layers.items():
+            if cfg.history_source == "composed" and s.g_fsg is not None:
+                self.buffers[i].push(s.g_fsg)
             else:
-                self.buffers[i].push(entry["fresh_g_w"])
-            self.prev_quant_grad[i] = entry["cot_wb"]
+                self.buffers[i].push(s.g_ste)
+            self.prev_quant_grad[i] = s.g_fwd
         self.iteration = result["iteration"]
 
     def step(self, x, y):
         result = self._compute_step(x, y, quantizer="dorefa")
-        self._record_forward(result["loss"], result["overrides"])
         self._apply_step(result)
         return result["loss"], result
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fsglab import checks
+from fsglab import checks, cli
 from fsglab.cli import main
 from fsglab.data import write_idx
+from fsglab.errors import EmptyHistoryError, EvaluationError, FitError
 from fsglab.metrics import METRICS_HEADER, MetricsWriter, dump_curve, read_metrics
 from fsglab.trainer import MetricsRecord
 
@@ -124,26 +125,73 @@ IDX_DATA = ["dataset.kind = idx", "dataset.images_path = {images}",
             "dataset.labels_path = {labels}"]
 
 
+def _row(error_id, lines, code, prefix, command="train", raised=None):
+    """One table row; `raised` = (cli binding, error) stubs in an error the
+    command cannot be driven to by its config."""
+    return pytest.param(command, lines, code, prefix, raised, id=error_id)
+
+
+WEIGHT_OVERFLOW = ["method = ste", "base_optimizer.kind = sgd", "base_optimizer.lr = 1e308",
+                   "lr_decay.factor = 1.0", "dataset.kind = blobs", "dataset.n_per_class = 40",
+                   "batch_size = 16", "seed = 1",
+                   "model.layers = dense:2:8:bin, dense:8:2:bin"]
+DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
+                   "bench.repeats = 1"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("lines,code,prefix", [
-    pytest.param(["l = 0"], 2, "config error: field 'l'", id="ConfigError"),
-    pytest.param(["model.layers = dense:3"], 2, "error: dense needs IN:OUT", id="ContractError"),
-    pytest.param(IDX_DATA + ["model.layers = flatten, dense:10:2:bin"], 2,
-                 "error: layer 1 (dense): matmul shape mismatch", id="DimensionError"),
-    pytest.param(IDX_DATA + ["model.layers = conv2d:1:2:3:pad=-1, flatten, dense:18:2"], 2,
-                 "error: pad must be >= 0", id="DomainError"),
-    pytest.param([IDX_DATA[0], IDX_DATA[1], "dataset.labels_path = {images}"], 3,
-                 "error: {images}: bad label magic", id="FormatError"),
-    pytest.param(["method = ste", "epochs = 50", "base_optimizer.kind = sgd",
-                  "base_optimizer.lr = 1e300", "model.layers = dense:2:8, dense:8:2"], 4,
-                 "error: non-finite loss at iteration ", id="DivergenceError"),
+@pytest.mark.parametrize("command,lines,code,prefix,raised", [
+    _row("ConfigError", ["l = 0"], 2, "config error: field 'l'"),
+    _row("ConfigError-sweep-beta", [], 2,
+         "config error: bad value in sweep spec 'beta=abc'", "ablate --sweep beta=abc"),
+    _row("ConfigError-sweep-range", [], 2,
+         "config error: bad value in sweep spec 'l=1..x'", "ablate --sweep l=1..x"),
+    _row("ConfigError-sweep-list", [], 2,
+         "config error: bad value in sweep spec 'l=3,q'", "ablate --sweep l=3,q"),
+    _row("ContractError", ["model.layers = dense:3"], 2, "error: dense needs IN:OUT"),
+    _row("ContractError-negative-size", ["model.layers = dense:2:-3, dense:-3:2"], 2,
+         "error: size -3 must be >= 1 in 'dense:2:-3'"),
+    _row("ContractError-zero-size", ["model.layers = dense:2:0, dense:0:2"], 2,
+         "error: size 0 must be >= 1 in 'dense:2:0'"),
+    _row("ContractError-stride", IDX_DATA + ["model.layers = conv2d:1:2:3:stride=q"], 2,
+         "error: 'q' is not an integer in 'conv2d:1:2:3:stride=q'"),
+    _row("DimensionError", IDX_DATA + ["model.layers = flatten, dense:10:2:bin"], 2,
+         "error: layer 1 (dense): matmul shape mismatch"),
+    _row("DomainError", IDX_DATA + ["model.layers = conv2d:1:2:3:pad=-1, flatten, dense:18:2"],
+         2, "error: pad must be >= 0"),
+    _row("EmptyHistoryError", [], 2, "error: layer 3: history is empty",
+         raised=("run_train", EmptyHistoryError("layer 3: history is empty"))),
+    _row("FitError", ["bench.t = 400"], 2, "error: nonpositive gap at window index 0",
+         "bench-convergence",
+         raised=("rate_fit", FitError(0, "nonpositive gap at window index 0"))),
+    _row("FormatError", [IDX_DATA[0], IDX_DATA[1], "dataset.labels_path = {images}"], 3,
+         "error: {images}: bad label magic"),
+    _row("DivergenceError", ["method = ste", "epochs = 50", "base_optimizer.kind = sgd",
+                             "base_optimizer.lr = 1e300", "model.layers = dense:2:8, dense:8:2"],
+         4, "error: non-finite loss at iteration "),
+    _row("DivergenceError-weights", WEIGHT_OVERFLOW, 4,
+         "error: non-finite weights W of layer 0 at iteration 2"),
+    _row("DivergenceError-bench", DIVERGING_BENCH, 4,
+         "error: bench seed 0: every repeat diverged, the first at iteration ",
+         "bench-convergence"),
+    _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",
+         raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0"))),
 ])
-def test_error_class_exit_code_and_one_line(tmp_path, capsys, lines, code, prefix):
+def test_error_class_exit_code_and_one_line(tmp_path, capsys, monkeypatch, command, lines,
+                                            code, prefix, raised):
     paths = {"images": tmp_path / "img.idx", "labels": tmp_path / "lab.idx"}
     write_idx(paths["images"], paths["labels"], np.zeros((4, 3, 3), dtype=np.uint8),
               np.arange(4) % 2)
     cfg = write_cfg(tmp_path, "\n".join(line.format(**paths) for line in lines))
-    assert main(["train", str(cfg), "--out", str(tmp_path / "out")]) == code
+    if raised is not None:
+        binding, error = raised
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, binding, fail)
+    name, *options = command.split()
+    assert main([name, str(cfg), "--out", str(tmp_path / "out"), *options]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix.format(**paths)) and err.count("\n") == 1
 

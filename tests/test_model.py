@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,21 @@ def test_parse_layer_errors():
         parse_layer("attention")
     with pytest.raises(ContractError):
         parse_layer("")
+
+
+@pytest.mark.parametrize("descriptor,message", [
+    ("dense:2:-3", "size -3 must be >= 1 in 'dense:2:-3'"),
+    ("dense:2:0", "size 0 must be >= 1 in 'dense:2:0'"),
+    ("dense:2:x", "'x' is not an integer in 'dense:2:x'"),
+    ("bias:0", "size 0 must be >= 1 in 'bias:0'"),
+    ("conv2d:1:0:3", "size 0 must be >= 1 in 'conv2d:1:0:3'"),
+    ("conv2d:1:2:1.5", "'1.5' is not an integer in 'conv2d:1:2:1.5'"),
+    ("conv2d:1:2:3:stride=q", "'q' is not an integer in 'conv2d:1:2:3:stride=q'"),
+    ("conv2d:1:2:3:pad=", "'' is not an integer in 'conv2d:1:2:3:pad='"),
+])
+def test_parse_layer_rejects_bad_sizes(descriptor, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        parse_layer(descriptor)
 
 
 def test_parse_layer_options():

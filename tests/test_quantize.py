@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsglab.errors import DomainError, EvaluationError
-from fsglab.quantize import QuantLayerState, preprocess, quantize, ste_backward
+from fsglab.quantize import preprocess, quantize, ste_backward
 from fsglab.rng import Rng
 from fsglab.tensor import finite_diff_check
 
@@ -110,12 +110,3 @@ class TestContract:
         w_hat, _ = preprocess(w_b)
         again = quantize(w_hat, 1)
         assert np.array_equal(np.sign(again), np.sign(w_b))
-
-    def test_quant_layer_state_refresh(self):
-        rng = Rng(5)
-        st = QuantLayerState(layer_index=0, w=rng.normals((3, 3)))
-        st.refresh()
-        assert st.w_hat.shape == st.w.shape
-        assert st.w_b.shape == st.w.shape
-        assert st.da_dw.shape == st.w.shape
-        assert np.all(np.isin(st.w_b, (-1.0, 1.0)))
