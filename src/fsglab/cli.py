@@ -144,6 +144,8 @@ def _parse_sweep(spec: str):
 
 def run_ablate(cfg: RunConfig, sweep: str, outdir: Path):
     key, display, values = _parse_sweep(sweep)
+    if not values:
+        raise ConfigError(f"sweep spec {sweep!r} has no values")
     produced = []
     for value in values:
         sub = RunConfig(dict(cfg.values))

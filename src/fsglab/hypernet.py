@@ -15,10 +15,14 @@ in-projection to d_inner = expand * d, input-dependent (B, C, delta) with
 delta kept positive through softplus, ZOH-discretized diagonal scan, a
 sigmoid gate driven by a parallel projection of the tokens, out-projection
 back to d, and a residual connection.  It runs as a streaming kernel over
-chunks of the history (see the comment above `_ChunkTerms`); its oracle is
-the per-token reference in `tests/slow_reference.py`.  An LSTM of hidden
-size d can replace the whole block for ablations (no gate/projections
-around it).
+chunks of the history (see the comment above `_chunk_spans`) on two exact
+identities.  Every history token is a scalar times `w_a`, so the selective
+terms are (T,) scalar sequences times fixed vectors (rank-1 tokens), and
+the scan input expm1(delta A) (v / A) w_t needs no phi = expm1(x) / x
+(delta cancels).  Chunks where the ld clamp can fire, and the embedding
+token, keep the phi form.  The oracle is the per-token reference in
+`tests/slow_reference.py`.  An LSTM of hidden size d can replace the whole
+block for ablations (no gate/projections around it).
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -292,7 +296,7 @@ def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_s
             f"history length {history.size} is not a multiple of xi={xi}"
         )
     if bundle.slow_kind == "selective-ssm":
-        sliced, cache = _ssm_stream_forward(tokens, bundle.slow, chunk, xi)
+        sliced, cache = _ssm_stream_forward(tokens, history, bundle.w_a, bundle.slow, chunk, xi)
     else:
         out, cache = _lstm_block_forward(tokens, bundle.slow)
         sliced = out[-xi:]
@@ -324,59 +328,139 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
     grads = {"w_head": np.einsum("td,to->do", cache["sliced"], gs)}
     g_tail = gs @ bundle.w_head.T  # cotangent of the block output's last xi tokens
     if bundle.slow_kind == "selective-ssm":
-        g_tokens = _ssm_stream_backward(g_tail, bundle.slow, cache, grads)
+        g_first, g_w_a = _ssm_stream_backward(g_tail, bundle.slow, bundle.w_a, cache, grads)
     else:
         g_block = np.zeros_like(cache["tokens"])
         g_block[-xi:] = g_tail
         g_tokens = _lstm_block_backward(g_block, bundle.slow, cache, grads)
+        g_first = g_tokens[0]
+        g_w_a = np.einsum("t,td->d", cache["history"], g_tokens[1:])
     g_lre = np.zeros_like(bundle.lre)
-    g_lre[cache["layer_index"]] = g_tokens[0]
+    g_lre[cache["layer_index"]] = g_first
     grads["lre"] = g_lre
-    grads["w_a"] = np.einsum("t,td->d", cache["history"], g_tokens[1:])[None, :]
+    grads["w_a"] = g_w_a[None, :]
     return grads
 
 
 # The production selective block streams the history in chunks (Gu & Dao
 # 2023, section 3.3.2; Chen et al. 2016 checkpointing applied to the scan):
-# the (T, d_inner, N) terms live only in chunk-sized scratch buffers, the
-# forward keeps token-level arrays plus the state entering every chunk, and
-# the backward walks the chunks in reverse, recomputing each one from its
-# boundary state.  Only the last xi tokens feed the head, so the readout
-# (y, gate, out-projection, residual) runs on that tail alone.  The oracle it
-# is tested against, `tests/slow_reference.py`, steps the scan token by token.
+# the forward keeps (T,) scalar sequences plus the state entering every
+# chunk, and the backward walks the chunks in reverse, recomputing each one
+# from its boundary state.  Two exact identities keep the per-token
+# (d_inner, N) work small (Dao & Gu 2024 turn such structure into GEMMs):
+#
+# * Rank-1 tokens.  Token t >= 1 is s_t w_a for a history scalar s_t, so
+#   with v = w_a w_in: u_t = s_t v, B_t = s_t (v w_b) + b_b, C_t likewise,
+#   and draw_t = s_t (v w_delta) + b_delta.  No (T, d_inner) or (T, N) array
+#   is built, and the gradients into w_a, w_in, w_b, w_c and w_delta are
+#   sums over scalar sequences.  Token 0, the layer's embedding row, is not
+#   of that form: it runs alone as a one-token prefix, h_0 = inp_0.
+# * delta cancels in the scan input.  With ld_t = delta_t A,
+#   inp_t = phi(ld_t) delta_t u_t (x) B_t, phi(x) = expm1(x) / x, equals
+#   expm1(ld_t) * M * w_t with M = v / A fixed and w_t = s_t B_t of shape (N,).
+#   Then d inp_t / d delta_t = exp(ld_t) v (x) w_t, and A's gradient gains
+#   -(sum_t lambda_t inp_t) / A through M.
+#
+# Chunks start at token 1 and at the tail start, so none straddles the tail.
+# A chunk before the tail only carries the state on.  Its adjoint is
+# lambda_t = K exp(-A S_t), with S_t the chunk-local cumsum of delta and
+# K = exp(A S_end) carry, and the carry it passes back is K itself; every
+# term is then a contraction of X_t = expm1(ld_t) exp(-A S_t) or of
+# exp(-A S_{t-1}) with a fixed (d_inner, N) weight or with w_t, one GEMM
+# each.  Tail chunks (and every chunk when chunk_plan steps) keep explicit
+# states and run lambda as a reverse scan; only the tail feeds the readout
+# (y, gate, out-projection, residual).  Where the clamp ld <= -_LD_CLAMP can
+# fire the identity fails, so those clamp chunks keep the phi form, with
+# r_t = delta_t v (x) w_t.  The oracle, `tests/slow_reference.py`, steps the
+# scan token by token.
+
+
+def _chunk_spans(total: int, tail0: int, chunk: int):
+    """(start, end) of each chunk of tokens 1..total-1, split at the tail start tail0."""
+    spans = [(s, min(s + chunk, tail0)) for s in range(1, tail0, chunk)]
+    return spans + [(s, min(s + chunk, total)) for s in range(tail0, total, chunk)]
+
+
+def _first_token(u0, b0, delta0, a):
+    """Token 0 alone (h_{-1} = 0), in the phi form: clamped ld, phi and h_0 = inp_0."""
+    ld = np.minimum(delta0 * a, -_LD_CLAMP)
+    phi = np.expm1(ld) / ld
+    return ld, phi, phi * np.multiply.outer(delta0 * u0, b0)
 
 
 class _ChunkTerms:
-    """Per-chunk terms of the selective scan, in scratch buffers reused across chunks.
+    """The scan over tokens 1..T-1 as scalar sequences and fixed vectors, with chunk scratch.
 
-    For tokens s..e-1 it fills ld = delta_t * A, clamped to <= -_LD_CLAMP,
-    decay = exp(S) with S the chunk-local inclusive cumsum of ld,
-    em = expm1(ld), phi = em / ld, r = (delta_t u_t) outer B_t and
-    inp = phi * r.  While the clamp cannot fire, S is taken in the factored
-    form A * cumsum(delta).
+    ws[:, t] = (s_t^2, s_t), so w_t = s_t B_t = ws[:, t] @ bb with
+    bb = (v w_b, b_b); `w_sums` turns ws-weighted token sums of (d_inner, N)
+    terms into sums weighted by w_t.  M = v / A exists when some chunk can
+    be unclamped; A is then bounded away from zero.
     """
 
-    def __init__(self, delta, du, braw, a, chunk: int):
-        self.delta, self.du, self.braw, self.a = delta, du, braw, a
+    def __init__(self, history, delta, v, p: SelectiveSsmParams, a, chunk: int):
+        self.delta, self.a, self.neg_a, self.v = delta, a, -a, v
+        self.sc = np.concatenate(([0.0], history))  # s_t by token; token 0 is not scaled
+        self.ws = np.stack((self.sc * self.sc, self.sc))
+        self.bb = np.stack((v @ p.w_b, p.b_b))
+        self.vb = np.multiply.outer(v, self.bb.T).reshape(-1, 2)  # v (x) (v w_b, b_b)
         self.a_top = float(a.max())  # the entry of A closest to zero
-        self.bufs = np.empty((6, chunk) + a.shape, dtype=DTYPE)
+        unclamped = float(delta.max()) * self.a_top <= -_LD_CLAMP
+        self.m = v[:, None] / a if unclamped else None
+        self.bufs = np.empty((5, chunk) + a.shape, dtype=DTYPE)
+        self.xe = np.empty((2 * chunk + 1,) + a.shape, dtype=DTYPE)
+        self.sums = np.zeros(chunk + 1, dtype=DTYPE)
 
-    def fill(self, s: int, e: int):
-        ld, decay, em, phi, r, inp = self.bufs[:, : e - s]
+    def clamps(self, s: int, e: int) -> bool:
+        # fl(delta * A) is monotone in delta and A, so this scalar is max(ld)
+        return float(self.delta[s:e].min()) * self.a_top > -_LD_CLAMP
+
+    def w_sums(self, p):
+        """(..., 2, d_inner * N) ws-weighted token sums -> (..., d_inner, N) w_t-weighted sums."""
+        p = p.reshape(p.shape[:-2] + (2,) + self.a.shape)
+        return np.einsum("...kcn,kn->...cn", p, self.bb)
+
+    def scan(self, s: int, e: int, clamp: bool):
+        """ld, decay = exp(S) (S the inclusive cumsum of ld), F, r and inp = F * r.
+
+        Unclamped: F = expm1(ld) and r = M (x) w_t, with S in the factored
+        form A * cumsum(delta).  Clamp chunks: ld <= -_LD_CLAMP,
+        F = phi = expm1(ld) / ld and r = delta_t v (x) w_t.
+        """
+        ld, decay, f, r, inp = self.bufs[:, : e - s]
         dl = self.delta[s:e]
         np.multiply(dl[:, None, None], self.a, out=ld)
-        # fl(delta * A) is monotone in delta and A, so this scalar is max(ld)
-        if float(dl.min()) * self.a_top > -_LD_CLAMP:
+        if clamp:
             np.minimum(ld, -_LD_CLAMP, out=ld)
             np.cumsum(ld, axis=0, out=decay)
         else:
             np.multiply(np.cumsum(dl)[:, None, None], self.a, out=decay)
         np.exp(decay, out=decay)
-        np.expm1(ld, out=em)
-        np.divide(em, ld, out=phi)  # (e^x - 1) / x
-        np.multiply(self.du[s:e, :, None], self.braw[s:e, None, :], out=r)
-        np.multiply(phi, r, out=inp)
-        return ld, decay, em, phi, r, inp
+        np.expm1(ld, out=f)
+        w = self.ws[:, s:e].T @ self.bb
+        if clamp:
+            f /= ld
+            w *= dl[:, None]
+            np.multiply(self.v[:, None], w[:, None, :], out=r)
+        else:
+            np.multiply(self.m, w[:, None, :], out=r)
+        np.multiply(f, r, out=inp)
+        return ld, decay, f, r, inp
+
+    def closed(self, s: int, e: int):
+        """(xe, sums) of an unclamped chunk: xe[:c] = X_t, xe[c:] = exp(-A S_t) for t = s-1 .. e-1.
+
+        sums holds S_{s-1} = 0, S_s, .., S_{e-1}.
+        """
+        c = e - s
+        xe, sums = self.xe[: 2 * c + 1], self.sums[: c + 1]
+        x, ex = xe[:c], xe[c:]
+        np.cumsum(self.delta[s:e], out=sums[1:])
+        np.multiply(sums[:, None, None], self.neg_a, out=ex)
+        np.exp(ex, out=ex)
+        np.multiply(self.delta[s:e, None, None], self.a, out=x)
+        np.expm1(x, out=x)
+        x *= ex[1:]
+        return xe, sums
 
 
 def _chunk_states(hs, decay, inp, step: bool) -> None:
@@ -390,64 +474,67 @@ def _chunk_states(hs, decay, inp, step: bool) -> None:
         hs[1:] *= decay
 
 
-def _ssm_stream_forward(tokens: np.ndarray, p: SelectiveSsmParams, chunk: int, xi: int):
+def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray,
+                        p: SelectiveSsmParams, chunk: int, xi: int):
     """Block output on the last xi tokens, and the cache for the backward."""
     total = tokens.shape[0]
     tail0 = total - xi
-    u = tokens @ p.w_in  # (T, din)
-    braw = u @ p.w_b
-    braw += p.b_b  # (T, N)
-    craw = u @ p.w_c
-    craw += p.b_c
-    draw = u @ p.w_delta
-    draw += p.b_delta  # (T, 1)
-    delta = _softplus(draw)[:, 0]
-    a = -np.exp(p.a_log)  # (din, N), strictly negative
+    u0 = tokens[0] @ p.w_in
+    v = w_a[0] @ p.w_in
+    draw = np.empty(total, dtype=DTYPE)
+    draw[0] = u0 @ p.w_delta[:, 0]
+    np.multiply(history, v @ p.w_delta[:, 0], out=draw[1:])
+    draw += p.b_delta[0]
+    delta = _softplus(draw)
+    a = -np.exp(p.a_log)  # (din, N), negative
     # chunk_plan's overflow guards, on max |ld| of the clamped ld = min(delta * A, -eps)
     chunk, step = chunk_plan(max(float(delta.max()) * float(-a.min()), _LD_CLAMP), chunk)
-    terms = _ChunkTerms(delta, delta[:, None] * u, braw, a, chunk)
-    starts = range(0, total, chunk)
-    bounds = np.empty((len(starts),) + a.shape, dtype=DTYPE)  # state entering each chunk
+    terms = _ChunkTerms(history, delta, v, p, a, chunk)
+    spans = _chunk_spans(total, tail0, chunk)
+    bounds = np.empty((len(spans),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
+    c_tail = np.multiply.outer(history[tail0 - 1:], v @ p.w_c)
+    c_tail += p.b_c  # C_t on the tail
     y = np.empty((xi, p.d_inner), dtype=DTYPE)
-    h = np.zeros(a.shape, dtype=DTYPE)
-    for k, s in enumerate(starts):
-        e = min(s + chunk, total)
+    h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
+    for k, (s, e) in enumerate(spans):
         bounds[k] = h
-        _, decay, _, _, _, inp = terms.fill(s, e)
-        if e <= tail0 and not step:  # before the tail only the end state is needed
-            inp /= decay
-            h = decay[-1] * (h + inp.sum(axis=0))
+        clamp = terms.clamps(s, e)
+        if s < tail0 and not (clamp or step):  # h_end = exp(A S_end) (h_prev + M sum_t X_t w_t)
+            xe, _ = terms.closed(s, e)
+            h = terms.w_sums(terms.ws[:, s:e] @ xe[: e - s].reshape(e - s, -1))
+            h *= terms.m
+            h += bounds[k]
+            h /= xe[-1]
             continue
+        _, decay, _, _, inp = terms.scan(s, e, clamp)
         hs = states[: e - s + 1]
         hs[0] = h
         _chunk_states(hs, decay, inp, step)
         h = hs[-1].copy()
-        lo = max(s, tail0)
-        if lo < e:
-            y[lo - tail0 : e - tail0] = np.matmul(hs[1 + lo - s :], craw[lo:e, :, None])[..., 0]
+        if s >= tail0:
+            ct = c_tail[s - tail0 : e - tail0]
+            y[s - tail0 : e - tail0] = np.matmul(hs[1:], ct[:, :, None])[..., 0]
     tail = tokens[tail0:]
     gate = _sigmoid(tail @ p.w_gate)
     gated = y * gate
     out = gated @ p.w_out
     out += tail  # residual
-    cache = dict(u=u, braw=braw, craw=craw, draw=draw, delta=delta, a=a, plan=(chunk, step),
-                 bounds=bounds, y=y, gate=gate, gated=gated)
+    cache = dict(u0=u0, v=v, draw=draw, delta=delta, a=a, plan=(chunk, step), bounds=bounds,
+                 c_tail=c_tail, y=y, gate=gate, gated=gated)
     return out, cache
 
 
-def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, cache, grads):
-    """Token gradients (T, d) from the cotangent of the last xi block outputs.
+def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndarray, cache,
+                         grads):
+    """Gradients of token 0 and of w_a from the cotangent of the last xi block outputs.
 
-    Per chunk, in reverse: the adjoint lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}
-    enters as carry = exp(ld_e) lambda_e from the chunk after.  g_h is zero
-    before the tail, so there lambda_t = exp(S_end) carry / exp(S_t), and the
-    scan-decay part of the ld gradient, lambda_t exp(ld_t) h_{t-1}, is
-    exp(S_end) carry * (h_prev + sum_{r<t} exp(-S_r) inp_r): its two
-    contractions (with A over the state, with delta over tokens) need no
-    states and no cumsum over the chunk.
+    Per chunk, in reverse, the adjoint lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}
+    enters as carry = exp(ld_e) lambda_e from the chunk after, and ld's
+    gradient is g_ld_t = lambda_t (exp(ld_t) h_{t-1} + F'(ld_t) r_t).
+    Unclamped, F' = exp(ld) and g_ld_t = lambda_t exp(ld_t) (h_{t-1} + M w_t).
     """
-    u, braw, craw, delta, a = (cache[k] for k in ("u", "braw", "craw", "delta", "a"))
+    history, delta, a, u0, v = (cache[k] for k in ("history", "delta", "a", "u0", "v"))
     tokens, bounds, y, gate = cache["tokens"], cache["bounds"], cache["y"], cache["gate"]
     chunk, step = cache["plan"]
     total, xi = tokens.shape[0], g_tail.shape[0]
@@ -460,99 +547,134 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, cache, grads
     g_z *= gate
     g_z *= 1.0 - gate
 
-    du = delta[:, None] * u
-    terms = _ChunkTerms(delta, du, braw, a, chunk)
+    terms = _ChunkTerms(history, delta, v, p, a, chunk)
+    c_tail = cache["c_tail"]
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)  # h_{s-1} .. h_{e-1}
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
     a_flat = a.ravel()
     g_delta = np.empty(total, dtype=DTYPE)
-    g_du = np.empty_like(u)
-    g_braw = np.empty_like(braw)
-    g_craw = np.empty((xi, craw.shape[1]), dtype=DTYPE)
-    g_a = np.zeros(a.size, dtype=DTYPE)
+    g_a = np.zeros(a.shape, dtype=DTYPE)  # through ld = delta A
+    g_m = np.zeros(a.shape, dtype=DTYPE)  # into M, from unclamped chunks
+    g_vn = np.zeros(a.shape, dtype=DTYPE)  # into v (x) 1, from clamp chunks' r
+    g_w = np.zeros((2,) + a.shape[1:], dtype=DTYPE)  # sum_t ws[:, t] dL/dw_t
+    g_c = np.empty_like(c_tail)
     carry = np.zeros(a.shape, dtype=DTYPE)
-    for k in range(len(bounds) - 1, -1, -1):
-        s = k * chunk
-        e = min(s + chunk, total)
+    spans = _chunk_spans(total, tail0, chunk)
+    for k in range(len(spans) - 1, -1, -1):
+        s, e = spans[k]
         c = e - s
-        dl = delta[s:e]
-        ld, decay, em, phi, r, inp = terms.fill(s, e)
-        np.add(em, 1.0, out=em)  # exp(ld)
+        dl, ws = delta[s:e], terms.ws[:, s:e]
+        clamp = terms.clamps(s, e)
+        if s < tail0 and not (clamp or step):  # lambda_t = K exp(-A S_t)
+            xe, sums = terms.closed(s, e)
+            kk = carry / xe[-1]  # K
+            km = kk * terms.m
+            kv = np.multiply(kk, v[:, None])  # K A M = K v
+            # per token, A . g_ld_t = (K A) . h_prev + sum_{r<t} q_r + p_t, with
+            # q_r = (K v) . X_r w_r and p_t = (K v) . exp(-A S_{t-1}) w_t
+            z = np.multiply(kv[..., None], terms.bb.T).reshape(-1, 2)
+            qp = np.einsum("ijk,kj->ij", (xe[: 2 * c].reshape(2 * c, -1) @ z).reshape(2, c, 2), ws)
+            gd = g_delta[s:e]
+            gd[0] = 0.0
+            np.cumsum(qp[0, :-1], out=gd[1:])
+            gd += qp[1]
+            gd += np.vdot(kk * a, bounds[k])
+            # sum_t delta_t g_ld_t = K (S_end h_prev + M (sum_t (S_end - S_t) X_t w_t
+            #                                             + sum_t delta_t exp(-A S_{t-1}) w_t))
+            px = np.concatenate((ws, ws * (sums[c] - sums[1:]))) @ xe[:c].reshape(c, -1)
+            pe = (ws * dl) @ xe[c : 2 * c].reshape(c, -1)
+            xw, xwr, ew = terms.w_sums(np.concatenate((px, pe)).reshape(3, 2, -1))
+            xwr += ew
+            xwr *= terms.m
+            xwr += sums[c] * bounds[k]
+            xwr *= kk
+            g_a += xwr
+            xw *= kk  # sum_t lambda_t expm1(ld_t) w_t
+            g_m += xw
+            g_w += np.einsum("cn,kcn->kn", km, px[:2].reshape((2,) + a.shape))
+            carry = kk
+            continue
+        ld, decay, f, r, inp = terms.scan(s, e, clamp)
+        hs = states[: c + 1]
+        hs[0] = bounds[k]
+        _chunk_states(hs, decay, inp, step)
         lam = lam_buf[:c]
-        lo = max(s, tail0)
-        if lo < e or step:  # states in full, lambda by a reverse scan of the chunk
-            hs = states[: c + 1]
-            hs[0] = bounds[k]
-            _chunk_states(hs, decay, inp, step)
-            lam[: lo - s] = 0.0
-            if lo < e:
-                gy = g_y[lo - tail0 : e - tail0]
-                g_craw[lo - tail0 : e - tail0] = np.matmul(gy[:, None, :], hs[1 + lo - s :])[:, 0]
-                np.multiply(gy[:, :, None], craw[lo:e, None, :], out=lam[lo - s :])  # g_h
-            if step:
-                lam += carry
-            else:  # lambda_t = (sum_{j>=t} exp(S_j) g_h_j + exp(S_end) carry) / exp(S_t)
-                lam *= decay
-                rev = lam[::-1]
-                np.cumsum(rev, axis=0, out=rev)
-                lam += decay[-1] * carry
-                lam /= decay
-            g_decay = np.multiply(em, hs[:c], out=inp)  # exp(ld_t) h_{t-1}
-            g_decay *= lam
-        else:  # before the tail, in closed form from the forward decay products
-            scale = decay[-1] * carry
-            np.divide(scale, decay, out=lam)
-            inp /= decay
-            q = inp.reshape(c, -1)  # exp(-S_r) inp_r
-            hb = bounds[k].ravel()
-            a_scale = (a * scale).ravel()
-            # sum over the state of A * scale * (h_prev + exclusive cumsum of q)
-            g_delta[s] = a_scale @ hb
-            np.cumsum(q[:-1] @ a_scale, out=g_delta[s + 1 : e])
-            g_delta[s + 1 : e] += g_delta[s]
-            # sum over tokens of delta_t * scale * (h_prev + exclusive cumsum of q)
-            dsum = np.cumsum(dl)
-            g_a += scale.ravel() * (hb * dsum[-1] + (dsum[-1] - dsum) @ q)
-            g_decay = None
-        carry = em[0] * lam[0]
-        # the phi factor of the input: d/dx[(e^x - 1)/x] = (e^x - phi) / x
-        g_ld = em
-        g_ld -= phi
-        g_ld /= ld
-        g_ld *= r
-        g_ld *= lam
-        if g_decay is not None:
-            g_ld += g_decay
-            g_delta[s:e] = g_ld.reshape(c, -1) @ a_flat
+        if s >= tail0:
+            gy = g_y[s - tail0 : e - tail0]
+            g_c[s - tail0 : e - tail0] = np.matmul(gy[:, None, :], hs[1:])[:, 0]
+            np.multiply(gy[:, :, None], c_tail[s - tail0 : e - tail0, None, :], out=lam)  # g_h
         else:
-            g_delta[s:e] += g_ld.reshape(c, -1) @ a_flat
-        g_a += dl @ g_ld.reshape(c, -1)
-        phi *= lam  # gradient into inp, times phi
-        g_du[s:e] = np.matmul(phi, braw[s:e, :, None])[..., 0]
-        g_braw[s:e] = np.matmul(du[s:e, None, :], phi)[:, 0]
+            lam[...] = 0.0
+        if step:
+            lam += carry
+        else:  # lambda_t = (sum_{j>=t} exp(S_j) g_h_j + exp(S_end) carry) / exp(S_t)
+            lam *= decay
+            rev = lam[::-1]
+            np.cumsum(rev, axis=0, out=rev)
+            lam += decay[-1] * carry
+            lam /= decay
+        eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
+        carry = eld[0] * lam[0]
+        g_ld = inp
+        if clamp:  # phi'(ld) = (exp(ld) - phi) / ld
+            np.subtract(eld, f, out=g_ld)
+            g_ld /= ld
+            g_ld *= r
+            np.multiply(eld, hs[:c], out=ld)
+            g_ld += ld
+        else:
+            np.add(hs[:c], r, out=g_ld)
+            g_ld *= eld
+        g_ld *= lam
+        g2 = g_ld.reshape(c, -1)
+        g_delta[s:e] = g2 @ a_flat
+        g_a += (dl @ g2).reshape(a.shape)
+        lf = np.multiply(lam, f, out=lam).reshape(c, -1)  # lambda_t F_t, the gradient into r_t
+        fixed, g_fixed = terms.m, g_m  # r_t = M (x) w_t
+        if clamp:  # r_t = delta_t v (x) w_t, with delta_t's own gradient
+            g_delta[s:e] += np.einsum("jk,kj->j", lf @ terms.vb, ws)
+            ws, fixed, g_fixed = ws * dl, v[:, None], g_vn
+        pw = ws @ lf
+        g_fixed += terms.w_sums(pw)
+        g_w += (pw.reshape((2,) + a.shape) * fixed).sum(axis=1)
 
-    grads["slow.a_log"] = g_a.reshape(a.shape) * a  # A = -exp(a_log)
-    g_delta += np.einsum("tc,tc->t", g_du, u)
-    g_u = g_du * delta[:, None]
-    grads["slow.w_c"] = u[tail0:].T @ g_craw
-    grads["slow.b_c"] = g_craw.sum(axis=0)
-    g_u[tail0:] += g_craw @ p.w_c.T
-    grads["slow.w_b"] = u.T @ g_braw
-    grads["slow.b_b"] = g_braw.sum(axis=0)
-    g_u += g_braw @ p.w_b.T
+    # token 0 receives lambda_0 = carry and has no decay term (h_{-1} = 0)
+    b0 = u0 @ p.w_b + p.b_b
+    ld0, phi0, _ = _first_token(u0, b0, delta[0], a)
+    g_ld0 = np.exp(ld0) - phi0
+    g_ld0 /= ld0
+    g_ld0 *= carry
+    g_ld0 *= np.multiply.outer(delta[0] * u0, b0)
+    lp = carry * phi0
+    lpb = lp @ b0
+    g_delta[0] = np.vdot(g_ld0, a) + u0 @ lpb
+    g_a += delta[0] * g_ld0
+    g_u0 = delta[0] * lpb
+    g_b0 = delta[0] * (u0 @ lp)
 
-    g_draw = g_delta[:, None] * _sigmoid(cache["draw"])  # softplus'
-    grads["slow.w_delta"] = u.T @ g_draw
-    grads["slow.b_delta"] = g_draw.sum(axis=0)
-    g_u += g_draw @ p.w_delta.T
-
-    grads["slow.w_in"] = tokens.T @ g_u
-    g_tokens = g_u @ p.w_in.T
+    g_draw = g_delta * _sigmoid(cache["draw"])  # softplus'
+    g_dv = terms.sc @ g_draw  # sc[0] = 0: token 0 is not rank-1
+    s_tail = terms.sc[tail0:]
+    g_cv = s_tail @ g_c
+    g_alog = g_a * a  # A = -exp(a_log)
+    g_v = g_vn.sum(axis=1) + p.w_b @ g_w[0] + p.w_c @ g_cv + p.w_delta[:, 0] * g_dv
+    if terms.m is not None:  # M = v / A
+        g_alog -= g_m * terms.m
+        g_v += (g_m / a).sum(axis=1)
+    g_u0 += p.w_b @ g_b0 + p.w_delta[:, 0] * g_draw[0]
+    grads["slow.a_log"] = g_alog
+    grads["slow.w_b"] = np.multiply.outer(v, g_w[0]) + np.multiply.outer(u0, g_b0)
+    grads["slow.b_b"] = g_w[1] + g_b0
+    grads["slow.w_c"] = np.multiply.outer(v, g_cv)
+    grads["slow.b_c"] = g_c.sum(axis=0)
+    grads["slow.w_delta"] = (v * g_dv + u0 * g_draw[0])[:, None]
+    grads["slow.b_delta"] = np.array([g_draw.sum()])
+    grads["slow.w_in"] = np.multiply.outer(tokens[0], g_u0) + np.multiply.outer(w_a[0], g_v)
     tail = tokens[tail0:]
     grads["slow.w_gate"] = tail.T @ g_z
-    g_tokens[tail0:] += g_tail  # residual branch
-    g_tokens[tail0:] += g_z @ p.w_gate.T
-    return g_tokens
+    g_tail_tokens = g_z @ p.w_gate.T
+    g_tail_tokens += g_tail  # residual branch
+    return p.w_in @ g_u0, p.w_in @ g_v + s_tail @ g_tail_tokens
 
 
 def _lstm_block_forward(tokens: np.ndarray, p: LstmParams):

@@ -490,11 +490,14 @@ class FsgTrainer(_TrainerBase):
         cfg = self.cfg
         lr = result["lr"]
         layers = result["layers"]
-        if result["hyper_grads"]:
-            for name, arr in self.bundle.named_params():
-                if name in result["hyper_grads"]:
-                    adam_step(arr, result["hyper_grads"][name], self.hyper_state,
-                              name, cfg.hyper_lr)
+        hyper_grads = result["hyper_grads"]
+        for name, g in hyper_grads.items():  # checked before any parameter moves
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(result["iteration"], f"non-finite hyper-gradient of "
+                                      f"{name} at iteration {result['iteration']}")
+        for name, arr in self.bundle.named_params():
+            if name in hyper_grads:
+                adam_step(arr, hyper_grads[name], self.hyper_state, name, cfg.hyper_lr)
         for name, arr in self.model.named_params():
             i = _layer_index(name)
             if i not in layers:

@@ -148,6 +148,12 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "config error: bad value in sweep spec 'l=1..x'", "ablate --sweep l=1..x"),
     _row("ConfigError-sweep-list", [], 2,
          "config error: bad value in sweep spec 'l=3,q'", "ablate --sweep l=3,q"),
+    _row("ConfigError-sweep-empty-range", [], 2,
+         "config error: sweep spec 'l=5..2' has no values", "ablate --sweep l=5..2"),
+    _row("ConfigError-sweep-empty-beta", [], 2,
+         "config error: sweep spec 'beta=' has no values", "ablate --sweep beta="),
+    _row("ConfigError-sweep-empty-l", [], 2,
+         "config error: sweep spec 'l=' has no values", "ablate --sweep l="),
     _row("ContractError", ["model.layers = dense:3"], 2, "error: dense needs IN:OUT"),
     _row("ContractError-negative-size", ["model.layers = dense:2:-3, dense:-3:2"], 2,
          "error: size -3 must be >= 1 in 'dense:2:-3'"),

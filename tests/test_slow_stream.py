@@ -6,11 +6,13 @@ one token at a time and keeps every (T, d_inner, N) intermediate.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from fsglab.hypernet import HyperNetBundle, _build_tokens, slow_backward, slow_forward_cached
+from fsglab.hypernet import (HyperNetBundle, _build_tokens, _chunk_spans, slow_backward,
+                             slow_forward_cached)
 from fsglab.rng import Rng
 from fsglab.ssm import discretize_zoh, ssm_scan
 from slow_reference import selective_terms, slow_net
@@ -40,8 +42,11 @@ def rel_err(got, ref):
 def check_against_reference(bundle, history, shape, chunk, layer=1):
     cot = Rng(5).normals(shape)
     ref_out, ref_grads = slow_net(layer, history, bundle, shape, cot)
-    out, cache = slow_forward_cached(layer, history, bundle, shape, chunk=chunk)
-    grads = slow_backward(layer, None, bundle, shape, cot, cache=cache)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, divide or invalid in the kernel
+        out, cache = slow_forward_cached(layer, history, bundle, shape, chunk=chunk)
+        grads = slow_backward(layer, None, bundle, shape, cot, cache=cache)
+    assert np.all(np.isfinite(out)) and all(np.all(np.isfinite(g)) for g in grads.values())
     assert rel_err(out, ref_out) < TOL
     names = [name for name, _ in bundle.named_params()]
     assert sorted(grads) == sorted(ref_grads) == sorted(names)
@@ -52,8 +57,9 @@ def check_against_reference(bundle, history, shape, chunk, layer=1):
 
 @pytest.mark.parametrize("dims", [(4, 3, 2), (16, 8, 2), (3, 2, 1)])
 @pytest.mark.parametrize("xi,l,chunk", [
-    (6, 3, 5),  # chunk [10, 15) straddles the tail start at token 13
-    (6, 3, 4),
+    (6, 3, 5),  # the last chunk before the tail start (token 13) is cut short
+    (6, 3, 4),  # chunks from token 1 end exactly at the tail start
+    (6, 3, 1),  # one token per chunk, without stepping
     (6, 1, 4),  # l = 1: the tail is every history token
     (1, 1, 3),
     (12, 4, 7),
@@ -64,6 +70,48 @@ def test_matches_reference_block(dims, xi, l, chunk):
     history = Rng(xi + l).normals(xi * l)
     cache = check_against_reference(bundle, history, (xi,), chunk)
     assert not cache["plan"][1]
+
+
+def clamp_kinds(cache, total, xi):
+    """Whether each chunk's clamp test fires, in chunk order."""
+    delta, a_top = cache["delta"], float(cache["a"].max())
+    return [float(delta[s:e].min()) * a_top > -1e-12
+            for s, e in _chunk_spans(total, total - xi, cache["plan"][0])]
+
+
+def test_clamp_and_unclamped_chunks_in_one_sequence():
+    # b_delta = -19.5 and |s_t v w_delta| in [19.5, 22.5]: delta_t = softplus(0..3)
+    # on positive pre-activations and softplus(-42..-39) < 1e-16 (clamped) on
+    # negative ones
+    bundle = o1_bundle(22)
+    p = bundle.slow
+    p.b_delta[...] = -19.5
+    dv = float(bundle.w_a[0] @ p.w_in @ p.w_delta[:, 0])
+    xi, l, chunk = 12, 5, 5
+    sign = np.empty(xi * l)
+    for k, (s, e) in enumerate(_chunk_spans(xi * l + 1, xi * (l - 1) + 1, chunk)):
+        sign[s - 1 : e - 1] = (-1.0) ** k
+    sign[7] = 1.0  # one unclamped token inside a clamp chunk
+    history = sign * (19.5 + 3.0 * Rng(25).uniforms(xi * l)) / dv
+    cache = check_against_reference(bundle, history, (xi,), chunk)
+    kinds = clamp_kinds(cache, xi * l + 1, xi)
+    assert cache["plan"] == (chunk, False)
+    assert any(kinds[:-3]) and not all(kinds[:-3])  # before the tail
+    assert any(kinds[-3:]) and not all(kinds[-3:])  # in the tail
+
+
+@pytest.mark.parametrize("a_log,b_delta,clamped", [
+    (-800.0, 0.0, True),  # A underflows to -0 on one channel: every chunk clamps
+    (-30.0, 0.0, True),  # |A| ~ 1e-13 and delta ~ 1: delta |A| < 1e-12
+    (-30.0, 25.0, False),  # delta ~ 25 lifts delta |A| above 1e-12: M = v / A ~ 1e13
+])
+def test_near_zero_a(a_log, b_delta, clamped):
+    bundle = o1_bundle(23)
+    bundle.slow.a_log[0] = a_log
+    bundle.slow.b_delta[...] = b_delta
+    xi, l = 12, 5
+    cache = check_against_reference(bundle, Rng(24).normals(xi * l), (xi,), 5)
+    assert all(clamp_kinds(cache, xi * l + 1, xi)) == clamped
 
 
 def test_forced_chunk_shrink():
@@ -104,6 +152,25 @@ def test_pre_gate_output_matches_reference_scan():
     a_bar, b_bar = discretize_zoh(-np.exp(p.a_log), b_t[:, None, :], delta_t[:, :, None])
     y = ssm_scan(a_bar, b_bar, c_t, u)
     assert rel_err(cache["y"], y[-xi:]) < TOL
+
+
+def test_bytes_per_token_at_paper_dims():
+    """tracemalloc peak of slow fwd+bwd at xi = 4096, l = 6 (24577 tokens): at most 800 B a token."""
+    bundle = HyperNetBundle.init(Rng(11), n_layers=1, fast_kind="off",
+                                 slow_kind="selective-ssm", fast_hidden=1, d=16,
+                                 n_state=8, expand=2)
+    xi, l = 4096, 6
+    history = 1e-2 * Rng(12).normals(xi * l)
+    cot = Rng(13).normals((64, 64))
+    tracemalloc.start()
+    try:
+        _, cache = slow_forward_cached(0, history, bundle, (64, 64))
+        slow_backward(0, None, bundle, (64, 64), cot, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tokens = xi * l + 1
+    assert peak / tokens <= 800, f"{peak / tokens:.0f} B per token"
 
 
 def test_memory_bound_at_paper_dims():

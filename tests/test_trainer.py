@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fsglab import checks
+from fsglab import trainer as trainer_module
 from fsglab.data import gen_synthetic
 from fsglab.errors import ContractError, DimensionError, DivergenceError, FormatError
 from fsglab.model import Model
@@ -221,6 +222,28 @@ class TestTrainerBehavior:
         with pytest.raises(DivergenceError, match="layer 3") as err:
             tr.train_epoch(blobs.x, blobs.y)
         assert err.value.iteration == tr.iteration + 1
+
+    def test_nonfinite_hyper_gradient_names_parameter_before_any_update(self, blobs,
+                                                                         monkeypatch):
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2)
+        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(5)), cfg)
+        tr.train_epoch(blobs.x, blobs.y)
+        real = trainer_module.slow_backward
+
+        def poisoned(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            grads["slow.a_log"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(trainer_module, "slow_backward", poisoned)
+        before = {name: arr.copy() for name, arr in tr.bundle.named_params()}
+        it = tr.iteration + 1
+        with pytest.raises(DivergenceError, match=f"^non-finite hyper-gradient of slow.a_log "
+                                                  f"at iteration {it}$") as err:
+            tr.step(blobs.x[:16], blobs.y[:16])
+        assert err.value.iteration == it and tr.iteration == it - 1
+        for name, arr in tr.bundle.named_params():
+            assert np.array_equal(arr, before[name]), name
 
     def test_evaluate_purity(self, blobs):
         cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm")
