@@ -115,37 +115,39 @@ def run_train(cfg: RunConfig, outdir: Path) -> Path:
 
 
 def _parse_sweep(spec: str):
-    """Returns (config key, display tag, values)."""
+    """Returns (config key, display tag, values); the values are never empty."""
     if "=" not in spec:
         raise ConfigError(f"sweep spec must be key=values, got {spec!r}")
     key, raw = spec.split("=", 1)
     key = key.strip()
     try:
         if key == "beta":
-            return "beta", "beta", [float(v) for v in raw.split(",") if v.strip()]
-        if key == "l":
-            if ".." in raw:
-                lo, hi = raw.split("..", 1)
-                return "l", "l", list(range(int(lo), int(hi) + 1))
-            return "l", "l", [int(v) for v in raw.split(",") if v.strip()]
+            values = [float(v) for v in raw.split(",") if v.strip()]
+        elif key == "l" and ".." in raw:
+            lo, hi = raw.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        elif key == "l":
+            values = [int(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value in sweep spec {spec!r}: {exc}") from None
     if key == "slow":
         names = {"ssm": "selective-ssm", "lstm": "lstm", "off": "off"}
-        vals = []
+        values = []
         for v in raw.split(","):
             v = v.strip()
             if v not in names:
                 raise ConfigError(f"unknown slow-net {v!r} in sweep")
-            vals.append(names[v])
-        return "slow_kind", "slow", vals
-    raise ConfigError(f"sweep key must be beta, l or slow, got {key!r}")
-
-
-def run_ablate(cfg: RunConfig, sweep: str, outdir: Path):
-    key, display, values = _parse_sweep(sweep)
+            values.append(names[v])
+    elif key not in ("beta", "l"):
+        raise ConfigError(f"sweep key must be beta, l or slow, got {key!r}")
     if not values:
-        raise ConfigError(f"sweep spec {sweep!r} has no values")
+        raise ConfigError(f"sweep spec {spec!r} has no values")
+    return ("slow_kind" if key == "slow" else key), key, values
+
+
+def run_ablate(cfg: RunConfig, sweep, outdir: Path):
+    """Train once per value of a parsed sweep (`_parse_sweep`)."""
+    key, display, values = sweep
     produced = []
     for value in values:
         sub = RunConfig(dict(cfg.values))
@@ -240,10 +242,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "ablate":
             cfg = load_config(args.config)
+            sweep = _parse_sweep(args.sweep)  # before the out directory is made
             outdir = resolve_outdir(cfg, args.out)
             write_manifest(outdir / "manifest.json", config_hash(cfg), cfg["seed"],
                            {"command": "ablate", "sweep": args.sweep})
-            for path in run_ablate(cfg, args.sweep, outdir):
+            for path in run_ablate(cfg, sweep, outdir):
                 print(f"wrote {path}")
             return 0
         if args.command == "bench-convergence":

@@ -20,9 +20,12 @@ identities.  Every history token is a scalar times `w_a`, so the selective
 terms are (T,) scalar sequences times fixed vectors (rank-1 tokens), and
 the scan input expm1(delta A) (v / A) w_t needs no phi = expm1(x) / x
 (delta cancels).  Chunks where the ld clamp can fire, and the embedding
-token, keep the phi form.  The oracle is the per-token reference in
-`tests/slow_reference.py`.  An LSTM of hidden size d can replace the whole
-block for ablations (no gate/projections around it).
+token, keep the phi form.  The kernel starts at a decay horizon: it skips
+the tokens whose decay product to the tail start is below exp(-750), under
+the smallest float64 subnormal, so that their terms and adjoints round to
+0.0 (the bound is derived above `_chunk_spans`).  The oracle is the
+per-token reference in `tests/slow_reference.py`.  An LSTM of hidden size d
+can replace the whole block for ablations (no gate/projections around it).
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyHistoryError
+from .errors import DimensionError, DomainError, EmptyHistoryError
 from .rng import Rng
 from .ssm import chunk_plan
 # unused here, but perfbench/tracer.py wraps these bindings and `--trace 1` fails without them
@@ -42,6 +45,9 @@ from .ssm import linear_recurrence, linear_recurrence_backward  # noqa: F401
 from .tensor import DTYPE, orthogonal_init
 
 _LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
+# log of a decay product that underflows in float64: below ln(smallest subnormal)
+# = -744.4, with a margin for the rounding of the cumsum that bounds it
+_LOG_UNDERFLOW = -750.0
 
 
 def _sigmoid(x):
@@ -280,6 +286,10 @@ def _build_tokens(layer_index: int, history: np.ndarray, bundle: HyperNetBundle)
         raise IndexError(
             f"layer index {layer_index} out of range for {bundle.lre.shape[0]} embeddings"
         )
+    if not np.isfinite(history).all():
+        pos = int(np.flatnonzero(~np.isfinite(history))[0])
+        raise DomainError(f"layer {layer_index}: non-finite gradient history "
+                          f"at position {pos} ({history[pos]!r})")
     tokens = np.empty((history.size + 1, bundle.lre.shape[1]), dtype=DTYPE)
     tokens[0] = bundle.lre[layer_index]
     tokens[1:] = history[:, None] * bundle.w_a  # scalar token projection
@@ -361,8 +371,20 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 #   Then d inp_t / d delta_t = exp(ld_t) v (x) w_t, and A's gradient gains
 #   -(sum_t lambda_t inp_t) / A through M.
 #
-# Chunks start at token 1 and at the tail start, so none straddles the tail.
-# A chunk before the tail only carries the state on.  Its adjoint is
+# The decay horizon.  On every channel ld_t <= ld_top_t = min(delta_t max(A),
+# -_LD_CLAMP), so token t reaches h_{tail0-1}, the state entering the tail,
+# through a decay product below exp(R_t), R_t = sum_{j=t+1}^{tail0-1} ld_top_j.
+# `_horizon` counts the leading tokens t0 with R_t < _LOG_UNDERFLOW = -750,
+# below ln(smallest subnormal) = -744.4.  What they add to any state the head
+# reads, and the adjoint that flows back to them, carry a factor below
+# e^-750 ~ 2e-326: a token-by-token float64 evaluation rounds those products
+# to 0.0 for terms of ordinary size, and they are far below the rounding of
+# any term they scale.  The kernel starts at t0 from a zero state; g_delta is
+# 0 before t0 and, when t0 > 0, token 0 gets a zero carry, so the lre
+# gradient is 0.0.
+#
+# Chunks start at max(t0, 1) and at the tail start, so none straddles the
+# tail.  A chunk before the tail only carries the state on.  Its adjoint is
 # lambda_t = K exp(-A S_t), with S_t the chunk-local cumsum of delta and
 # K = exp(A S_end) carry, and the carry it passes back is K itself; every
 # term is then a contraction of X_t = expm1(ld_t) exp(-A S_t) or of
@@ -375,10 +397,21 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # scan token by token.
 
 
-def _chunk_spans(total: int, tail0: int, chunk: int):
-    """(start, end) of each chunk of tokens 1..total-1, split at the tail start tail0."""
-    spans = [(s, min(s + chunk, tail0)) for s in range(1, tail0, chunk)]
+def _chunk_spans(start: int, tail0: int, total: int, chunk: int):
+    """(start, end) of each chunk of tokens start..total-1, split at the tail start tail0."""
+    spans = [(s, min(s + chunk, tail0)) for s in range(start, tail0, chunk)]
     return spans + [(s, min(s + chunk, total)) for s in range(tail0, total, chunk)]
+
+
+def _horizon(delta, a_top: float, tail0: int) -> int:
+    """t0, the number of leading tokens t with R_t < _LOG_UNDERFLOW (the comment above).
+
+    R_t is a reverse cumsum of ld_top over tokens t+1 .. tail0-1; each step
+    adds a negative term, so R is non-decreasing in t and the count is a prefix.
+    """
+    ld_top = np.minimum(delta[1:tail0] * a_top, -_LD_CLAMP)
+    reach = np.cumsum(ld_top[::-1])[::-1]  # reach[t] = R_t, t = 0 .. tail0-2
+    return int(np.count_nonzero(reach < _LOG_UNDERFLOW))
 
 
 def _first_token(u0, b0, delta0, a):
@@ -490,13 +523,17 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     # chunk_plan's overflow guards, on max |ld| of the clamped ld = min(delta * A, -eps)
     chunk, step = chunk_plan(max(float(delta.max()) * float(-a.min()), _LD_CLAMP), chunk)
     terms = _ChunkTerms(history, delta, v, p, a, chunk)
-    spans = _chunk_spans(total, tail0, chunk)
+    t0 = _horizon(delta, terms.a_top, tail0)
+    spans = _chunk_spans(max(t0, 1), tail0, total, chunk)
     bounds = np.empty((len(spans),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
     c_tail = np.multiply.outer(history[tail0 - 1:], v @ p.w_c)
     c_tail += p.b_c  # C_t on the tail
     y = np.empty((xi, p.d_inner), dtype=DTYPE)
-    h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
+    if t0 == 0:  # h_0 = inp_0
+        h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
+    else:  # the horizon passed token 0
+        h = np.zeros(a.shape, dtype=DTYPE)
     for k, (s, e) in enumerate(spans):
         bounds[k] = h
         clamp = terms.clamps(s, e)
@@ -520,8 +557,8 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     gated = y * gate
     out = gated @ p.w_out
     out += tail  # residual
-    cache = dict(u0=u0, v=v, draw=draw, delta=delta, a=a, plan=(chunk, step), bounds=bounds,
-                 c_tail=c_tail, y=y, gate=gate, gated=gated)
+    cache = dict(u0=u0, v=v, draw=draw, delta=delta, a=a, plan=(chunk, step), t0=t0,
+                 bounds=bounds, c_tail=c_tail, y=y, gate=gate, gated=gated)
     return out, cache
 
 
@@ -537,6 +574,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     history, delta, a, u0, v = (cache[k] for k in ("history", "delta", "a", "u0", "v"))
     tokens, bounds, y, gate = cache["tokens"], cache["bounds"], cache["y"], cache["gate"]
     chunk, step = cache["plan"]
+    t0 = cache["t0"]
     total, xi = tokens.shape[0], g_tail.shape[0]
     tail0 = total - xi
 
@@ -553,13 +591,14 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
     a_flat = a.ravel()
     g_delta = np.empty(total, dtype=DTYPE)
+    g_delta[:t0] = 0.0  # before the horizon
     g_a = np.zeros(a.shape, dtype=DTYPE)  # through ld = delta A
     g_m = np.zeros(a.shape, dtype=DTYPE)  # into M, from unclamped chunks
     g_vn = np.zeros(a.shape, dtype=DTYPE)  # into v (x) 1, from clamp chunks' r
     g_w = np.zeros((2,) + a.shape[1:], dtype=DTYPE)  # sum_t ws[:, t] dL/dw_t
     g_c = np.empty_like(c_tail)
     carry = np.zeros(a.shape, dtype=DTYPE)
-    spans = _chunk_spans(total, tail0, chunk)
+    spans = _chunk_spans(max(t0, 1), tail0, total, chunk)
     for k in range(len(spans) - 1, -1, -1):
         s, e = spans[k]
         c = e - s
@@ -638,7 +677,9 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
         g_fixed += terms.w_sums(pw)
         g_w += (pw.reshape((2,) + a.shape) * fixed).sum(axis=1)
 
-    # token 0 receives lambda_0 = carry and has no decay term (h_{-1} = 0)
+    # token 0 receives lambda_0 = carry (0 past the horizon) and has no decay term (h_{-1} = 0)
+    if t0:
+        carry = np.zeros(a.shape, dtype=DTYPE)
     b0 = u0 @ p.w_b + p.b_b
     ld0, phi0, _ = _first_token(u0, b0, delta[0], a)
     g_ld0 = np.exp(ld0) - phi0

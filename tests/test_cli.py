@@ -200,6 +200,8 @@ def test_error_class_exit_code_and_one_line(tmp_path, capsys, monkeypatch, comma
     assert main([name, str(cfg), "--out", str(tmp_path / "out"), *options]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix.format(**paths)) and err.count("\n") == 1
+    if name == "ablate":  # a bad sweep is rejected before anything is written
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestAblateCommand:

@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
+from fsglab import hypernet
+from fsglab.errors import DomainError
 from fsglab.hypernet import (HyperNetBundle, _build_tokens, _chunk_spans, slow_backward,
                              slow_forward_cached)
 from fsglab.rng import Rng
@@ -76,7 +78,7 @@ def clamp_kinds(cache, total, xi):
     """Whether each chunk's clamp test fires, in chunk order."""
     delta, a_top = cache["delta"], float(cache["a"].max())
     return [float(delta[s:e].min()) * a_top > -1e-12
-            for s, e in _chunk_spans(total, total - xi, cache["plan"][0])]
+            for s, e in _chunk_spans(max(cache["t0"], 1), total - xi, total, cache["plan"][0])]
 
 
 def test_clamp_and_unclamped_chunks_in_one_sequence():
@@ -89,7 +91,7 @@ def test_clamp_and_unclamped_chunks_in_one_sequence():
     dv = float(bundle.w_a[0] @ p.w_in @ p.w_delta[:, 0])
     xi, l, chunk = 12, 5, 5
     sign = np.empty(xi * l)
-    for k, (s, e) in enumerate(_chunk_spans(xi * l + 1, xi * (l - 1) + 1, chunk)):
+    for k, (s, e) in enumerate(_chunk_spans(1, xi * (l - 1) + 1, xi * l + 1, chunk)):
         sign[s - 1 : e - 1] = (-1.0) ** k
     sign[7] = 1.0  # one unclamped token inside a clamp chunk
     history = sign * (19.5 + 3.0 * Rng(25).uniforms(xi * l)) / dv
@@ -154,11 +156,14 @@ def test_pre_gate_output_matches_reference_scan():
     assert rel_err(cache["y"], y[-xi:]) < TOL
 
 
+def paper_dims_bundle():
+    return HyperNetBundle.init(Rng(11), n_layers=1, fast_kind="off", slow_kind="selective-ssm",
+                               fast_hidden=1, d=16, n_state=8, expand=2)
+
+
 def test_bytes_per_token_at_paper_dims():
     """tracemalloc peak of slow fwd+bwd at xi = 4096, l = 6 (24577 tokens): at most 800 B a token."""
-    bundle = HyperNetBundle.init(Rng(11), n_layers=1, fast_kind="off",
-                                 slow_kind="selective-ssm", fast_hidden=1, d=16,
-                                 n_state=8, expand=2)
+    bundle = paper_dims_bundle()
     xi, l = 4096, 6
     history = 1e-2 * Rng(12).normals(xi * l)
     cot = Rng(13).normals((64, 64))
@@ -173,11 +178,25 @@ def test_bytes_per_token_at_paper_dims():
     assert peak / tokens <= 800, f"{peak / tokens:.0f} B per token"
 
 
+def test_pre_tail_chunks_at_paper_dims(monkeypatch):
+    """The forward at test_bytes_per_token_at_paper_dims's setup walks at most 16 chunks before
+    the tail (192 from token 1): a count, not a speed."""
+    xi, l = 4096, 6
+    tail0 = xi * (l - 1) + 1
+    walked = []
+    for name in ("closed", "scan"):
+        def counted(self, s, e, *rest, _f=getattr(hypernet._ChunkTerms, name)):
+            walked.append(s < tail0)
+            return _f(self, s, e, *rest)
+        monkeypatch.setattr(hypernet._ChunkTerms, name, counted)
+    _, cache = slow_forward_cached(0, 1e-2 * Rng(12).normals(xi * l), paper_dims_bundle(), (64, 64))
+    assert cache["t0"] > 0
+    assert 0 < sum(walked) <= 16
+
+
 def test_memory_bound_at_paper_dims():
     """tracemalloc peak of slow fwd+bwd at xi = 1024 (6145 tokens); a bound, not a speed."""
-    bundle = HyperNetBundle.init(Rng(11), n_layers=1, fast_kind="off",
-                                 slow_kind="selective-ssm", fast_hidden=1, d=16,
-                                 n_state=8, expand=2)
+    bundle = paper_dims_bundle()
     xi = 1024
     history = 1e-2 * Rng(12).normals(xi * 6)
     cot = Rng(13).normals((32, 32))
@@ -189,3 +208,80 @@ def test_memory_bound_at_paper_dims():
     finally:
         tracemalloc.stop()
     assert peak <= 36 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# Decay horizon: with b_delta = 4, delta ~ 4 and every channel decays by
+# e^-2 or more a token, so tokens before t0 reach the tail start only through
+# a product below exp(_LOG_UNDERFLOW).  The oracle steps every token; its lre
+# gradient is then exactly 0.0 (a case near the margin, where it is a
+# subnormal, matches no summation order at 1e-10 and is avoided).
+def horizon_case(dims, xi, l, b_delta=4.0):
+    bundle = o1_bundle(xi * 100 + l, *dims)
+    bundle.slow.b_delta[...] = b_delta
+    return bundle, Rng(xi + l).normals(xi * l)
+
+
+@pytest.mark.parametrize("dims", [(4, 3, 2), (16, 8, 2), (3, 2, 1)])
+@pytest.mark.parametrize("xi,l,chunk", [
+    (12, 40, 16),
+    (16, 30, 7),
+    (6, 100, 1),  # one token per chunk, without stepping
+    (12, 40, 4096),  # longer than the kept run: the guard caps a chunk at 600 / max|ld|,
+                     # under the 750 / max|ld| tokens the horizon keeps at least
+])
+def test_horizon_matches_reference(dims, xi, l, chunk):
+    bundle, history = horizon_case(dims, xi, l)
+    cache = check_against_reference(bundle, history, (xi,), chunk)
+    assert 1 < cache["t0"] < xi * (l - 1) + 1
+    assert not cache["plan"][1]
+
+
+def test_horizon_zeroes_lre_gradient():
+    # a cotangent of 1e100 lifts the adjoint that reaches token t0 - 1 (below
+    # e^-750 times the tail's) into the normal range; token 0's is still 0.0
+    bundle, history = horizon_case((4, 3, 2), 12, 40)
+    cot = 1e100 * Rng(5).normals((12,))
+    _, ref_grads = slow_net(1, history, bundle, (12,), cot)
+    _, cache = slow_forward_cached(1, history, bundle, (12,), chunk=16)
+    grads = slow_backward(1, None, bundle, (12,), cot, cache=cache)
+    assert cache["t0"] > 0
+    assert np.all(grads["lre"] == 0.0) and np.all(ref_grads["lre"] == 0.0)
+
+
+def test_horizon_with_clamp_and_unclamped_chunks_on_both_sides():
+    # the b_delta = -19.5 pattern over a long history: signs alternate in
+    # blocks of three chunks, so whatever chunk grid starts at t0, each block
+    # holds whole chunks of its kind
+    bundle = o1_bundle(26)
+    p = bundle.slow
+    p.b_delta[...] = -19.5
+    dv = float(bundle.w_a[0] @ p.w_in @ p.w_delta[:, 0])
+    xi, l, chunk = 30, 40, 5
+    sign = (-1.0) ** (np.arange(xi * l) // (3 * chunk))
+    history = sign * (20.5 + 3.0 * Rng(27).uniforms(xi * l)) / dv
+    cache = check_against_reference(bundle, history, (xi,), chunk)
+    t0, tail0 = cache["t0"], xi * (l - 1) + 1
+    assert cache["plan"] == (chunk, False) and t0 > 1
+    clamped = cache["delta"] * float(cache["a"].max()) > -1e-12
+    assert clamped[1:t0].any() and not clamped[1:t0].all()  # dropped
+    kinds = clamp_kinds(cache, xi * l + 1, xi)
+    n_pre = -(-(tail0 - t0) // chunk)
+    assert any(kinds[:n_pre]) and not all(kinds[:n_pre])  # kept, before the tail
+    assert any(kinds[n_pre:]) and not all(kinds[n_pre:])  # in the tail
+
+
+def test_horizon_with_stepping():
+    bundle, history = horizon_case((4, 3, 2), 12, 40)
+    bundle.slow.a_log[0] = 7.0  # |A| ~ 1100 on one channel: max |ld| > 300
+    cache = check_against_reference(bundle, history, (12,), 16)
+    assert cache["plan"] == (1, True) and cache["t0"] > 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_history_names_layer_and_position(bad):
+    bundle, history = horizon_case((4, 3, 2), 12, 40)
+    _, cache = slow_forward_cached(1, history, bundle, (12,))
+    pos = cache["t0"] // 2  # inside the prefix the horizon drops
+    history[pos] = bad
+    with pytest.raises(DomainError, match=f"layer 1: non-finite gradient history at position {pos} "):
+        slow_forward_cached(1, history, bundle, (12,))
