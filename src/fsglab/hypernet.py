@@ -23,9 +23,14 @@ the scan input expm1(delta A) (v / A) w_t needs no phi = expm1(x) / x
 token, keep the phi form.  The kernel starts at a decay horizon: it skips
 the tokens whose decay product to the tail start is below exp(-750), under
 the smallest float64 subnormal, so that their terms and adjoints round to
-0.0 (the bound is derived above `_chunk_spans`).  The oracle is the
-per-token reference in `tests/slow_reference.py`.  An LSTM of hidden size d
-can replace the whole block for ablations (no gate/projections around it).
+0.0 (the bound is derived above `_chunk_spans`); the chunk plan is sized
+from the tokens it keeps.  Inside a chunk the scans over tokens are blocked
+GEMMs against a triangle of ones (`_scan`), and the per-token outer
+products with a fixed vector are GEMMs against its block expansion
+(`_expansion`), exact because each output has one nonzero term.  The
+oracle is the per-token reference in `tests/slow_reference.py`.  An LSTM of
+hidden size d can replace the whole block for ablations (no gate/projections
+around it).
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -48,6 +53,10 @@ _LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
 # log of a decay product that underflows in float64: below ln(smallest subnormal)
 # = -744.4, with a margin for the rounding of the cumsum that bounds it
 _LOG_UNDERFLOW = -750.0
+# rows per block of `_scan`: each block is summed by one GEMM against a triangle of ones
+_SCAN_BLOCK = 16
+_LOWER = np.tri(_SCAN_BLOCK)
+_UPPER = np.ascontiguousarray(_LOWER.T)
 
 
 def _sigmoid(x):
@@ -292,7 +301,7 @@ def _build_tokens(layer_index: int, history: np.ndarray, bundle: HyperNetBundle)
                           f"at position {pos} ({history[pos]!r})")
     tokens = np.empty((history.size + 1, bundle.lre.shape[1]), dtype=DTYPE)
     tokens[0] = bundle.lre[layer_index]
-    tokens[1:] = history[:, None] * bundle.w_a  # scalar token projection
+    np.multiply.outer(history, bundle.w_a[0], out=tokens[1:])  # scalar token projection
     return history, tokens
 
 
@@ -393,8 +402,20 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # states and run lambda as a reverse scan; only the tail feeds the readout
 # (y, gate, out-projection, residual).  Where the clamp ld <= -_LD_CLAMP can
 # fire the identity fails, so those clamp chunks keep the phi form, with
-# r_t = delta_t v (x) w_t.  The oracle, `tests/slow_reference.py`, steps the
-# scan token by token.
+# r_t = delta_t v (x) w_t.  chunk_plan and M are sized from delta over the
+# tokens the kernel keeps, so a dropped token cannot force stepping.
+#
+# Explicit-state chunks avoid numpy's two slow loops (Dao & Gu 2024 write a
+# scan as a matmul against a lower-triangular mask).  The axis-0 cumulative
+# sums (the states, the clamp chunks' S and the reverse adjoint scan) run in
+# `_scan`: blocks of _SCAN_BLOCK rows times a triangle of ones in one batched
+# GEMM, then each block adds the scanned totals of the blocks before it (the
+# same terms as np.cumsum in another order, about 1e-15 relative).  The
+# products r_t = M (x) w_t and delta_t v (x) w_t broadcast along the short N
+# axis; they are w @ E instead, with E the fixed (N, d_inner N) block
+# expansion of M or v.  Each column of E has one nonzero entry, so every
+# output is one product plus exact zeros, bit-identical to the broadcast.
+# The oracle, `tests/slow_reference.py`, steps the scan token by token.
 
 
 def _chunk_spans(start: int, tail0: int, total: int, chunk: int):
@@ -414,6 +435,12 @@ def _horizon(delta, a_top: float, tail0: int) -> int:
     return int(np.count_nonzero(reach < _LOG_UNDERFLOW))
 
 
+def _kept_max(delta, t0: int) -> float:
+    """max of delta over the tokens the kernel walks: max(t0, 1) .. T-1, and token 0 when t0 = 0."""
+    top = float(delta[max(t0, 1):].max())
+    return max(top, float(delta[0])) if t0 == 0 else top
+
+
 def _first_token(u0, b0, delta0, a):
     """Token 0 alone (h_{-1} = 0), in the phi form: clamped ld, phi and h_0 = inp_0."""
     ld = np.minimum(delta0 * a, -_LD_CLAMP)
@@ -426,19 +453,24 @@ class _ChunkTerms:
 
     ws[:, t] = (s_t^2, s_t), so w_t = s_t B_t = ws[:, t] @ bb with
     bb = (v w_b, b_b); `w_sums` turns ws-weighted token sums of (d_inner, N)
-    terms into sums weighted by w_t.  M = v / A exists when some chunk can
-    be unclamped; A is then bounded away from zero.
+    terms into sums weighted by w_t.  M = v / A exists when some kept chunk
+    can be unclamped (d_top is the max of delta over the kept tokens); A is
+    then bounded away from zero.  e_v and e_m expand v and M for the GEMM
+    form of r_t.
     """
 
-    def __init__(self, history, delta, v, p: SelectiveSsmParams, a, chunk: int):
-        self.delta, self.a, self.neg_a, self.v = delta, a, -a, v
+    def __init__(self, history, delta, v, p: SelectiveSsmParams, a, chunk: int, d_top: float):
+        self.delta, self.a, self.neg_a = delta, a, -a
         self.sc = np.concatenate(([0.0], history))  # s_t by token; token 0 is not scaled
         self.ws = np.stack((self.sc * self.sc, self.sc))
         self.bb = np.stack((v @ p.w_b, p.b_b))
         self.vb = np.multiply.outer(v, self.bb.T).reshape(-1, 2)  # v (x) (v w_b, b_b)
         self.a_top = float(a.max())  # the entry of A closest to zero
-        unclamped = float(delta.max()) * self.a_top <= -_LD_CLAMP
+        unclamped = d_top * self.a_top <= -_LD_CLAMP
         self.m = v[:, None] / a if unclamped else None
+        n = a.shape[1]
+        self.e_v = _expansion(v[:, None], n)  # w @ e_v = v (x) w
+        self.e_m = _expansion(self.m, n) if unclamped else None  # w @ e_m = M (x) w
         self.bufs = np.empty((5, chunk) + a.shape, dtype=DTYPE)
         self.xe = np.empty((2 * chunk + 1,) + a.shape, dtype=DTYPE)
         self.sums = np.zeros(chunk + 1, dtype=DTYPE)
@@ -464,7 +496,7 @@ class _ChunkTerms:
         np.multiply(dl[:, None, None], self.a, out=ld)
         if clamp:
             np.minimum(ld, -_LD_CLAMP, out=ld)
-            np.cumsum(ld, axis=0, out=decay)
+            _scan(ld, decay)
         else:
             np.multiply(np.cumsum(dl)[:, None, None], self.a, out=decay)
         np.exp(decay, out=decay)
@@ -473,9 +505,7 @@ class _ChunkTerms:
         if clamp:
             f /= ld
             w *= dl[:, None]
-            np.multiply(self.v[:, None], w[:, None, :], out=r)
-        else:
-            np.multiply(self.m, w[:, None, :], out=r)
+        np.matmul(w, self.e_v if clamp else self.e_m, out=r.reshape(e - s, -1))
         np.multiply(f, r, out=inp)
         return ld, decay, f, r, inp
 
@@ -496,6 +526,49 @@ class _ChunkTerms:
         return xe, sums
 
 
+def _scan(x, out, reverse: bool = False):
+    """Inclusive cumulative sum of x over axis 0 into out, from the end if reverse.
+
+    out is C-contiguous and may be x.  Rows go in blocks of _SCAN_BLOCK, each
+    summed by one batched GEMM against a triangle of ones (lower forward,
+    upper in reverse), and the short block comes first forward and last in
+    reverse.  Every block but the first (last) then adds the scan of the
+    totals of the blocks before (after) it, which is the same scan one level
+    up.  The terms are np.cumsum's, added in another order.
+    """
+    b = _SCAN_BLOCK
+    c = x.shape[0]
+    x2, o2 = x.reshape(c, -1), out.reshape(c, -1)
+    part = c % b
+    if reverse:
+        tri, blocks, short = _UPPER, slice(0, c - part), slice(c - part, c)
+    else:
+        tri, blocks, short = _LOWER, slice(part, c), slice(0, part)
+    if c >= b:
+        np.matmul(tri, x2[blocks].reshape(-1, b, x2.shape[1]),
+                  out=o2[blocks].reshape(-1, b, o2.shape[1]))
+    if part:
+        np.matmul(tri[:part, :part], x2[short], out=o2[short])
+    if c > b:
+        if reverse:  # block totals are first rows; carry into blocks 0 .. last-1
+            totals, carried = o2[b::b], slice(0, c - (part or b))
+        else:  # block totals are last rows; carry into blocks 1 .. last
+            totals, carried = o2[(part or b) - 1 : c - 1 : b], slice(part or b, c)
+        carry = _scan(totals, np.empty(totals.shape, dtype=DTYPE), reverse)
+        target = o2[carried].reshape(-1, b, o2.shape[1])
+        target += carry[:, None, :]
+    return out
+
+
+def _expansion(x, n: int):
+    """(n, d_inner * n) E with (w @ E)[t] = (x * w[t]).ravel(), for x of shape (d_inner, n or 1).
+
+    Each column of E has one nonzero entry, so the GEMM adds exact zeros to
+    one product and equals the broadcast bit for bit.
+    """
+    return (np.eye(n)[:, None, :] * x).reshape(n, -1)
+
+
 def _chunk_states(hs, decay, inp, step: bool) -> None:
     """hs[0] holds the state entering the chunk; fill hs[1:] with h_s .. h_{e-1}."""
     if step:  # one token, whose decay is exp(ld): h = exp(ld) h_prev + inp
@@ -503,7 +576,7 @@ def _chunk_states(hs, decay, inp, step: bool) -> None:
         hs[1] += inp[0]
     else:  # h_t = exp(S_t) * (h_prev + sum_{r<=t} exp(-S_r) inp_r)
         np.divide(inp, decay, out=hs[1:])
-        np.cumsum(hs, axis=0, out=hs)
+        _scan(hs, hs)
         hs[1:] *= decay
 
 
@@ -520,10 +593,11 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     draw += p.b_delta[0]
     delta = _softplus(draw)
     a = -np.exp(p.a_log)  # (din, N), negative
+    t0 = _horizon(delta, float(a.max()), tail0)
+    d_top = _kept_max(delta, t0)
     # chunk_plan's overflow guards, on max |ld| of the clamped ld = min(delta * A, -eps)
-    chunk, step = chunk_plan(max(float(delta.max()) * float(-a.min()), _LD_CLAMP), chunk)
-    terms = _ChunkTerms(history, delta, v, p, a, chunk)
-    t0 = _horizon(delta, terms.a_top, tail0)
+    chunk, step = chunk_plan(max(d_top * float(-a.min()), _LD_CLAMP), chunk)
+    terms = _ChunkTerms(history, delta, v, p, a, chunk, d_top)
     spans = _chunk_spans(max(t0, 1), tail0, total, chunk)
     bounds = np.empty((len(spans),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
@@ -585,7 +659,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_z *= gate
     g_z *= 1.0 - gate
 
-    terms = _ChunkTerms(history, delta, v, p, a, chunk)
+    terms = _ChunkTerms(history, delta, v, p, a, chunk, _kept_max(delta, t0))
     c_tail = cache["c_tail"]
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)  # h_{s-1} .. h_{e-1}
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
@@ -641,15 +715,14 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
         if s >= tail0:
             gy = g_y[s - tail0 : e - tail0]
             g_c[s - tail0 : e - tail0] = np.matmul(gy[:, None, :], hs[1:])[:, 0]
-            np.multiply(gy[:, :, None], c_tail[s - tail0 : e - tail0, None, :], out=lam)  # g_h
+            np.einsum("tc,tn->tcn", gy, c_tail[s - tail0 : e - tail0], out=lam)  # g_h
         else:
             lam[...] = 0.0
         if step:
             lam += carry
         else:  # lambda_t = (sum_{j>=t} exp(S_j) g_h_j + exp(S_end) carry) / exp(S_t)
             lam *= decay
-            rev = lam[::-1]
-            np.cumsum(rev, axis=0, out=rev)
+            _scan(lam, lam, reverse=True)
             lam += decay[-1] * carry
             lam /= decay
         eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
@@ -693,7 +766,11 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_u0 = delta[0] * lpb
     g_b0 = delta[0] * (u0 @ lp)
 
-    g_draw = g_delta * _sigmoid(cache["draw"])  # softplus'
+    # softplus' on token 0 and the kept tokens; g_delta is 0 on the dropped ones
+    draw, kept = cache["draw"], slice(max(t0, 1), total)
+    g_draw = g_delta
+    g_draw[0] *= _sigmoid(draw[:1])[0]
+    g_draw[kept] *= _sigmoid(draw[kept])
     g_dv = terms.sc @ g_draw  # sc[0] = 0: token 0 is not rank-1
     s_tail = terms.sc[tail0:]
     g_cv = s_tail @ g_c

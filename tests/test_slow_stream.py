@@ -194,6 +194,63 @@ def test_pre_tail_chunks_at_paper_dims(monkeypatch):
     assert 0 < sum(walked) <= 16
 
 
+def test_no_multi_axis_cumsum_at_paper_dims(monkeypatch):
+    """No np.cumsum call in slow fwd+bwd at test_bytes_per_token_at_paper_dims's setup gets a
+    (c, d_inner, N) array: those scans are blocked GEMMs (`_scan`).  A count, not a speed."""
+    ndims = []
+    real = np.cumsum
+
+    def counted(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    bundle = paper_dims_bundle()
+    history = 1e-2 * Rng(12).normals(4096 * 6)
+    _, cache = slow_forward_cached(0, history, bundle, (64, 64))
+    slow_backward(0, None, bundle, (64, 64), Rng(13).normals((64, 64)), cache=cache)
+    assert ndims and max(ndims) < 2
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("inner", [(8, 3), (32, 8)])  # widths 24 and 256
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 107, 128, 129])
+def test_blocked_scan_matches_cumsum(length, inner, reverse):
+    x = Rng(length * 31 + inner[0]).normals((length,) + inner)
+    ref = np.cumsum(x[::-1], axis=0)[::-1] if reverse else np.cumsum(x, axis=0)
+    out = hypernet._scan(x, np.empty_like(x), reverse)
+    assert rel_err(out, ref) < 1e-14
+    in_place = x.copy()
+    hypernet._scan(in_place, in_place, reverse)
+    assert rel_err(in_place, ref) < 1e-14
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_expansion_gemms_equal_broadcasts(clamp):
+    """r = M (x) w_t (or delta_t v (x) w_t in clamp chunks) from `_ChunkTerms.scan`'s GEMM
+    against the fixed expansion, bit for bit, with zero and negative history scalars."""
+    bundle = o1_bundle(28, 16, 8, 2)
+    p = bundle.slow
+    history = Rng(29).normals(40)
+    history[::5] = 0.0
+    history[1::3] = -np.abs(history[1::3])
+    v = bundle.w_a[0] @ p.w_in
+    a = -np.exp(p.a_log)
+    delta = hypernet._softplus(np.concatenate(([0.0], history)) * (v @ p.w_delta[:, 0]) + 0.3)
+    terms = hypernet._ChunkTerms(history, delta, v, p, a, 16, float(delta.max()))
+    s, e = 3, 19
+    r = terms.scan(s, e, clamp)[3]
+    w = terms.ws[:, s:e].T @ terms.bb  # w_t = s_t B_t
+    assert (w == 0.0).any() and (w < 0.0).any()
+    if clamp:
+        ref = v[:, None] * (w * delta[s:e, None])[:, None, :]
+    else:
+        ref = terms.m * w[:, None, :]
+    assert np.array_equal(r, ref)
+    assert np.array_equal(w @ hypernet._expansion(terms.m, 8),
+                          (terms.m * w[:, None, :]).reshape(e - s, -1))
+
+
 def test_memory_bound_at_paper_dims():
     """tracemalloc peak of slow fwd+bwd at xi = 1024 (6145 tokens); a bound, not a speed."""
     bundle = paper_dims_bundle()
@@ -275,6 +332,30 @@ def test_horizon_with_stepping():
     bundle.slow.a_log[0] = 7.0  # |A| ~ 1100 on one channel: max |ld| > 300
     cache = check_against_reference(bundle, history, (12,), 16)
     assert cache["plan"] == (1, True) and cache["t0"] > 1
+
+
+def test_dropped_outlier_does_not_size_the_chunk_plan():
+    # a history value before the horizon with max|ld| > 300 would force stepping
+    # if the plan were sized over the whole history; the kernel cannot read it
+    bundle, history = horizon_case((4, 3, 2), 12, 40)
+    cot = Rng(5).normals((12,))
+    out, cache = slow_forward_cached(1, history, bundle, (12,), chunk=16)
+    grads = slow_backward(1, None, bundle, (12,), cot, cache=cache)
+    t0 = cache["t0"]
+    assert t0 > 2  # history[t0 // 2] is token t0 // 2 + 1, before t0
+    p = bundle.slow
+    a_max = float(np.exp(p.a_log).max())
+    dv = float(bundle.w_a[0] @ p.w_in @ p.w_delta[:, 0])
+    spiked = history.copy()
+    spiked[t0 // 2] = (400.0 / a_max - p.b_delta[0]) / dv
+    spiked_cache = check_against_reference(bundle, spiked, (12,), 16)
+    assert spiked_cache["delta"][t0 // 2 + 1] * a_max > 300.0
+    assert spiked_cache["t0"] == t0 and spiked_cache["plan"] == cache["plan"] == (16, False)
+    spiked_out, spiked_cache = slow_forward_cached(1, spiked, bundle, (12,), chunk=16)
+    spiked_grads = slow_backward(1, None, bundle, (12,), cot, cache=spiked_cache)
+    assert np.array_equal(spiked_out, out)
+    for name, g in grads.items():
+        assert np.array_equal(spiked_grads[name], g), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
