@@ -15,8 +15,10 @@ Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
 error (ConfigError), including a malformed sweep spec, a model whose layer
 shapes do not fit the data or each other (DimensionError, naming the layer),
 a malformed layer spec (ContractError) or a value outside its domain
-(DomainError), an empty gradient history (EmptyHistoryError) or a rate fit
-on invalid gaps (FitError); 3 an input file does not match its format
+(DomainError), an empty gradient history (EmptyHistoryError), a rate fit
+on invalid gaps (FitError) or an input file that cannot be read, such as a
+missing config, IDX file or metrics CSV (OSError, naming the path); 3 an
+input file does not match its format
 (FormatError); 4 training or the convex bench diverged (DivergenceError,
 naming the iteration, and the layer for non-finite weights) or a numeric
 evaluation was non-finite (EvaluationError).  Errors print one line to
@@ -59,6 +61,7 @@ _EXIT_CODES = {
     DomainError: (2, "error"),
     EmptyHistoryError: (2, "error"),
     FitError: (2, "error"),
+    OSError: (2, "error"),
     FormatError: (3, "error"),
     DivergenceError: (4, "error"),
     EvaluationError: (4, "error"),

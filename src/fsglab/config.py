@@ -75,6 +75,8 @@ _ENUMS = {
     "method": ("fsg", "ste"),
     "dataset.kind": ("blobs", "spirals", "idx"),
 }
+# bench sizes; TrainConfig.validate checks the train settings' own
+_AT_LEAST_ONE = ("bench.dim", "bench.t", "bench.repeats", "bench.seeds", "bench.components")
 
 
 @dataclass
@@ -144,6 +146,9 @@ def loads_config(text: str) -> RunConfig:
     for key, allowed in _ENUMS.items():
         if cfg[key] not in allowed:
             raise ConfigError(f"field {key!r} must be one of {allowed}, got {cfg[key]!r}")
+    for key in _AT_LEAST_ONE:
+        if cfg[key] < 1:
+            raise ConfigError(f"field {key!r}: {key} must be >= 1, got {cfg[key]}")
     cfg.to_train_config().validate()
     return cfg
 

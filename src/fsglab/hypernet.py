@@ -24,13 +24,14 @@ token, keep the phi form.  The kernel starts at a decay horizon: it skips
 the tokens whose decay product to the tail start is below exp(-750), under
 the smallest float64 subnormal, so that their terms and adjoints round to
 0.0 (the bound is derived above `_chunk_spans`); the chunk plan is sized
-from the tokens it keeps.  Inside a chunk the scans over tokens are blocked
-GEMMs against a triangle of ones (`_scan`), and the per-token outer
-products with a fixed vector are GEMMs against its block expansion
-(`_expansion`), exact because each output has one nonzero term.  The
-oracle is the per-token reference in `tests/slow_reference.py`.  An LSTM of
-hidden size d can replace the whole block for ablations (no gate/projections
-around it).
+from the tokens it keeps.  Chunks with explicit states run the recurrence
+and its adjoint in `ssm.linear_recurrence[_backward]`, whose scans over
+tokens are blocked GEMMs against a triangle of ones (`ssm._scan`), and the
+per-token outer products with a fixed vector are GEMMs against its block
+expansion (`_expansion`), exact because each output has one nonzero term.
+The oracle is the per-token reference in `tests/slow_reference.py`.  An LSTM
+of hidden size d can replace the whole block for ablations (no
+gate/projections around it).
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -44,19 +45,13 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, EmptyHistoryError
 from .rng import Rng
-from .ssm import chunk_plan
-# unused here, but perfbench/tracer.py wraps these bindings and `--trace 1` fails without them
-from .ssm import linear_recurrence, linear_recurrence_backward  # noqa: F401
+from .ssm import _scan, chunk_plan, linear_recurrence, linear_recurrence_backward
 from .tensor import DTYPE, orthogonal_init
 
 _LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
 # log of a decay product that underflows in float64: below ln(smallest subnormal)
 # = -744.4, with a margin for the rounding of the cumsum that bounds it
 _LOG_UNDERFLOW = -750.0
-# rows per block of `_scan`: each block is summed by one GEMM against a triangle of ones
-_SCAN_BLOCK = 16
-_LOWER = np.tri(_SCAN_BLOCK)
-_UPPER = np.ascontiguousarray(_LOWER.T)
 
 
 def _sigmoid(x):
@@ -405,16 +400,17 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # r_t = delta_t v (x) w_t.  chunk_plan and M are sized from delta over the
 # tokens the kernel keeps, so a dropped token cannot force stepping.
 #
-# Explicit-state chunks avoid numpy's two slow loops (Dao & Gu 2024 write a
-# scan as a matmul against a lower-triangular mask).  The axis-0 cumulative
-# sums (the states, the clamp chunks' S and the reverse adjoint scan) run in
-# `_scan`: blocks of _SCAN_BLOCK rows times a triangle of ones in one batched
-# GEMM, then each block adds the scanned totals of the blocks before it (the
-# same terms as np.cumsum in another order, about 1e-15 relative).  The
-# products r_t = M (x) w_t and delta_t v (x) w_t broadcast along the short N
-# axis; they are w @ E instead, with E the fixed (N, d_inner N) block
-# expansion of M or v.  Each column of E has one nonzero entry, so every
-# output is one product plus exact zeros, bit-identical to the broadcast.
+# Explicit-state chunks avoid numpy's two slow loops.  Their states and
+# reverse adjoint scan are `ssm.linear_recurrence` and
+# `ssm.linear_recurrence_backward`, one call per chunk, and those and the
+# clamp chunks' S sum over tokens in `ssm._scan`: blocks of rows times a
+# triangle of ones in one batched GEMM, then each block adds the scanned
+# totals of the blocks before it (the same terms as np.cumsum in another
+# order, about 1e-15 relative).  The products r_t = M (x) w_t and
+# delta_t v (x) w_t broadcast along the short N axis; they are w @ E
+# instead, with E the fixed (N, d_inner N) block expansion of M or v.  Each
+# column of E has one nonzero entry, so every output is one product plus
+# exact zeros, bit-identical to the broadcast.
 # The oracle, `tests/slow_reference.py`, steps the scan token by token.
 
 
@@ -526,40 +522,6 @@ class _ChunkTerms:
         return xe, sums
 
 
-def _scan(x, out, reverse: bool = False):
-    """Inclusive cumulative sum of x over axis 0 into out, from the end if reverse.
-
-    out is C-contiguous and may be x.  Rows go in blocks of _SCAN_BLOCK, each
-    summed by one batched GEMM against a triangle of ones (lower forward,
-    upper in reverse), and the short block comes first forward and last in
-    reverse.  Every block but the first (last) then adds the scan of the
-    totals of the blocks before (after) it, which is the same scan one level
-    up.  The terms are np.cumsum's, added in another order.
-    """
-    b = _SCAN_BLOCK
-    c = x.shape[0]
-    x2, o2 = x.reshape(c, -1), out.reshape(c, -1)
-    part = c % b
-    if reverse:
-        tri, blocks, short = _UPPER, slice(0, c - part), slice(c - part, c)
-    else:
-        tri, blocks, short = _LOWER, slice(part, c), slice(0, part)
-    if c >= b:
-        np.matmul(tri, x2[blocks].reshape(-1, b, x2.shape[1]),
-                  out=o2[blocks].reshape(-1, b, o2.shape[1]))
-    if part:
-        np.matmul(tri[:part, :part], x2[short], out=o2[short])
-    if c > b:
-        if reverse:  # block totals are first rows; carry into blocks 0 .. last-1
-            totals, carried = o2[b::b], slice(0, c - (part or b))
-        else:  # block totals are last rows; carry into blocks 1 .. last
-            totals, carried = o2[(part or b) - 1 : c - 1 : b], slice(part or b, c)
-        carry = _scan(totals, np.empty(totals.shape, dtype=DTYPE), reverse)
-        target = o2[carried].reshape(-1, b, o2.shape[1])
-        target += carry[:, None, :]
-    return out
-
-
 def _expansion(x, n: int):
     """(n, d_inner * n) E with (w @ E)[t] = (x * w[t]).ravel(), for x of shape (d_inner, n or 1).
 
@@ -567,17 +529,6 @@ def _expansion(x, n: int):
     one product and equals the broadcast bit for bit.
     """
     return (np.eye(n)[:, None, :] * x).reshape(n, -1)
-
-
-def _chunk_states(hs, decay, inp, step: bool) -> None:
-    """hs[0] holds the state entering the chunk; fill hs[1:] with h_s .. h_{e-1}."""
-    if step:  # one token, whose decay is exp(ld): h = exp(ld) h_prev + inp
-        np.multiply(decay[0], hs[0], out=hs[1])
-        hs[1] += inp[0]
-    else:  # h_t = exp(S_t) * (h_prev + sum_{r<=t} exp(-S_r) inp_r)
-        np.divide(inp, decay, out=hs[1:])
-        _scan(hs, hs)
-        hs[1:] *= decay
 
 
 def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray,
@@ -621,7 +572,7 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
         _, decay, _, _, inp = terms.scan(s, e, clamp)
         hs = states[: e - s + 1]
         hs[0] = h
-        _chunk_states(hs, decay, inp, step)
+        linear_recurrence(decay, inp, hs, step)
         h = hs[-1].copy()
         if s >= tail0:
             ct = c_tail[s - tail0 : e - tail0]
@@ -710,7 +661,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
         ld, decay, f, r, inp = terms.scan(s, e, clamp)
         hs = states[: c + 1]
         hs[0] = bounds[k]
-        _chunk_states(hs, decay, inp, step)
+        linear_recurrence(decay, inp, hs, step)
         lam = lam_buf[:c]
         if s >= tail0:
             gy = g_y[s - tail0 : e - tail0]
@@ -718,13 +669,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
             np.einsum("tc,tn->tcn", gy, c_tail[s - tail0 : e - tail0], out=lam)  # g_h
         else:
             lam[...] = 0.0
-        if step:
-            lam += carry
-        else:  # lambda_t = (sum_{j>=t} exp(S_j) g_h_j + exp(S_end) carry) / exp(S_t)
-            lam *= decay
-            _scan(lam, lam, reverse=True)
-            lam += decay[-1] * carry
-            lam /= decay
+        linear_recurrence_backward(decay, lam, carry, step)
         eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
         carry = eld[0] * lam[0]
         g_ld = inp

@@ -13,14 +13,15 @@ The discrete system is the linear recurrence
 
 which for time-invariant parameters is also the causal convolution of x with
 the kernel (C b_bar, C a_bar b_bar, ..., C a_bar^{L-1} b_bar).  `ssm_scan` is
-the plain sequential reference.  `chunk_plan` holds the guard of a chunked
-scan, which replaces the per-step product of decays with cumulative sums in
-log space (safe because the decays enter as exp(log_decay) with log_decay <= 0
-for stable systems; chunks whose log range would overflow fall back to
-stepping); the streaming slow block in `hypernet` applies it.
-`linear_recurrence` is that chunked scan on its own.  No package code calls
-it: it stays only because perfbench's tracer wraps it, until the tracer
-spans the streaming block instead.
+the plain sequential reference.  The streaming slow block in `hypernet` runs
+the recurrence chunk by chunk: `linear_recurrence` and its adjoint
+`linear_recurrence_backward` each take one chunk, with the per-step product
+of decays replaced by cumulative sums in log space (safe because the decays
+enter as exp(log_decay) with log_decay <= 0 for stable systems).
+`chunk_plan` sizes the chunks so that those sums stay in exp's range, and
+falls back to stepping when no chunk can.  The sums over a chunk are blocked
+GEMMs against a triangle of ones (`_scan`; Dao & Gu 2024 write a scan as a
+matmul against a lower-triangular mask).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .tensor import DTYPE
 
 ZOH_EPS = 1e-8
 _CHUNK_LOG_LIMIT = 600.0  # exp() overflows around 709; stay clear
+# rows per block of `_scan`: each block is summed by one GEMM against a triangle of ones
+_SCAN_BLOCK = 16
+_LOWER = np.tri(_SCAN_BLOCK)
+_UPPER = np.ascontiguousarray(_LOWER.T)
 
 
 def discretize_zoh(a, b, delta):
@@ -167,57 +172,73 @@ def chunk_plan(amax: float, chunk: int):
     return chunk, False
 
 
-def linear_recurrence(log_decay, inp, chunk: int = 128):
-    """h_t = exp(log_decay_t) * h_{t-1} + inp_t over axis 0, h_{-1} = 0.
+def _scan(x, out, reverse: bool = False):
+    """Inclusive cumulative sum of x over axis 0 into out, from the end if reverse.
 
-    Within a chunk the solution is factored as
-        h_t = exp(S_t) * (h_prev + sum_{r<=t} exp(-S_r) inp_r),
-    S the inclusive cumsum of log_decay, so each chunk costs a handful of
-    vectorized passes instead of a Python-level step per element.
+    out is C-contiguous and may be x.  Rows go in blocks of _SCAN_BLOCK, each
+    summed by one batched GEMM against a triangle of ones (lower forward,
+    upper in reverse), and the short block comes first forward and last in
+    reverse.  Every block but the first (last) then adds the scan of the
+    totals of the blocks before (after) it, which is the same scan one level
+    up.  The terms are np.cumsum's, added in another order.
     """
-    ld = np.asarray(log_decay, dtype=DTYPE)
-    v = np.asarray(inp, dtype=DTYPE)
-    if ld.shape != v.shape:
-        raise DimensionError(f"log_decay shape {ld.shape} != input shape {v.shape}")
-    total = ld.shape[0]
-    out = np.empty_like(v)
-    h_prev = np.zeros(v.shape[1:], dtype=DTYPE)
-    chunk, step = chunk_plan(float(np.max(np.abs(ld))) if ld.size else 0.0, chunk)
-    if step:
-        for t in range(total):
-            h_prev = np.exp(ld[t]) * h_prev + v[t]
-            out[t] = h_prev
-        return out
-    for start in range(0, total, chunk):
-        end = min(start + chunk, total)
-        s = np.cumsum(ld[start:end], axis=0)
-        np.exp(s, out=s)  # s is now the chunk-local decay product
-        q = v[start:end] / s
-        np.cumsum(q, axis=0, out=q)
-        q += h_prev
-        np.multiply(s, q, out=out[start:end])
-        h_prev = out[end - 1]
+    b = _SCAN_BLOCK
+    c = x.shape[0]
+    x2, o2 = x.reshape(c, -1), out.reshape(c, -1)
+    part = c % b
+    if reverse:
+        tri, blocks, short = _UPPER, slice(0, c - part), slice(c - part, c)
+    else:
+        tri, blocks, short = _LOWER, slice(part, c), slice(0, part)
+    if c >= b:
+        np.matmul(tri, x2[blocks].reshape(-1, b, x2.shape[1]),
+                  out=o2[blocks].reshape(-1, b, o2.shape[1]))
+    if part:
+        np.matmul(tri[:part, :part], x2[short], out=o2[short])
+    if c > b:
+        if reverse:  # block totals are first rows; carry into blocks 0 .. last-1
+            totals, carried = o2[b::b], slice(0, c - (part or b))
+        else:  # block totals are last rows; carry into blocks 1 .. last
+            totals, carried = o2[(part or b) - 1 : c - 1 : b], slice(part or b, c)
+        carry = _scan(totals, np.empty(totals.shape, dtype=DTYPE), reverse)
+        target = o2[carried].reshape(-1, b, o2.shape[1])
+        target += carry[:, None, :]
     return out
 
 
-def linear_recurrence_backward(log_decay, inp, h, g_h, chunk: int = 128, exp_log_decay=None):
-    """Exact gradients of linear_recurrence w.r.t. (log_decay, inp).
+def linear_recurrence(decay, inp, hs, step: bool) -> None:
+    """h_t = exp(ld_t) h_{t-1} + inp_t over one chunk, in place.
 
-    The adjoint lambda_t = g_h_t + exp(log_decay_{t+1}) lambda_{t+1} is the
-    same recurrence run anti-causally, so it reuses the chunked forward.
+    decay[t] = exp(S_t), S the inclusive cumsum of ld over the chunk (for a
+    one-token chunk, exp(ld)).  hs[0] holds the state entering the chunk;
+    hs[1:] receives the chunk's states.  The factored form
+        h_t = exp(S_t) * (h_prev + sum_{r<=t} exp(-S_r) inp_r)
+    needs exp(-S) finite, which `chunk_plan` sizes the chunk for; when it
+    steps, the one token runs as h = exp(ld) h_prev + inp.
     """
-    ld = np.asarray(log_decay, dtype=DTYPE)
-    g_h = np.asarray(g_h, dtype=DTYPE)
-    total = ld.shape[0]
-    if total == 0:
-        return np.zeros_like(ld), np.zeros_like(ld)
-    rev_decay = np.empty_like(ld)
-    rev_decay[0] = 0.0
-    rev_decay[1:] = ld[:0:-1]
-    lam = linear_recurrence(rev_decay, g_h[::-1], chunk=chunk)[::-1].copy()
-    eld = np.exp(ld) if exp_log_decay is None else exp_log_decay
-    g_ld = np.empty_like(ld)
-    g_ld[0] = 0.0  # initial state is zero
-    np.multiply(lam[1:], eld[1:], out=g_ld[1:])
-    g_ld[1:] *= h[:-1]
-    return g_ld, lam
+    if step:
+        np.multiply(decay[0], hs[0], out=hs[1])
+        hs[1] += inp[0]
+    else:
+        np.divide(inp, decay, out=hs[1:])
+        _scan(hs, hs)
+        hs[1:] *= decay
+
+
+def linear_recurrence_backward(decay, lam, carry, step: bool) -> None:
+    """The adjoint of `linear_recurrence` over one chunk, in place.
+
+    lam holds the cotangents g_h_t of the chunk's states and receives
+    lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}, the gradient of inp_t;
+    carry = exp(ld_e) lambda_e enters from the chunk after.  The gradient
+    of the entering state is exp(ld_0) lambda_0, and that of ld_t is
+    lambda_t exp(ld_t) h_{t-1}.  In factored form
+        lambda_t = (sum_{j>=t} exp(S_j) g_h_j + exp(S_end) carry) / exp(S_t).
+    """
+    if step:
+        lam += carry
+    else:
+        lam *= decay
+        _scan(lam, lam, reverse=True)
+        lam += decay[-1] * carry
+        lam /= decay

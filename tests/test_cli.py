@@ -126,8 +126,9 @@ IDX_DATA = ["dataset.kind = idx", "dataset.images_path = {images}",
 
 
 def _row(error_id, lines, code, prefix, command="train", raised=None):
-    """One table row; `raised` = (cli binding, error) stubs in an error the
-    command cannot be driven to by its config."""
+    """One table row; `lines` None runs the command on a missing input file, and
+    `raised` = (cli binding, error) stubs in an error the command cannot be
+    driven to by its config."""
     return pytest.param(command, lines, code, prefix, raised, id=error_id)
 
 
@@ -182,13 +183,25 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "bench-convergence"),
     _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",
          raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0"))),
+    _row("OSError-config", None, 2, "error: [Errno 2] No such file or directory: '{missing}'"),
+    _row("OSError-config-ablate", None, 2,
+         "error: [Errno 2] No such file or directory: '{missing}'", "ablate --sweep beta=0.1"),
+    _row("OSError-idx", ["dataset.kind = idx", "dataset.images_path = {missing}",
+                         "dataset.labels_path = {labels}"], 2,
+         "error: [Errno 2] No such file or directory: '{missing}'"),
+    _row("OSError-curve", None, 2, "error: [Errno 2] No such file or directory: '{missing}'",
+         "dump-curve"),
 ])
 def test_error_class_exit_code_and_one_line(tmp_path, capsys, monkeypatch, command, lines,
                                             code, prefix, raised):
-    paths = {"images": tmp_path / "img.idx", "labels": tmp_path / "lab.idx"}
+    paths = {"images": tmp_path / "img.idx", "labels": tmp_path / "lab.idx",
+             "missing": tmp_path / "missing"}
     write_idx(paths["images"], paths["labels"], np.zeros((4, 3, 3), dtype=np.uint8),
               np.arange(4) % 2)
-    cfg = write_cfg(tmp_path, "\n".join(line.format(**paths) for line in lines))
+    if lines is None:  # the command's input file does not exist
+        cfg = paths["missing"]
+    else:
+        cfg = write_cfg(tmp_path, "\n".join(line.format(**paths) for line in lines))
     if raised is not None:
         binding, error = raised
 

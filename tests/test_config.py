@@ -78,8 +78,10 @@ def test_duplicate_key_rejected():
 
 @pytest.mark.parametrize("text", [
     *(f"{key} = 0" for key in ("scan_chunk", "token_dim", "state_dim", "expand",
-                               "fast_hidden", "bit_width")),
+                               "fast_hidden", "bit_width", "bench.seeds", "bench.repeats",
+                               "bench.components", "bench.dim", "bench.t")),
     "scan_chunk = -5",
+    "bench.t = -1",
 ])
 def test_nonpositive_size_names_field(text):
     key = text.split(" =")[0]

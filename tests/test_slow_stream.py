@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fsglab import hypernet
+from fsglab import hypernet, ssm
 from fsglab.errors import DomainError
 from fsglab.hypernet import (HyperNetBundle, _build_tokens, _chunk_spans, slow_backward,
                              slow_forward_cached)
@@ -212,16 +212,40 @@ def test_no_multi_axis_cumsum_at_paper_dims(monkeypatch):
     assert ndims and max(ndims) < 2
 
 
+def test_recurrence_calls_at_paper_dims(monkeypatch):
+    """At test_bytes_per_token_at_paper_dims's setup every explicit-state chunk (there, the
+    tail's) runs `linear_recurrence` once in the forward and once in the backward's recompute,
+    and `linear_recurrence_backward` once, each on that chunk's decay.  A count, not a speed."""
+    calls = []
+    for name in ("linear_recurrence", "linear_recurrence_backward"):
+        def counted(decay, *rest, _name=name, _f=getattr(hypernet, name)):
+            calls.append((_name, decay.shape[0]))
+            return _f(decay, *rest)
+        monkeypatch.setattr(hypernet, name, counted)
+    bundle = paper_dims_bundle()
+    history = 1e-2 * Rng(12).normals(4096 * 6)
+    _, cache = slow_forward_cached(0, history, bundle, (64, 64))
+    forward = list(calls)
+    slow_backward(0, None, bundle, (64, 64), Rng(13).normals((64, 64)), cache=cache)
+    chunk, step = cache["plan"]
+    assert not step
+    tail0 = history.size + 1 - 4096
+    lengths = [e - s for s, e in _chunk_spans(tail0, tail0, history.size + 1, chunk)]
+    assert forward == [("linear_recurrence", c) for c in lengths]
+    assert calls[len(forward):] == [(name, c) for c in reversed(lengths) for name in
+                                    ("linear_recurrence", "linear_recurrence_backward")]
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("inner", [(8, 3), (32, 8)])  # widths 24 and 256
 @pytest.mark.parametrize("length", [1, 15, 16, 17, 107, 128, 129])
 def test_blocked_scan_matches_cumsum(length, inner, reverse):
     x = Rng(length * 31 + inner[0]).normals((length,) + inner)
     ref = np.cumsum(x[::-1], axis=0)[::-1] if reverse else np.cumsum(x, axis=0)
-    out = hypernet._scan(x, np.empty_like(x), reverse)
+    out = ssm._scan(x, np.empty_like(x), reverse)
     assert rel_err(out, ref) < 1e-14
     in_place = x.copy()
-    hypernet._scan(in_place, in_place, reverse)
+    ssm._scan(in_place, in_place, reverse)
     assert rel_err(in_place, ref) < 1e-14
 
 

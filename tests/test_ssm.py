@@ -16,8 +16,9 @@ from fsglab.ssm import (
 from fsglab.tensor import finite_diff_check
 
 
-def sequential_scan(ld, inp):
-    h = np.zeros(inp.shape[1:])
+def sequential_scan(ld, inp, h0=None):
+    """h_t = exp(ld_t) h_{t-1} + inp_t, one token at a time from h0 (zero by default)."""
+    h = np.zeros(inp.shape[1:]) if h0 is None else h0
     out = np.empty_like(inp)
     for t in range(inp.shape[0]):
         h = np.exp(ld[t]) * h + inp[t]
@@ -126,47 +127,94 @@ class TestConv:
         assert np.allclose(y_full[:7], y_cut[:7], atol=1e-15)
 
 
+def run_chunks(ld, inp, h0, chunk, step=False):
+    """linear_recurrence over consecutive chunks of (ld, inp) from h0; returns h_0 .. h_{L-1}."""
+    out = np.empty_like(inp)
+    h = h0
+    for s in range(0, inp.shape[0], chunk):
+        e = min(s + chunk, inp.shape[0])
+        hs = np.empty((e - s + 1,) + inp.shape[1:])
+        hs[0] = h
+        linear_recurrence(np.exp(np.cumsum(ld[s:e], axis=0)), inp[s:e], hs, step)
+        out[s:e] = hs[1:]
+        h = hs[-1]
+    return out
+
+
+def run_adjoint(ld, g_h, chunk, step=False):
+    """linear_recurrence_backward over the same chunks in reverse.
+
+    Returns lambda and the gradient of the state entering the first chunk.
+    """
+    lam = g_h.copy()
+    carry = np.zeros(g_h.shape[1:])
+    for s in reversed(range(0, g_h.shape[0], chunk)):
+        e = min(s + chunk, g_h.shape[0])
+        decay = np.exp(np.cumsum(ld[s:e], axis=0))
+        linear_recurrence_backward(decay, lam[s:e], carry, step)
+        carry = decay[0] * lam[s]
+    return lam, carry
+
+
 class TestLinearRecurrence:
-    @pytest.mark.parametrize("total", [1, 5, 63, 64, 65, 200])
+    @pytest.mark.parametrize("total", [1, 5, 16, 17, 63, 64, 65, 128, 200])
     def test_matches_sequential(self, total):
+        """One chunk of each length from a nonzero entering state (200 exceeds the default 128)."""
         rng = Rng(total)
         ld = -np.abs(rng.normals((total, 3, 2))) * 0.8
         inp = rng.normals((total, 3, 2))
-        fast = linear_recurrence(ld, inp, chunk=16)
-        assert np.max(np.abs(fast - sequential_scan(ld, inp))) < 1e-12
+        h0 = rng.normals((3, 2))
+        fast = run_chunks(ld, inp, h0, total)
+        assert np.max(np.abs(fast - sequential_scan(ld, inp, h0))) < 1e-12
+
+    def test_selective_chunks_match_ssm_scan(self):
+        rng = Rng(31)
+        length, channels, n = 40, 3, 2
+        delta = 0.1 + rng.uniforms((length, channels))
+        a = -(0.2 + rng.uniforms((channels, n)))
+        a_bar, b_bar = discretize_zoh(a, rng.normals((length, 1, n)), delta[:, :, None])
+        c = rng.normals((length, n))
+        x = rng.normals((length, channels))
+        states = run_chunks(delta[:, :, None] * a, b_bar * x[:, :, None],
+                            np.zeros((channels, n)), 16)
+        y = np.einsum("tcn,tn->tc", states, c)
+        assert np.max(np.abs(y - ssm_scan(a_bar, b_bar, c, x))) < 1e-12
 
     def test_extreme_decay_is_finite_and_exact(self):
+        """Stepping one token at a time is exact where exp(-S) overflows (|ld| ~ 900)."""
         rng = Rng(5)
         ld = -np.abs(rng.normals((80, 2, 2))) * 900.0
         inp = rng.normals((80, 2, 2))
-        fast = linear_recurrence(ld, inp, chunk=32)
+        h0 = rng.normals((2, 2))
+        fast = run_chunks(ld, inp, h0, 1, step=True)
         assert np.all(np.isfinite(fast))
-        assert np.max(np.abs(fast - sequential_scan(ld, inp))) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            linear_recurrence(np.zeros((3, 2)), np.zeros((3, 3)))
+        assert np.max(np.abs(fast - sequential_scan(ld, inp, h0))) < 1e-12
+        g_h = rng.normals((80, 2, 2))
+        lam, _ = run_adjoint(ld, g_h, 1, step=True)
+        # lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}: the recurrence run from the end
+        ref = sequential_scan(np.concatenate((ld[:1], ld[:0:-1])), g_h[::-1])[::-1]
+        assert np.all(np.isfinite(lam))
+        assert np.max(np.abs(lam - ref)) < 1e-12
 
     def test_backward_finite_differences(self):
+        """The adjoint over chunks of 5 against central differences in inp, the entering state
+        and ld (g_ld_t = lambda_t exp(ld_t) h_{t-1})."""
         rng = Rng(21)
-        total = 12
+        total, chunk = 12, 5
         ld = -np.abs(rng.normals((total, 2, 2))) * 0.6
         inp = rng.normals((total, 2, 2))
+        h0 = rng.normals((2, 2))
         cot = rng.normals((total, 2, 2))
-        h = linear_recurrence(ld, inp, chunk=5)
-        g_ld, g_inp = linear_recurrence_backward(ld, inp, h, cot, chunk=5)
+        lam, g_h0 = run_adjoint(ld, cot, chunk)
+        h_prev = np.concatenate((h0[None], run_chunks(ld, inp, h0, chunk)[:-1]))
 
-        # g_ld[0] is exactly zero (initial state is zero); check t >= 1 only
-        def f_ld(tail):
-            full = np.concatenate([ld[:1], tail])
-            return float(np.sum(cot * linear_recurrence(full, inp, chunk=5)))
+        def loss(ld_, inp_, h0_):
+            return float(np.sum(cot * run_chunks(ld_, inp_, h0_, chunk)))
 
-        assert finite_diff_check(f_ld, ld[1:], g_ld[1:], h=1e-6) < 1e-5
-        assert np.max(np.abs(g_ld[0])) == 0.0
-        err = finite_diff_check(
-            lambda p: float(np.sum(cot * linear_recurrence(ld, p, chunk=5))),
-            inp, g_inp, h=1e-6)
-        assert err < 1e-5
+        assert finite_diff_check(lambda p: loss(ld, p, h0), inp, lam, h=1e-6) < 1e-5
+        assert finite_diff_check(lambda p: loss(ld, inp, p), h0, g_h0, h=1e-6) < 1e-5
+        g_ld = lam * np.exp(ld) * h_prev
+        assert finite_diff_check(lambda p: loss(p, inp, h0), ld, g_ld, h=1e-6) < 1e-5
 
 
 def test_time_varying_scan_matches_hand_recurrence():
