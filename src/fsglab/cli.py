@@ -18,7 +18,7 @@ a malformed layer spec (ContractError) or a value outside its domain
 (DomainError), an empty gradient history (EmptyHistoryError), a rate fit
 on invalid gaps (FitError) or an input file that cannot be read, such as a
 missing config, IDX file or metrics CSV (OSError, naming the path); 3 an
-input file does not match its format
+input file does not match its format, such as a malformed metrics CSV row
 (FormatError); 4 training or the convex bench diverged (DivergenceError,
 naming the iteration, and the layer for non-finite weights) or a numeric
 evaluation was non-finite (EvaluationError).  Errors print one line to
@@ -102,9 +102,9 @@ def build_trainer(cfg: RunConfig):
     return cls(model, tc)
 
 
-def run_train(cfg: RunConfig, outdir: Path) -> Path:
-    train, test = build_datasets(cfg)
-    trainer = build_trainer(cfg)
+def run_train(run, outdir: Path) -> Path:
+    """Train a run built by `build_datasets` and `build_trainer`: (cfg, (train, test), trainer)."""
+    cfg, (train, test), trainer = run
     save_config(cfg, outdir / "config.txt")
     write_manifest(outdir / "manifest.json", config_hash(cfg), cfg["seed"],
                    {"command": "train", "method": cfg["method"]})
@@ -148,18 +148,17 @@ def _parse_sweep(spec: str):
     return ("slow_kind" if key == "slow" else key), key, values
 
 
-def run_ablate(cfg: RunConfig, sweep, outdir: Path):
-    """Train once per value of a parsed sweep (`_parse_sweep`)."""
+def build_ablation(cfg: RunConfig, sweep):
+    """(tag, run) per value of a parsed sweep (`_parse_sweep`), runs as `run_train` takes them;
+    no swept key changes the data, so the runs share one build of the datasets."""
     key, display, values = sweep
-    produced = []
+    data = build_datasets(cfg)
+    runs = []
     for value in values:
         sub = RunConfig(dict(cfg.values))
         sub.values[key] = value
-        tag = f"{display}_{value}".replace("/", "-")
-        subdir = outdir / tag
-        subdir.mkdir(parents=True, exist_ok=True)
-        produced.append(run_train(sub, subdir))
-    return produced
+        runs.append((f"{display}_{value}".replace("/", "-"), (sub, data, build_trainer(sub))))
+    return runs
 
 
 def run_bench(cfg: RunConfig, outdir: Path):
@@ -238,22 +237,30 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        # every input is read and checked before the out directory is made
         if args.command == "train":
             cfg = load_config(args.config)
-            path = run_train(cfg, resolve_outdir(cfg, args.out))
+            run = (cfg, build_datasets(cfg), build_trainer(cfg))
+            path = run_train(run, resolve_outdir(cfg, args.out))
             print(f"wrote {path}")
             return 0
         if args.command == "ablate":
             cfg = load_config(args.config)
-            sweep = _parse_sweep(args.sweep)  # before the out directory is made
+            runs = build_ablation(cfg, _parse_sweep(args.sweep))
             outdir = resolve_outdir(cfg, args.out)
             write_manifest(outdir / "manifest.json", config_hash(cfg), cfg["seed"],
                            {"command": "ablate", "sweep": args.sweep})
-            for path in run_ablate(cfg, sweep, outdir):
-                print(f"wrote {path}")
+            for tag, run in runs:
+                (outdir / tag).mkdir(exist_ok=True)
+                print(f"wrote {run_train(run, outdir / tag)}")
             return 0
         if args.command == "bench-convergence":
             cfg = load_config(args.config)
+            # the domain of `run_fsg_convex`, which a train config need not meet
+            if not cfg["bench.c"] > 0:
+                raise ConfigError(f"field 'bench.c': C must be positive, got {cfg['bench.c']}")
+            if not cfg["beta"] < 1:
+                raise ConfigError(f"field 'beta': the bench needs beta < 1, got {cfg['beta']}")
             outdir = resolve_outdir(cfg, args.out)
             write_manifest(outdir / "manifest.json", config_hash(cfg), cfg["seed"],
                            {"command": "bench-convergence"})

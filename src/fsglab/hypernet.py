@@ -7,7 +7,7 @@ Two networks are shared by every binarized layer:
 * slow net: a sequence model over a layer's gradient history.  Each history
   scalar becomes a d-dimensional token through the 1 x d projection `w_a`,
   a learnable per-layer recognition embedding is prepended, and the model
-  output's last xi tokens are projected to scalars by the d x 1 head `w_b`
+  output's last xi tokens are projected to scalars by the d x 1 head `w_head`
   and reshaped to the layer's gradient shape.
 
 The default slow model is a minimal selective state-space block:
@@ -23,7 +23,7 @@ the scan input expm1(delta A) (v / A) w_t needs no phi = expm1(x) / x
 token, keep the phi form.  The kernel starts at a decay horizon: it skips
 the tokens whose decay product to the tail start is below exp(-750), under
 the smallest float64 subnormal, so that their terms and adjoints round to
-0.0 (the bound is derived above `_chunk_spans`); the chunk plan is sized
+0.0 (the bound is derived above `_chunk_spans`); the chunk length is sized
 from the tokens it keeps.  Chunks with explicit states run the recurrence
 and its adjoint in `ssm.linear_recurrence[_backward]`, whose scans over
 tokens are blocked GEMMs against a triangle of ones (`ssm._scan`), and the
@@ -302,7 +302,14 @@ def _build_tokens(layer_index: int, history: np.ndarray, bundle: HyperNetBundle)
 
 def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_shape,
                         chunk: int = 128):
-    """Forward pass returning (output, cache) for reuse by the backward."""
+    """Forward pass returning (output, cache) for reuse by the backward.
+
+    For the selective block the cache also records which numeric guards
+    fired: `t0`, the tokens the decay horizon skipped; `chunk`, the chunk
+    length after `chunk_plan`'s overflow guard (1 where even two tokens would
+    overflow); and `walk`, the (start, end, clamp) chunks, clamp marking those
+    where the ld clamp can fire.
+    """
     xi = int(np.prod(out_shape))
     history, tokens = _build_tokens(layer_index, history, bundle)
     if history.size % xi != 0:
@@ -388,17 +395,20 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # gradient is 0.0.
 #
 # Chunks start at max(t0, 1) and at the tail start, so none straddles the
-# tail.  A chunk before the tail only carries the state on.  Its adjoint is
-# lambda_t = K exp(-A S_t), with S_t the chunk-local cumsum of delta and
+# tail; the forward fixes this walk of (start, end, clamp) chunks once and
+# the backward replays it in reverse.  A chunk before the tail only carries
+# the state on.  Its adjoint is lambda_t = K exp(-A S_t), with S_t the
+# chunk-local cumsum of delta and
 # K = exp(A S_end) carry, and the carry it passes back is K itself; every
 # term is then a contraction of X_t = expm1(ld_t) exp(-A S_t) or of
 # exp(-A S_{t-1}) with a fixed (d_inner, N) weight or with w_t, one GEMM
-# each.  Tail chunks (and every chunk when chunk_plan steps) keep explicit
-# states and run lambda as a reverse scan; only the tail feeds the readout
-# (y, gate, out-projection, residual).  Where the clamp ld <= -_LD_CLAMP can
-# fire the identity fails, so those clamp chunks keep the phi form, with
+# each.  Tail chunks and one-token chunks (every chunk when chunk_plan
+# returns 1, and a one-token remainder) keep explicit states and run lambda
+# as a reverse scan; only the tail feeds the readout (y, gate,
+# out-projection, residual).  Where the clamp ld <= -_LD_CLAMP can fire the
+# identity fails, so those clamp chunks keep the phi form, with
 # r_t = delta_t v (x) w_t.  chunk_plan and M are sized from delta over the
-# tokens the kernel keeps, so a dropped token cannot force stepping.
+# tokens the kernel keeps, so a dropped token cannot force one-token chunks.
 #
 # Explicit-state chunks avoid numpy's two slow loops.  Their states and
 # reverse adjoint scan are `ssm.linear_recurrence` and
@@ -423,18 +433,12 @@ def _chunk_spans(start: int, tail0: int, total: int, chunk: int):
 def _horizon(delta, a_top: float, tail0: int) -> int:
     """t0, the number of leading tokens t with R_t < _LOG_UNDERFLOW (the comment above).
 
-    R_t is a reverse cumsum of ld_top over tokens t+1 .. tail0-1; each step
+    R_t is a reverse cumsum of ld_top over tokens t+1 .. tail0-1; each token
     adds a negative term, so R is non-decreasing in t and the count is a prefix.
     """
     ld_top = np.minimum(delta[1:tail0] * a_top, -_LD_CLAMP)
     reach = np.cumsum(ld_top[::-1])[::-1]  # reach[t] = R_t, t = 0 .. tail0-2
     return int(np.count_nonzero(reach < _LOG_UNDERFLOW))
-
-
-def _kept_max(delta, t0: int) -> float:
-    """max of delta over the tokens the kernel walks: max(t0, 1) .. T-1, and token 0 when t0 = 0."""
-    top = float(delta[max(t0, 1):].max())
-    return max(top, float(delta[0])) if t0 == 0 else top
 
 
 def _first_token(u0, b0, delta0, a):
@@ -461,8 +465,7 @@ class _ChunkTerms:
         self.ws = np.stack((self.sc * self.sc, self.sc))
         self.bb = np.stack((v @ p.w_b, p.b_b))
         self.vb = np.multiply.outer(v, self.bb.T).reshape(-1, 2)  # v (x) (v w_b, b_b)
-        self.a_top = float(a.max())  # the entry of A closest to zero
-        unclamped = d_top * self.a_top <= -_LD_CLAMP
+        unclamped = d_top * float(a.max()) <= -_LD_CLAMP  # max(A), the entry closest to zero
         self.m = v[:, None] / a if unclamped else None
         n = a.shape[1]
         self.e_v = _expansion(v[:, None], n)  # w @ e_v = v (x) w
@@ -470,10 +473,6 @@ class _ChunkTerms:
         self.bufs = np.empty((5, chunk) + a.shape, dtype=DTYPE)
         self.xe = np.empty((2 * chunk + 1,) + a.shape, dtype=DTYPE)
         self.sums = np.zeros(chunk + 1, dtype=DTYPE)
-
-    def clamps(self, s: int, e: int) -> bool:
-        # fl(delta * A) is monotone in delta and A, so this scalar is max(ld)
-        return float(self.delta[s:e].min()) * self.a_top > -_LD_CLAMP
 
     def w_sums(self, p):
         """(..., 2, d_inner * N) ws-weighted token sums -> (..., d_inner, N) w_t-weighted sums."""
@@ -544,13 +543,17 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     draw += p.b_delta[0]
     delta = _softplus(draw)
     a = -np.exp(p.a_log)  # (din, N), negative
-    t0 = _horizon(delta, float(a.max()), tail0)
-    d_top = _kept_max(delta, t0)
-    # chunk_plan's overflow guards, on max |ld| of the clamped ld = min(delta * A, -eps)
-    chunk, step = chunk_plan(max(d_top * float(-a.min()), _LD_CLAMP), chunk)
+    a_top = float(a.max())
+    t0 = _horizon(delta, a_top, tail0)
+    d_top = float(delta[t0:].max())  # over the tokens the kernel walks, token 0 when t0 = 0
+    # chunk_plan's overflow guard, on max |ld| of the clamped ld = min(delta * A, -eps)
+    chunk = chunk_plan(max(d_top * float(-a.min()), _LD_CLAMP), chunk)
     terms = _ChunkTerms(history, delta, v, p, a, chunk, d_top)
-    spans = _chunk_spans(max(t0, 1), tail0, total, chunk)
-    bounds = np.empty((len(spans),) + a.shape, dtype=DTYPE)  # state entering each chunk
+    # (start, end, clamp) per chunk, clamp if ld <= -_LD_CLAMP can fire: fl(delta * A) is
+    # monotone in delta and A, so min(delta) * max(A) is max(ld)
+    walk = [(s, e, float(delta[s:e].min()) * a_top > -_LD_CLAMP)
+            for s, e in _chunk_spans(max(t0, 1), tail0, total, chunk)]
+    bounds = np.empty((len(walk),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
     c_tail = np.multiply.outer(history[tail0 - 1:], v @ p.w_c)
     c_tail += p.b_c  # C_t on the tail
@@ -559,10 +562,9 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
         h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
     else:  # the horizon passed token 0
         h = np.zeros(a.shape, dtype=DTYPE)
-    for k, (s, e) in enumerate(spans):
+    for k, (s, e, clamp) in enumerate(walk):
         bounds[k] = h
-        clamp = terms.clamps(s, e)
-        if s < tail0 and not (clamp or step):  # h_end = exp(A S_end) (h_prev + M sum_t X_t w_t)
+        if s < tail0 and not clamp and e - s > 1:  # h_end = exp(A S_end)(h_prev + M sum X_t w_t)
             xe, _ = terms.closed(s, e)
             h = terms.w_sums(terms.ws[:, s:e] @ xe[: e - s].reshape(e - s, -1))
             h *= terms.m
@@ -572,7 +574,7 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
         _, decay, _, _, inp = terms.scan(s, e, clamp)
         hs = states[: e - s + 1]
         hs[0] = h
-        linear_recurrence(decay, inp, hs, step)
+        linear_recurrence(decay, inp, hs)
         h = hs[-1].copy()
         if s >= tail0:
             ct = c_tail[s - tail0 : e - tail0]
@@ -582,8 +584,8 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     gated = y * gate
     out = gated @ p.w_out
     out += tail  # residual
-    cache = dict(u0=u0, v=v, draw=draw, delta=delta, a=a, plan=(chunk, step), t0=t0,
-                 bounds=bounds, c_tail=c_tail, y=y, gate=gate, gated=gated)
+    cache = dict(u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk, d_top=d_top,
+                 walk=walk, bounds=bounds, c_tail=c_tail, y=y, gate=gate, gated=gated)
     return out, cache
 
 
@@ -598,8 +600,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     """
     history, delta, a, u0, v = (cache[k] for k in ("history", "delta", "a", "u0", "v"))
     tokens, bounds, y, gate = cache["tokens"], cache["bounds"], cache["y"], cache["gate"]
-    chunk, step = cache["plan"]
-    t0 = cache["t0"]
+    t0, chunk, walk = cache["t0"], cache["chunk"], cache["walk"]
     total, xi = tokens.shape[0], g_tail.shape[0]
     tail0 = total - xi
 
@@ -610,7 +611,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_z *= gate
     g_z *= 1.0 - gate
 
-    terms = _ChunkTerms(history, delta, v, p, a, chunk, _kept_max(delta, t0))
+    terms = _ChunkTerms(history, delta, v, p, a, chunk, cache["d_top"])
     c_tail = cache["c_tail"]
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)  # h_{s-1} .. h_{e-1}
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
@@ -623,13 +624,11 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_w = np.zeros((2,) + a.shape[1:], dtype=DTYPE)  # sum_t ws[:, t] dL/dw_t
     g_c = np.empty_like(c_tail)
     carry = np.zeros(a.shape, dtype=DTYPE)
-    spans = _chunk_spans(max(t0, 1), tail0, total, chunk)
-    for k in range(len(spans) - 1, -1, -1):
-        s, e = spans[k]
+    for k in range(len(walk) - 1, -1, -1):
+        s, e, clamp = walk[k]
         c = e - s
         dl, ws = delta[s:e], terms.ws[:, s:e]
-        clamp = terms.clamps(s, e)
-        if s < tail0 and not (clamp or step):  # lambda_t = K exp(-A S_t)
+        if s < tail0 and not clamp and c > 1:  # lambda_t = K exp(-A S_t)
             xe, sums = terms.closed(s, e)
             kk = carry / xe[-1]  # K
             km = kk * terms.m
@@ -661,7 +660,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
         ld, decay, f, r, inp = terms.scan(s, e, clamp)
         hs = states[: c + 1]
         hs[0] = bounds[k]
-        linear_recurrence(decay, inp, hs, step)
+        linear_recurrence(decay, inp, hs)
         lam = lam_buf[:c]
         if s >= tail0:
             gy = g_y[s - tail0 : e - tail0]
@@ -669,7 +668,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
             np.einsum("tc,tn->tcn", gy, c_tail[s - tail0 : e - tail0], out=lam)  # g_h
         else:
             lam[...] = 0.0
-        linear_recurrence_backward(decay, lam, carry, step)
+        linear_recurrence_backward(decay, lam, carry)
         eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
         carry = eld[0] * lam[0]
         g_ld = inp
@@ -804,17 +803,3 @@ def _lstm_block_backward(g_out: np.ndarray, p: LstmParams, cache, grads):
     grads["slow.b"] = g_b
     return g_tokens
 
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-# ---------------------------------------------------------------------------
-
-
-def save_arrays(path, arrays: dict) -> None:
-    """Write a flat name -> float64 array mapping; bit-exact on reload."""
-    np.savez(path, **{k: np.asarray(v) for k, v in arrays.items()})
-
-
-def load_arrays(path) -> dict:
-    with np.load(path, allow_pickle=False) as data:
-        return {k: data[k].copy() for k in data.files}

@@ -35,12 +35,15 @@ def read_metrics(path) -> list[MetricsRecord]:
     if not lines or lines[0] != METRICS_HEADER:
         raise FormatError(f"{path}: unexpected metrics header")
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        epoch, iteration, split, loss, acc, lr, wall = line.split(",")
-        out.append(MetricsRecord(int(epoch), int(iteration), split, float(loss),
-                                 float(acc), float(lr), int(wall)))
+        try:
+            epoch, iteration, split, loss, acc, lr, wall = line.split(",")
+            out.append(MetricsRecord(int(epoch), int(iteration), split, float(loss),
+                                     float(acc), float(lr), int(wall)))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 

@@ -18,10 +18,10 @@ the recurrence chunk by chunk: `linear_recurrence` and its adjoint
 `linear_recurrence_backward` each take one chunk, with the per-step product
 of decays replaced by cumulative sums in log space (safe because the decays
 enter as exp(log_decay) with log_decay <= 0 for stable systems).
-`chunk_plan` sizes the chunks so that those sums stay in exp's range, and
-falls back to stepping when no chunk can.  The sums over a chunk are blocked
-GEMMs against a triangle of ones (`_scan`; Dao & Gu 2024 write a scan as a
-matmul against a lower-triangular mask).
+`chunk_plan` sizes the chunks so that those sums stay in exp's range; a
+one-token chunk runs the plain recurrence, which needs no such bound.  The
+sums over a chunk are blocked GEMMs against a triangle of ones (`_scan`; Dao
+& Gu 2024 write a scan as a matmul against a lower-triangular mask).
 """
 
 from __future__ import annotations
@@ -158,18 +158,16 @@ def ssm_conv(a_bar, b_bar, c, x):
 # -- chunked recurrence ------------------------------------------------------
 
 
-def chunk_plan(amax: float, chunk: int):
-    """(chunk, step) for a chunked scan whose decays satisfy |log_decay| <= amax.
+def chunk_plan(amax: float, chunk: int) -> int:
+    """Chunk length for a chunked scan whose decays satisfy |log_decay| <= amax.
 
     The chunk is capped so |cumsum(log_decay)| stays below the exp overflow
-    range.  Above half that range the factored form cannot help, and the
-    scan steps token by token instead (exp saturates safely).
+    range; where not even two tokens fit, it is one token, which
+    `linear_recurrence` runs without exp(-S).
     """
-    if amax > 0.5 * _CHUNK_LOG_LIMIT:
-        return 1, True
     if amax * chunk > _CHUNK_LOG_LIMIT:
         chunk = max(1, int(_CHUNK_LOG_LIMIT / amax))
-    return chunk, False
+    return chunk
 
 
 def _scan(x, out, reverse: bool = False):
@@ -206,17 +204,17 @@ def _scan(x, out, reverse: bool = False):
     return out
 
 
-def linear_recurrence(decay, inp, hs, step: bool) -> None:
+def linear_recurrence(decay, inp, hs) -> None:
     """h_t = exp(ld_t) h_{t-1} + inp_t over one chunk, in place.
 
     decay[t] = exp(S_t), S the inclusive cumsum of ld over the chunk (for a
     one-token chunk, exp(ld)).  hs[0] holds the state entering the chunk;
-    hs[1:] receives the chunk's states.  The factored form
-        h_t = exp(S_t) * (h_prev + sum_{r<=t} exp(-S_r) inp_r)
-    needs exp(-S) finite, which `chunk_plan` sizes the chunk for; when it
-    steps, the one token runs as h = exp(ld) h_prev + inp.
+    hs[1:] receives the chunk's states.  A one-token chunk runs
+    h = exp(ld) h_prev + inp; a longer one the factored form
+        h_t = exp(S_t) * (h_prev + sum_{r<=t} exp(-S_r) inp_r),
+    which needs exp(-S) finite, as `chunk_plan` sizes the chunk for.
     """
-    if step:
+    if decay.shape[0] == 1:
         np.multiply(decay[0], hs[0], out=hs[1])
         hs[1] += inp[0]
     else:
@@ -225,17 +223,18 @@ def linear_recurrence(decay, inp, hs, step: bool) -> None:
         hs[1:] *= decay
 
 
-def linear_recurrence_backward(decay, lam, carry, step: bool) -> None:
+def linear_recurrence_backward(decay, lam, carry) -> None:
     """The adjoint of `linear_recurrence` over one chunk, in place.
 
     lam holds the cotangents g_h_t of the chunk's states and receives
     lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}, the gradient of inp_t;
     carry = exp(ld_e) lambda_e enters from the chunk after.  The gradient
     of the entering state is exp(ld_0) lambda_0, and that of ld_t is
-    lambda_t exp(ld_t) h_{t-1}.  In factored form
+    lambda_t exp(ld_t) h_{t-1}.  A one-token chunk adds the carry; a longer
+    one runs the factored form
         lambda_t = (sum_{j>=t} exp(S_j) g_h_j + exp(S_end) carry) / exp(S_t).
     """
-    if step:
+    if decay.shape[0] == 1:
         lam += carry
     else:
         lam *= decay

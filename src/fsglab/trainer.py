@@ -53,8 +53,6 @@ from .hypernet import (
     HyperNetBundle,
     fast_backward,
     fast_forward,
-    load_arrays,
-    save_arrays,
     slow_backward,
     slow_forward_cached,
 )
@@ -356,11 +354,12 @@ class _TrainerBase:
         return arrays
 
     def save_checkpoint(self, path) -> None:
-        """Model + optimizer state (+ hypernets/buffers in subclasses) as npz."""
-        save_arrays(path, self._checkpoint_arrays())
+        """Model + optimizer state (+ hypernets/buffers in subclasses) as npz, bit-exact."""
+        np.savez(path, **self._checkpoint_arrays())
 
     def load_checkpoint(self, path) -> None:
-        self._restore_arrays(load_arrays(path))
+        with np.load(path, allow_pickle=False) as data:
+            self._restore_arrays({name: data[name] for name in data.files})
 
     def _restore_arrays(self, arrays: dict) -> None:
         _restore_params(self.model.named_params(), arrays)

@@ -125,11 +125,12 @@ IDX_DATA = ["dataset.kind = idx", "dataset.images_path = {images}",
             "dataset.labels_path = {labels}"]
 
 
-def _row(error_id, lines, code, prefix, command="train", raised=None):
-    """One table row; `lines` None runs the command on a missing input file, and
-    `raised` = (cli binding, error) stubs in an error the command cannot be
-    driven to by its config."""
-    return pytest.param(command, lines, code, prefix, raised, id=error_id)
+def _row(error_id, lines, code, prefix, command="train", raised=None, mid_run=False):
+    """One table row; `lines` None runs the command on a missing input file (else they
+    are the text of the config, or of the CSV for dump-curve), `raised` = (cli
+    binding, error) stubs in an error the command cannot be driven to by its
+    config, and `mid_run` marks an error raised after the out directory exists."""
+    return pytest.param(command, lines, code, prefix, raised, mid_run, id=error_id)
 
 
 WEIGHT_OVERFLOW = ["method = ste", "base_optimizer.kind = sgd", "base_optimizer.lr = 1e308",
@@ -141,7 +142,7 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command,lines,code,prefix,raised", [
+@pytest.mark.parametrize("command,lines,code,prefix,raised,mid_run", [
     _row("ConfigError", ["l = 0"], 2, "config error: field 'l'"),
     _row("ConfigError-sweep-beta", [], 2,
          "config error: bad value in sweep spec 'beta=abc'", "ablate --sweep beta=abc"),
@@ -156,6 +157,8 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
     _row("ConfigError-sweep-empty-l", [], 2,
          "config error: sweep spec 'l=' has no values", "ablate --sweep l="),
     _row("ContractError", ["model.layers = dense:3"], 2, "error: dense needs IN:OUT"),
+    _row("ContractError-ablate", ["model.layers = dense:3"], 2, "error: dense needs IN:OUT",
+         "ablate --sweep beta=0.1"),
     _row("ContractError-negative-size", ["model.layers = dense:2:-3, dense:-3:2"], 2,
          "error: size -3 must be >= 1 in 'dense:2:-3'"),
     _row("ContractError-zero-size", ["model.layers = dense:2:0, dense:0:2"], 2,
@@ -163,39 +166,51 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
     _row("ContractError-stride", IDX_DATA + ["model.layers = conv2d:1:2:3:stride=q"], 2,
          "error: 'q' is not an integer in 'conv2d:1:2:3:stride=q'"),
     _row("DimensionError", IDX_DATA + ["model.layers = flatten, dense:10:2:bin"], 2,
-         "error: layer 1 (dense): matmul shape mismatch"),
+         "error: layer 1 (dense): matmul shape mismatch", mid_run=True),
     _row("DomainError", IDX_DATA + ["model.layers = conv2d:1:2:3:pad=-1, flatten, dense:18:2"],
-         2, "error: pad must be >= 0"),
+         2, "error: pad must be >= 0", mid_run=True),
     _row("EmptyHistoryError", [], 2, "error: layer 3: history is empty",
-         raised=("run_train", EmptyHistoryError("layer 3: history is empty"))),
+         raised=("run_train", EmptyHistoryError("layer 3: history is empty")), mid_run=True),
     _row("FitError", ["bench.t = 400"], 2, "error: nonpositive gap at window index 0",
          "bench-convergence",
-         raised=("rate_fit", FitError(0, "nonpositive gap at window index 0"))),
+         raised=("rate_fit", FitError(0, "nonpositive gap at window index 0")), mid_run=True),
     _row("FormatError", [IDX_DATA[0], IDX_DATA[1], "dataset.labels_path = {images}"], 3,
          "error: {images}: bad label magic"),
+    _row("FormatError-curve-fields", [METRICS_HEADER, "1,5,train,0.5"], 3,
+         "error: {config}: line 2: not enough values to unpack", "dump-curve"),
+    _row("FormatError-curve-float", [METRICS_HEADER, "1,5,train,abc,0.5,0.001,0"], 3,
+         "error: {config}: line 2: could not convert string to float: 'abc'", "dump-curve"),
     _row("DivergenceError", ["method = ste", "epochs = 50", "base_optimizer.kind = sgd",
                              "base_optimizer.lr = 1e300", "model.layers = dense:2:8, dense:8:2"],
-         4, "error: non-finite loss at iteration "),
+         4, "error: non-finite loss at iteration ", mid_run=True),
     _row("DivergenceError-weights", WEIGHT_OVERFLOW, 4,
-         "error: non-finite weights W of layer 0 at iteration 2"),
+         "error: non-finite weights W of layer 0 at iteration 2", mid_run=True),
     _row("DivergenceError-bench", DIVERGING_BENCH, 4,
          "error: bench seed 0: every repeat diverged, the first at iteration ",
-         "bench-convergence"),
+         "bench-convergence", mid_run=True),
+    _row("ConfigError-bench-beta", ["beta = 1.0"], 2,
+         "config error: field 'beta': the bench needs beta < 1, got 1.0", "bench-convergence"),
+    _row("ConfigError-bench-c", ["bench.c = -1.0"], 2,
+         "config error: field 'bench.c': C must be positive, got -1.0", "bench-convergence"),
     _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",
-         raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0"))),
+         raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0")),
+         mid_run=True),
     _row("OSError-config", None, 2, "error: [Errno 2] No such file or directory: '{missing}'"),
     _row("OSError-config-ablate", None, 2,
          "error: [Errno 2] No such file or directory: '{missing}'", "ablate --sweep beta=0.1"),
     _row("OSError-idx", ["dataset.kind = idx", "dataset.images_path = {missing}",
                          "dataset.labels_path = {labels}"], 2,
          "error: [Errno 2] No such file or directory: '{missing}'"),
+    _row("OSError-idx-ablate", ["dataset.kind = idx", "dataset.images_path = {missing}",
+                                "dataset.labels_path = {labels}"], 2,
+         "error: [Errno 2] No such file or directory: '{missing}'", "ablate --sweep beta=0.1"),
     _row("OSError-curve", None, 2, "error: [Errno 2] No such file or directory: '{missing}'",
          "dump-curve"),
 ])
 def test_error_class_exit_code_and_one_line(tmp_path, capsys, monkeypatch, command, lines,
-                                            code, prefix, raised):
+                                            code, prefix, raised, mid_run):
     paths = {"images": tmp_path / "img.idx", "labels": tmp_path / "lab.idx",
-             "missing": tmp_path / "missing"}
+             "missing": tmp_path / "missing", "config": tmp_path / "run.cfg"}
     write_idx(paths["images"], paths["labels"], np.zeros((4, 3, 3), dtype=np.uint8),
               np.arange(4) % 2)
     if lines is None:  # the command's input file does not exist
@@ -213,8 +228,8 @@ def test_error_class_exit_code_and_one_line(tmp_path, capsys, monkeypatch, comma
     assert main([name, str(cfg), "--out", str(tmp_path / "out"), *options]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix.format(**paths)) and err.count("\n") == 1
-    if name == "ablate":  # a bad sweep is rejected before anything is written
-        assert not (tmp_path / "out" / "manifest.json").exists()
+    # an input error is raised before anything is written
+    assert (tmp_path / "out").exists() == mid_run
 
 
 class TestAblateCommand:

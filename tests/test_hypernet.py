@@ -7,8 +7,6 @@ from fsglab.hypernet import (
     HyperNetBundle,
     fast_backward,
     fast_forward,
-    load_arrays,
-    save_arrays,
     slow_backward,
     slow_forward,
     slow_forward_cached,
@@ -305,16 +303,3 @@ class TestSharingAndCheckpoint:
         # different layer embeddings give different outputs from shared weights
         assert not np.allclose(outs[0], outs[1])
         assert not np.allclose(outs[1], outs[2])
-
-    def test_checkpoint_round_trip_bit_exact(self, tmp_path):
-        bundle = HyperNetBundle.init(Rng(71), n_layers=2, fast_kind="mlp",
-                                     slow_kind="selective-ssm", d=4, n_state=2,
-                                     expand=2, fast_hidden=7)
-        arrays = dict(bundle.named_params())
-        path = tmp_path / "params.npz"
-        save_arrays(path, arrays)
-        loaded = load_arrays(path)
-        assert sorted(loaded) == sorted(arrays)
-        for name, arr in arrays.items():
-            assert np.array_equal(loaded[name], arr)
-            assert loaded[name].dtype == arr.dtype

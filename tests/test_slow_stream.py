@@ -13,8 +13,7 @@ import pytest
 
 from fsglab import hypernet, ssm
 from fsglab.errors import DomainError
-from fsglab.hypernet import (HyperNetBundle, _build_tokens, _chunk_spans, slow_backward,
-                             slow_forward_cached)
+from fsglab.hypernet import HyperNetBundle, _build_tokens, slow_backward, slow_forward_cached
 from fsglab.rng import Rng
 from fsglab.ssm import discretize_zoh, ssm_scan
 from slow_reference import selective_terms, slow_net
@@ -61,7 +60,7 @@ def check_against_reference(bundle, history, shape, chunk, layer=1):
 @pytest.mark.parametrize("xi,l,chunk", [
     (6, 3, 5),  # the last chunk before the tail start (token 13) is cut short
     (6, 3, 4),  # chunks from token 1 end exactly at the tail start
-    (6, 3, 1),  # one token per chunk, without stepping
+    (6, 3, 1),  # one token per chunk: the plain recurrence throughout
     (6, 1, 4),  # l = 1: the tail is every history token
     (1, 1, 3),
     (12, 4, 7),
@@ -71,14 +70,26 @@ def test_matches_reference_block(dims, xi, l, chunk):
     bundle = o1_bundle(xi * 100 + l * 10 + chunk, *dims)
     history = Rng(xi + l).normals(xi * l)
     cache = check_against_reference(bundle, history, (xi,), chunk)
-    assert not cache["plan"][1]
+    assert (cache["chunk"] == 1) == (chunk == 1)
 
 
-def clamp_kinds(cache, total, xi):
+def clamp_kinds(cache):
     """Whether each chunk's clamp test fires, in chunk order."""
-    delta, a_top = cache["delta"], float(cache["a"].max())
-    return [float(delta[s:e].min()) * a_top > -1e-12
-            for s, e in _chunk_spans(max(cache["t0"], 1), total - xi, total, cache["plan"][0])]
+    return [clamp for _, _, clamp in cache["walk"]]
+
+
+@pytest.mark.parametrize("dims", [(4, 3, 2), (3, 2, 1)])
+def test_one_token_remainder_chunks(dims):
+    # 7 tokens before the tail (from token 1) and 7 in it, in chunks of 3: each
+    # run ends in a one-token chunk, which takes the plain recurrence, also
+    # before the tail where a longer unclamped chunk takes the closed form
+    xi, l, chunk = 7, 2, 3
+    bundle = o1_bundle(31, *dims)
+    cache = check_against_reference(bundle, Rng(32).normals(xi * l), (xi,), chunk)
+    assert cache["t0"] == 0 and cache["chunk"] == chunk
+    # the tail starts at token 8; (7, 8) and (14, 15) are the one-token chunks
+    spans = [(1, 4), (4, 7), (7, 8), (8, 11), (11, 14), (14, 15)]
+    assert cache["walk"] == [(s, e, False) for s, e in spans]
 
 
 def test_clamp_and_unclamped_chunks_in_one_sequence():
@@ -90,14 +101,16 @@ def test_clamp_and_unclamped_chunks_in_one_sequence():
     p.b_delta[...] = -19.5
     dv = float(bundle.w_a[0] @ p.w_in @ p.w_delta[:, 0])
     xi, l, chunk = 12, 5, 5
+    tail0 = xi * (l - 1) + 1
+    starts = [*range(1, tail0, chunk), *range(tail0, xi * l + 1, chunk)]
     sign = np.empty(xi * l)
-    for k, (s, e) in enumerate(_chunk_spans(1, xi * (l - 1) + 1, xi * l + 1, chunk)):
+    for k, (s, e) in enumerate(zip(starts, starts[1:] + [xi * l + 1])):
         sign[s - 1 : e - 1] = (-1.0) ** k
     sign[7] = 1.0  # one unclamped token inside a clamp chunk
     history = sign * (19.5 + 3.0 * Rng(25).uniforms(xi * l)) / dv
     cache = check_against_reference(bundle, history, (xi,), chunk)
-    kinds = clamp_kinds(cache, xi * l + 1, xi)
-    assert cache["plan"] == (chunk, False)
+    kinds = clamp_kinds(cache)
+    assert cache["chunk"] == chunk and [s for s, _, _ in cache["walk"]] == starts
     assert any(kinds[:-3]) and not all(kinds[:-3])  # before the tail
     assert any(kinds[-3:]) and not all(kinds[-3:])  # in the tail
 
@@ -113,22 +126,21 @@ def test_near_zero_a(a_log, b_delta, clamped):
     bundle.slow.b_delta[...] = b_delta
     xi, l = 12, 5
     cache = check_against_reference(bundle, Rng(24).normals(xi * l), (xi,), 5)
-    assert all(clamp_kinds(cache, xi * l + 1, xi)) == clamped
+    assert all(clamp_kinds(cache)) == clamped
 
 
 def test_forced_chunk_shrink():
     bundle = o1_bundle(3)
     bundle.slow.a_log[0] = 3.0  # |A| ~ 20 on one channel
     cache = check_against_reference(bundle, Rng(4).normals(60), (12,), 50)
-    chunk, step = cache["plan"]
-    assert 1 < chunk < 50 and not step
+    assert 1 < cache["chunk"] < 50
 
 
 def test_stepping_fallback():
     bundle = o1_bundle(5)
     bundle.slow.a_log[0] = 7.0  # |A| ~ 1100 on one channel: max |ld| > 300
     cache = check_against_reference(bundle, Rng(6).normals(60), (12,), 50)
-    assert cache["plan"] == (1, True)
+    assert cache["chunk"] == 1 and all(e - s == 1 for s, e, _ in cache["walk"])
 
 
 @pytest.mark.parametrize("b_delta", [-30.0, -800.0])
@@ -178,20 +190,14 @@ def test_bytes_per_token_at_paper_dims():
     assert peak / tokens <= 800, f"{peak / tokens:.0f} B per token"
 
 
-def test_pre_tail_chunks_at_paper_dims(monkeypatch):
+def test_pre_tail_chunks_at_paper_dims():
     """The forward at test_bytes_per_token_at_paper_dims's setup walks at most 16 chunks before
     the tail (192 from token 1): a count, not a speed."""
     xi, l = 4096, 6
     tail0 = xi * (l - 1) + 1
-    walked = []
-    for name in ("closed", "scan"):
-        def counted(self, s, e, *rest, _f=getattr(hypernet._ChunkTerms, name)):
-            walked.append(s < tail0)
-            return _f(self, s, e, *rest)
-        monkeypatch.setattr(hypernet._ChunkTerms, name, counted)
     _, cache = slow_forward_cached(0, 1e-2 * Rng(12).normals(xi * l), paper_dims_bundle(), (64, 64))
     assert cache["t0"] > 0
-    assert 0 < sum(walked) <= 16
+    assert 0 < sum(s < tail0 for s, _, _ in cache["walk"]) <= 16
 
 
 def test_no_multi_axis_cumsum_at_paper_dims(monkeypatch):
@@ -227,10 +233,9 @@ def test_recurrence_calls_at_paper_dims(monkeypatch):
     _, cache = slow_forward_cached(0, history, bundle, (64, 64))
     forward = list(calls)
     slow_backward(0, None, bundle, (64, 64), Rng(13).normals((64, 64)), cache=cache)
-    chunk, step = cache["plan"]
-    assert not step
     tail0 = history.size + 1 - 4096
-    lengths = [e - s for s, e in _chunk_spans(tail0, tail0, history.size + 1, chunk)]
+    lengths = [e - s for s, e, _ in cache["walk"] if s >= tail0]
+    assert cache["chunk"] > 1 and sum(lengths) == 4096
     assert forward == [("linear_recurrence", c) for c in lengths]
     assert calls[len(forward):] == [(name, c) for c in reversed(lengths) for name in
                                     ("linear_recurrence", "linear_recurrence_backward")]
@@ -306,7 +311,7 @@ def horizon_case(dims, xi, l, b_delta=4.0):
 @pytest.mark.parametrize("xi,l,chunk", [
     (12, 40, 16),
     (16, 30, 7),
-    (6, 100, 1),  # one token per chunk, without stepping
+    (6, 100, 1),  # one token per chunk: the plain recurrence throughout
     (12, 40, 4096),  # longer than the kept run: the guard caps a chunk at 600 / max|ld|,
                      # under the 750 / max|ld| tokens the horizon keeps at least
 ])
@@ -314,7 +319,7 @@ def test_horizon_matches_reference(dims, xi, l, chunk):
     bundle, history = horizon_case(dims, xi, l)
     cache = check_against_reference(bundle, history, (xi,), chunk)
     assert 1 < cache["t0"] < xi * (l - 1) + 1
-    assert not cache["plan"][1]
+    assert (cache["chunk"] == 1) == (chunk == 1)
 
 
 def test_horizon_zeroes_lre_gradient():
@@ -342,10 +347,10 @@ def test_horizon_with_clamp_and_unclamped_chunks_on_both_sides():
     history = sign * (20.5 + 3.0 * Rng(27).uniforms(xi * l)) / dv
     cache = check_against_reference(bundle, history, (xi,), chunk)
     t0, tail0 = cache["t0"], xi * (l - 1) + 1
-    assert cache["plan"] == (chunk, False) and t0 > 1
+    assert cache["chunk"] == chunk and t0 > 1
     clamped = cache["delta"] * float(cache["a"].max()) > -1e-12
     assert clamped[1:t0].any() and not clamped[1:t0].all()  # dropped
-    kinds = clamp_kinds(cache, xi * l + 1, xi)
+    kinds = clamp_kinds(cache)
     n_pre = -(-(tail0 - t0) // chunk)
     assert any(kinds[:n_pre]) and not all(kinds[:n_pre])  # kept, before the tail
     assert any(kinds[n_pre:]) and not all(kinds[n_pre:])  # in the tail
@@ -355,12 +360,12 @@ def test_horizon_with_stepping():
     bundle, history = horizon_case((4, 3, 2), 12, 40)
     bundle.slow.a_log[0] = 7.0  # |A| ~ 1100 on one channel: max |ld| > 300
     cache = check_against_reference(bundle, history, (12,), 16)
-    assert cache["plan"] == (1, True) and cache["t0"] > 1
+    assert cache["chunk"] == 1 and cache["t0"] > 1
 
 
 def test_dropped_outlier_does_not_size_the_chunk_plan():
-    # a history value before the horizon with max|ld| > 300 would force stepping
-    # if the plan were sized over the whole history; the kernel cannot read it
+    # a history value before the horizon with max|ld| > 300 would force one-token
+    # chunks if the chunk were sized over the whole history; the kernel cannot read it
     bundle, history = horizon_case((4, 3, 2), 12, 40)
     cot = Rng(5).normals((12,))
     out, cache = slow_forward_cached(1, history, bundle, (12,), chunk=16)
@@ -374,7 +379,7 @@ def test_dropped_outlier_does_not_size_the_chunk_plan():
     spiked[t0 // 2] = (400.0 / a_max - p.b_delta[0]) / dv
     spiked_cache = check_against_reference(bundle, spiked, (12,), 16)
     assert spiked_cache["delta"][t0 // 2 + 1] * a_max > 300.0
-    assert spiked_cache["t0"] == t0 and spiked_cache["plan"] == cache["plan"] == (16, False)
+    assert spiked_cache["t0"] == t0 and spiked_cache["chunk"] == cache["chunk"] == 16
     spiked_out, spiked_cache = slow_forward_cached(1, spiked, bundle, (12,), chunk=16)
     spiked_grads = slow_backward(1, None, bundle, (12,), cot, cache=spiked_cache)
     assert np.array_equal(spiked_out, out)

@@ -127,7 +127,7 @@ class TestConv:
         assert np.allclose(y_full[:7], y_cut[:7], atol=1e-15)
 
 
-def run_chunks(ld, inp, h0, chunk, step=False):
+def run_chunks(ld, inp, h0, chunk):
     """linear_recurrence over consecutive chunks of (ld, inp) from h0; returns h_0 .. h_{L-1}."""
     out = np.empty_like(inp)
     h = h0
@@ -135,13 +135,13 @@ def run_chunks(ld, inp, h0, chunk, step=False):
         e = min(s + chunk, inp.shape[0])
         hs = np.empty((e - s + 1,) + inp.shape[1:])
         hs[0] = h
-        linear_recurrence(np.exp(np.cumsum(ld[s:e], axis=0)), inp[s:e], hs, step)
+        linear_recurrence(np.exp(np.cumsum(ld[s:e], axis=0)), inp[s:e], hs)
         out[s:e] = hs[1:]
         h = hs[-1]
     return out
 
 
-def run_adjoint(ld, g_h, chunk, step=False):
+def run_adjoint(ld, g_h, chunk):
     """linear_recurrence_backward over the same chunks in reverse.
 
     Returns lambda and the gradient of the state entering the first chunk.
@@ -151,7 +151,7 @@ def run_adjoint(ld, g_h, chunk, step=False):
     for s in reversed(range(0, g_h.shape[0], chunk)):
         e = min(s + chunk, g_h.shape[0])
         decay = np.exp(np.cumsum(ld[s:e], axis=0))
-        linear_recurrence_backward(decay, lam[s:e], carry, step)
+        linear_recurrence_backward(decay, lam[s:e], carry)
         carry = decay[0] * lam[s]
     return lam, carry
 
@@ -181,40 +181,42 @@ class TestLinearRecurrence:
         assert np.max(np.abs(y - ssm_scan(a_bar, b_bar, c, x))) < 1e-12
 
     def test_extreme_decay_is_finite_and_exact(self):
-        """Stepping one token at a time is exact where exp(-S) overflows (|ld| ~ 900)."""
+        """One-token chunks are exact where exp(-S) would overflow (|ld| ~ 900)."""
         rng = Rng(5)
         ld = -np.abs(rng.normals((80, 2, 2))) * 900.0
         inp = rng.normals((80, 2, 2))
         h0 = rng.normals((2, 2))
-        fast = run_chunks(ld, inp, h0, 1, step=True)
+        fast = run_chunks(ld, inp, h0, 1)
         assert np.all(np.isfinite(fast))
         assert np.max(np.abs(fast - sequential_scan(ld, inp, h0))) < 1e-12
         g_h = rng.normals((80, 2, 2))
-        lam, _ = run_adjoint(ld, g_h, 1, step=True)
+        lam, _ = run_adjoint(ld, g_h, 1)
         # lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}: the recurrence run from the end
         ref = sequential_scan(np.concatenate((ld[:1], ld[:0:-1])), g_h[::-1])[::-1]
         assert np.all(np.isfinite(lam))
         assert np.max(np.abs(lam - ref)) < 1e-12
 
     def test_backward_finite_differences(self):
-        """The adjoint over chunks of 5 against central differences in inp, the entering state
-        and ld (g_ld_t = lambda_t exp(ld_t) h_{t-1})."""
+        """The adjoint over chunks of 5 (the factored form, with a two-token last chunk) and of
+        1 (the plain recurrence) against central differences in inp, the entering state and
+        ld (g_ld_t = lambda_t exp(ld_t) h_{t-1})."""
         rng = Rng(21)
-        total, chunk = 12, 5
+        total = 12
         ld = -np.abs(rng.normals((total, 2, 2))) * 0.6
         inp = rng.normals((total, 2, 2))
         h0 = rng.normals((2, 2))
         cot = rng.normals((total, 2, 2))
-        lam, g_h0 = run_adjoint(ld, cot, chunk)
-        h_prev = np.concatenate((h0[None], run_chunks(ld, inp, h0, chunk)[:-1]))
+        for chunk in (5, 1):
+            lam, g_h0 = run_adjoint(ld, cot, chunk)
+            h_prev = np.concatenate((h0[None], run_chunks(ld, inp, h0, chunk)[:-1]))
 
-        def loss(ld_, inp_, h0_):
-            return float(np.sum(cot * run_chunks(ld_, inp_, h0_, chunk)))
+            def loss(ld_, inp_, h0_, chunk=chunk):
+                return float(np.sum(cot * run_chunks(ld_, inp_, h0_, chunk)))
 
-        assert finite_diff_check(lambda p: loss(ld, p, h0), inp, lam, h=1e-6) < 1e-5
-        assert finite_diff_check(lambda p: loss(ld, inp, p), h0, g_h0, h=1e-6) < 1e-5
-        g_ld = lam * np.exp(ld) * h_prev
-        assert finite_diff_check(lambda p: loss(p, inp, h0), ld, g_ld, h=1e-6) < 1e-5
+            assert finite_diff_check(lambda p: loss(ld, p, h0), inp, lam, h=1e-6) < 1e-5
+            assert finite_diff_check(lambda p: loss(ld, inp, p), h0, g_h0, h=1e-6) < 1e-5
+            g_ld = lam * np.exp(ld) * h_prev
+            assert finite_diff_check(lambda p: loss(p, inp, h0), ld, g_ld, h=1e-6) < 1e-5
 
 
 def test_time_varying_scan_matches_hand_recurrence():

@@ -313,22 +313,23 @@ class TestTrainerBehavior:
             toy_config(base_optimizer=OptimizerConfig(kind="sgd", lr=0.0)).validate()
 
     def test_checkpoint_round_trip(self, blobs, tmp_path):
-        from fsglab.hypernet import load_arrays, save_arrays
-        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2)
+        """The checkpoint npz holds every array (model, hypernets, optimizer slots, histories,
+        meta) bit for bit, dtype included."""
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2,
+                         base_optimizer=OptimizerConfig(kind="adam", lr=1e-3))
         tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(8)), cfg)
         for _ in range(2):
             tr.train_epoch(blobs.x, blobs.y)
-        arrays = dict(tr.model.named_params())
-        arrays.update(dict(tr.bundle.named_params()))
-        arrays.update(dict(tr.base_state.named_arrays("base")))
-        arrays.update(dict(tr.hyper_state.named_arrays("hyper")))
-        for i, buf in tr.buffers.items():
-            arrays[f"history.layer{i}"] = np.stack(buf.entries())
+        arrays = tr._checkpoint_arrays()
+        assert {"lre", "hyper.lre.m", "base.layer3.w.v", "meta.data_rng_state"} <= set(arrays)
+        assert any(name.startswith("history.") for name in arrays)
         path = tmp_path / "ckpt.npz"
-        save_arrays(path, arrays)
-        loaded = load_arrays(path)
-        for name, arr in arrays.items():
-            assert np.array_equal(loaded[name], np.asarray(arr)), name
+        tr.save_checkpoint(path)
+        with np.load(path, allow_pickle=False) as loaded:
+            assert sorted(loaded.files) == sorted(arrays)
+            for name, arr in arrays.items():
+                assert np.array_equal(loaded[name], arr), name
+                assert loaded[name].dtype == arr.dtype, name
 
 
 class TestIntegration:
@@ -373,7 +374,6 @@ class TestIntegration:
                                          "cut_base_slot", "narrow_history",
                                          "long_history", "transposed_prev_grad"])
     def test_checkpoint_shape_mismatch_raises(self, blobs, tmp_path, corrupt):
-        from fsglab.hypernet import load_arrays, save_arrays
         layers = ["dense:2:8", "bias:8", "relu", "dense:8:8:bin", "relu",
                   "dense:8:2:bin", "bias:2"]
         cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2,
@@ -382,7 +382,8 @@ class TestIntegration:
         tr.train_epoch(blobs.x, blobs.y)
         path = tmp_path / "state.npz"
         tr.save_checkpoint(path)
-        arrays = load_arrays(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
         assert arrays["lre"].shape == (2, cfg.token_dim)
         if corrupt == "cut_lre":
             arrays["lre"] = arrays["lre"][:1]
@@ -408,7 +409,7 @@ class TestIntegration:
         else:
             arrays["prev_grad.layer5"] = arrays["prev_grad.layer5"].T
             match = r"'prev_grad.layer5'.*\(2, 8\).*\(8, 2\)"
-        save_arrays(path, arrays)
+        np.savez(path, **arrays)
         other = FsgTrainer(Model.build(layers, Rng(8)), cfg)
         with pytest.raises(FormatError, match=match):
             other.load_checkpoint(path)

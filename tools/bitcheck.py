@@ -1,0 +1,135 @@
+"""Byte-identity check of two source trees over 17 small training configs.
+
+    python tools/bitcheck.py <src_a> <src_b> [--configs NAME,NAME,...]
+
+Each tree is a `src` directory holding the `fsglab` package, or a checkout
+whose `src/` does.  For every config, each tree runs `fsglab train` in its
+own process (3 epochs, record_timing = false), and the script prints the
+sha256 of the run's metrics.csv and the trainer's final params_checksum from
+both trees.  It exits 1 if any of them differ.
+
+The configs cover both trainers, every optimizer, the fast and slow net
+kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
+images and two 64x64 binarized layers at the paper's slow-net dims.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SMALL = ["epochs = 3", "record_timing = false", "lr_decay.factor = 1.0", "seed = 5",
+         "batch_size = 16", "l = 3", "fast_hidden = 6", "token_dim = 4", "state_dim = 3",
+         "expand = 2", "dataset.kind = spirals", "dataset.n_per_class = 24",
+         "model.layers = dense:2:8, bias:8, relu, dense:8:8:bin, relu, dense:8:2:bin, bias:2"]
+ADAM = ["base_optimizer.kind = adam", "base_optimizer.lr = 0.01"]
+SGD = ["base_optimizer.kind = sgd", "base_optimizer.lr = 0.05"]
+MOMENTUM = SGD + ["base_optimizer.momentum = 0.9"]
+CONV = ["epochs = 3", "record_timing = false", "lr_decay.factor = 1.0", "seed = 5",
+        "batch_size = 8", "l = 2", "fast_hidden = 6", "token_dim = 4", "state_dim = 3",
+        "expand = 1", "dataset.kind = idx", "dataset.images_path = {images}",
+        "dataset.labels_path = {labels}",
+        "model.layers = conv2d:1:3:3:pad=1, relu, conv2d:3:4:3:pad=1:bin, relu, flatten, "
+        "dense:144:2"]
+WIDE = ["epochs = 3", "record_timing = false", "lr_decay.factor = 1.0", "seed = 5",
+        "batch_size = 64", "l = 6", "dataset.kind = spirals", "dataset.n_per_class = 100",
+        "model.layers = dense:2:64, bias:64, relu, dense:64:64:bin, relu, dense:64:2, bias:2"]
+
+CONFIGS = {
+    "fsg-adam": SMALL + ADAM + ["dataset.test_per_class = 8"],
+    "fsg-sgd": SMALL + SGD,
+    "fsg-sgd-momentum": SMALL + MOMENTUM,
+    "fsg-beta-1": SMALL + ADAM + ["beta = 1.0"],
+    "fsg-fast-identity": SMALL + ADAM + ["fast_kind = identity"],
+    "fsg-fast-off": SMALL + ADAM + ["fast_kind = off"],
+    "fsg-slow-lstm": SMALL + ADAM + ["slow_kind = lstm"],
+    "fsg-slow-off": SMALL + ADAM + ["slow_kind = off"],
+    "fsg-composed": SMALL + ADAM + ["history_source = composed"],
+    "fsg-bit-width-2": SMALL + ADAM + ["bit_width = 2"],
+    "ste-adam": SMALL + ADAM + ["method = ste"],
+    "ste-sgd-momentum": SMALL + MOMENTUM + ["method = ste"],
+    "fsg-conv-adam": CONV + ADAM,
+    "fsg-conv-sgd": CONV + SGD,
+    "ste-conv": CONV + ADAM + ["method = ste"],
+    "wide-adam": WIDE + ["base_optimizer.kind = adam", "base_optimizer.lr = 0.001"],
+    "wide-sgd": WIDE + SGD,
+}
+
+# runs in the tree under test: `fsglab train`, keeping the trainer it builds
+CHILD = """
+import hashlib, sys
+from fsglab import cli
+built = []
+build = cli.build_trainer
+cli.build_trainer = lambda cfg: built.append(build(cfg)) or built[-1]
+if cli.main(["train", sys.argv[1], "--out", sys.argv[2]]) != 0:
+    sys.exit(1)
+with open(sys.argv[2] + "/metrics.csv", "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest(), built[0].params_checksum())
+"""
+
+
+def _write_idx(images_path: Path, labels_path: Path) -> None:
+    """24 deterministic 6x6 uint8 images and alternating labels, in the IDX layout."""
+    pixels = (np.arange(24 * 36).reshape(24, 6, 6) * 37 % 251).astype(np.uint8)
+    images_path.write_bytes(struct.pack(">IIII", 0x803, 24, 6, 6) + pixels.tobytes())
+    labels = (np.arange(24) % 2).astype(np.uint8)
+    labels_path.write_bytes(struct.pack(">II", 0x801, 24) + labels.tobytes())
+
+
+def _src_dir(tree: str) -> Path:
+    path = Path(tree).resolve()
+    return path / "src" if (path / "src" / "fsglab").is_dir() else path
+
+
+def _run(src: Path, cfg_path: Path, out: Path) -> tuple[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "FSGLAB_OUTPUT_ROOT"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, "-c", CHILD, str(cfg_path), str(out)], env=env,
+                          capture_output=True, text=True, cwd=out.parent)
+    if done.returncode != 0:
+        return ("failed: " + (done.stderr.strip().splitlines() or ["?"])[-1], "-")
+    metrics_sha, checksum = done.stdout.splitlines()[-1].split()  # after "wrote ..."
+    return metrics_sha, checksum
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a")
+    parser.add_argument("src_b")
+    parser.add_argument("--configs", default=",".join(CONFIGS),
+                        help="comma-separated subset of: " + ", ".join(CONFIGS))
+    args = parser.parse_args(argv)
+    names = [n for n in args.configs.split(",") if n]
+    unknown = [n for n in names if n not in CONFIGS]
+    if unknown:
+        parser.error(f"unknown configs: {', '.join(unknown)}")
+    trees = {"a": _src_dir(args.src_a), "b": _src_dir(args.src_b)}
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
+        tmp = Path(tmp)
+        paths = {"images": tmp / "img.idx", "labels": tmp / "lab.idx"}
+        _write_idx(paths["images"], paths["labels"])
+        for name in names:
+            cfg_path = tmp / f"{name}.cfg"
+            cfg_path.write_text("\n".join(CONFIGS[name]).format(**paths) + "\n")
+            got = {label: _run(src, cfg_path, tmp / f"{name}-{label}")
+                   for label, src in trees.items()}
+            same = got["a"] == got["b"] and not got["a"][0].startswith("failed")
+            differ += not same
+            print(f"{name}: {'same' if same else 'DIFFERENT'}")
+            for label, (metrics_sha, checksum) in got.items():
+                print(f"  {label} metrics.csv {metrics_sha}  params_checksum {checksum}")
+    print(f"{len(names) - differ} of {len(names)} configs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
