@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsglab.data import gen_synthetic
 from fsglab.errors import DimensionError, EmptyHistoryError
 from fsglab.hypernet import (
     FastNetParams,
@@ -11,8 +12,10 @@ from fsglab.hypernet import (
     slow_forward,
     slow_forward_cached,
 )
+from fsglab.model import Model
 from fsglab.rng import Rng
 from fsglab.tensor import finite_diff_check
+from fsglab.trainer import FsgTrainer, LrDecay, OptimizerConfig, TrainConfig
 
 
 def o1_bundle(seed, n_layers=3, d=4, n_state=3, expand=2, slow_kind="selective-ssm"):
@@ -303,3 +306,29 @@ class TestSharingAndCheckpoint:
         # different layer embeddings give different outputs from shared weights
         assert not np.allclose(outs[0], outs[1])
         assert not np.allclose(outs[1], outs[2])
+
+    def test_checkpoint_round_trip_bit_exact(self, tmp_path):
+        """A trained bundle survives the trainer's checkpoint bit for bit, dtype included."""
+        cfg = TrainConfig(alpha=1.0, beta=0.3, l=2,
+                          base_optimizer=OptimizerConfig(kind="sgd", lr=0.05),
+                          hyper_lr=1e-3, epochs=1, batch_size=16,
+                          lr_decay=LrDecay(every=0, factor=1.0), seed=71,
+                          slow_kind="selective-ssm", fast_kind="mlp",
+                          token_dim=4, state_dim=2, expand=2, fast_hidden=7)
+        layers = ["dense:2:8", "bias:8", "relu", "dense:8:2:bin", "bias:2"]
+        data = gen_synthetic("blobs", 40, 0.4, Rng(17))
+        tr = FsgTrainer(Model.build(layers, Rng(8)), cfg)
+        for _ in range(2):
+            tr.train_epoch(data.x, data.y)
+        saved = {name: arr.copy() for name, arr in tr.bundle.named_params()}
+        path = tmp_path / "ckpt.npz"
+        tr.save_checkpoint(path)
+        other = FsgTrainer(Model.build(layers, Rng(8)), cfg)
+        for _, arr in other.bundle.named_params():
+            arr[...] = 0.0
+        other.load_checkpoint(path)
+        loaded = dict(other.bundle.named_params())
+        assert sorted(loaded) == sorted(saved)
+        for name, arr in saved.items():
+            assert np.array_equal(loaded[name], arr), name
+            assert loaded[name].dtype == arr.dtype, name
