@@ -20,7 +20,8 @@ import numpy as np
 from .convergence import make_quadratic_problem, pk_recursion_check, run_fsg_convex
 from .data import gen_synthetic
 from .history import GradientHistoryBuffer
-from .hypernet import FastNetParams, HyperNetBundle, fast_backward, fast_forward, slow_backward, slow_forward
+from .hypernet import (FastNetParams, HyperNetBundle, fast_backward, fast_forward, named_leaves,
+                       slow_backward, slow_forward)
 from .model import Model
 from .optim import momentum_expand
 from .quantize import preprocess, quantize
@@ -96,8 +97,8 @@ def criterion_1_gradients():
         g = rng.normals((2, 2))
         wh = rng.normals((2, 2))
         cot = rng.normals((2, 2))
-        grads, _, _ = fast_backward(g, wh, p, cot)
-        for name, arr in p.named_arrays():
+        grads = fast_backward(g, wh, p, cot)
+        for name, arr in named_leaves(p, "fast."):
             def f(val, arr=arr):
                 saved = arr.copy()
                 arr[...] = val

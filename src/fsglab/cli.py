@@ -14,15 +14,19 @@ variable re-roots relative output directories.
 Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
 error (ConfigError), including a malformed sweep spec, a model whose layer
 shapes do not fit the data or each other (DimensionError, naming the layer),
-a malformed layer spec (ContractError) or a value outside its domain
-(DomainError), an empty gradient history (EmptyHistoryError), a rate fit
-on invalid gaps (FitError) or an input file that cannot be read, such as a
-missing config, IDX file or metrics CSV (OSError, naming the path); 3 an
+a label not below the model's output width (DimensionError), a malformed
+layer spec (ContractError) or a value outside its domain (DomainError), an
+empty dataset or gradient history (ContractError, EmptyHistoryError), a rate
+fit on invalid gaps (FitError) or an input file that cannot be read, such as
+a missing config, IDX file or metrics CSV (OSError, naming the path); 3 an
 input file does not match its format, such as a malformed metrics CSV row
 (FormatError); 4 training or the convex bench diverged (DivergenceError,
 naming the iteration, and the layer for non-finite weights) or a numeric
 evaluation was non-finite (EvaluationError).  Errors print one line to
-stderr (`_EXIT_CODES`).
+stderr (`_EXIT_CODES`).  Input errors leave no out directory behind: the
+config, the data and the models are read and built, and each trainer is
+evaluated on the first batch of training samples (`check_run`), before the
+directory is made.
 """
 
 from __future__ import annotations
@@ -102,6 +106,18 @@ def build_trainer(cfg: RunConfig):
     return cls(model, tc)
 
 
+def check_run(run) -> None:
+    """Raise what the first step would, before any output: evaluate the trainer (pure) on a
+    first-step-sized batch, then bound every train and test label by the model's width."""
+    _, (train, test), trainer = run
+    batch = slice(trainer.cfg.batch_size)
+    trainer.evaluate(train.x[batch], train.y[batch], "train")
+    width = trainer.model.forward(train.x[:1])[0].shape[1]
+    top = max(int(d.y.max()) for d in (train, test) if d is not None and d.y.size)
+    if top >= width:
+        raise DimensionError(f"label {top} is not below the model's output width {width}")
+
+
 def run_train(run, outdir: Path) -> Path:
     """Train a run built by `build_datasets` and `build_trainer`: (cfg, (train, test), trainer)."""
     cfg, (train, test), trainer = run
@@ -149,8 +165,8 @@ def _parse_sweep(spec: str):
 
 
 def build_ablation(cfg: RunConfig, sweep):
-    """(tag, run) per value of a parsed sweep (`_parse_sweep`), runs as `run_train` takes them;
-    no swept key changes the data, so the runs share one build of the datasets."""
+    """(tag, run) per value of a parsed sweep (`_parse_sweep`), checked runs as `run_train`
+    takes them; no swept key changes the data, so the runs share one build of the datasets."""
     key, display, values = sweep
     data = build_datasets(cfg)
     runs = []
@@ -158,6 +174,7 @@ def build_ablation(cfg: RunConfig, sweep):
         sub = RunConfig(dict(cfg.values))
         sub.values[key] = value
         runs.append((f"{display}_{value}".replace("/", "-"), (sub, data, build_trainer(sub))))
+        check_run(runs[-1][1])
     return runs
 
 
@@ -241,6 +258,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             cfg = load_config(args.config)
             run = (cfg, build_datasets(cfg), build_trainer(cfg))
+            check_run(run)
             path = run_train(run, resolve_outdir(cfg, args.out))
             print(f"wrote {path}")
             return 0

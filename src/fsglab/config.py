@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
-from .trainer import TrainConfig
+from .trainer import TrainConfig, check_fields
 
 _DEFAULT_LAYERS = [
     "dense:2:32", "bias:32", "relu",
@@ -75,8 +75,9 @@ _ENUMS = {
     "method": ("fsg", "ste"),
     "dataset.kind": ("blobs", "spirals", "idx"),
 }
-# bench sizes; TrainConfig.validate checks the train settings' own
-_AT_LEAST_ONE = ("bench.dim", "bench.t", "bench.repeats", "bench.seeds", "bench.components")
+# run-level sizes; TrainConfig.validate checks the train settings' own
+_AT_LEAST_ONE = ("dataset.classes", "dataset.n_per_class", "bench.dim", "bench.t",
+                 "bench.repeats", "bench.seeds", "bench.components")
 
 
 @dataclass
@@ -143,12 +144,7 @@ def loads_config(text: str) -> RunConfig:
         col = line.index("=") + 2
         values[key] = _parse_value(key, raw, lineno, col)
     cfg = RunConfig(values)
-    for key, allowed in _ENUMS.items():
-        if cfg[key] not in allowed:
-            raise ConfigError(f"field {key!r} must be one of {allowed}, got {cfg[key]!r}")
-    for key in _AT_LEAST_ONE:
-        if cfg[key] < 1:
-            raise ConfigError(f"field {key!r}: {key} must be >= 1, got {cfg[key]}")
+    check_fields(cfg.__getitem__, _AT_LEAST_ONE, _ENUMS)
     cfg.to_train_config().validate()
     return cfg
 

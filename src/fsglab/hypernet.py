@@ -39,7 +39,7 @@ maps, with the token inputs treated as constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .rng import Rng
 from .ssm import _scan, chunk_plan, linear_recurrence, linear_recurrence_backward
 from .tensor import DTYPE, orthogonal_init
 
+SCAN_CHUNK = 128  # default tokens per chunk of the selective slow net's streaming kernel
 _LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
 # log of a decay product that underflows in float64: below ln(smallest subnormal)
 # = -744.4, with a margin for the rounding of the cumsum that bounds it
@@ -89,16 +90,6 @@ class FastNetParams:
             b3=np.zeros(1, dtype=DTYPE),
         )
 
-    def named_arrays(self):
-        return [
-            ("fast.m1", self.m1),
-            ("fast.m2", self.m2),
-            ("fast.m3", self.m3),
-            ("fast.b1", self.b1),
-            ("fast.b2", self.b2),
-            ("fast.b3", self.b3),
-        ]
-
 
 def _fast_collapse(p: FastNetParams):
     """The stack as one affine map: out = g * w[0] + w_hat * w[1] + c.
@@ -126,7 +117,7 @@ def fast_forward(g: np.ndarray, w_hat: np.ndarray, p: FastNetParams) -> np.ndarr
 
 
 def fast_backward(g, w_hat, p: FastNetParams, cotangent):
-    """Gradients of sum(cotangent * fast_forward) w.r.t. params and inputs.
+    """Gradients of sum(cotangent * fast_forward) w.r.t. the params, keyed `fast.<field>`.
 
     Every parameter gradient of the linear stack is a function of the two
     sums pairs.T @ cot and sum(cot), so the cost is O(P) plus O(H^2).
@@ -136,7 +127,7 @@ def fast_backward(g, w_hat, p: FastNetParams, cotangent):
     cot = np.asarray(cotangent, dtype=DTYPE)
     if cot.shape != g.shape:
         raise DimensionError(f"cotangent shape {cot.shape} != input shape {g.shape}")
-    m23, w, _ = _fast_collapse(p)
+    m23 = _fast_collapse(p)[0]
     co = cot.ravel()
     q = np.array([[g.ravel() @ co], [w_hat.ravel() @ co]])  # pairs.T @ cot, (2, 1)
     total = co.sum()
@@ -149,7 +140,7 @@ def fast_backward(g, w_hat, p: FastNetParams, cotangent):
         "fast.m1": q @ m23.T,
         "fast.b1": total * m23[:, 0],
     }
-    return grads, cot * w[0], cot * w[1]
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +150,6 @@ def fast_backward(g, w_hat, p: FastNetParams, cotangent):
 
 @dataclass
 class SelectiveSsmParams:
-    d: int
-    n_state: int
-    expand: int
     w_in: np.ndarray  # (d, d_inner)
     w_gate: np.ndarray  # (d, d_inner)
     w_b: np.ndarray  # (d_inner, N)
@@ -173,15 +161,10 @@ class SelectiveSsmParams:
     a_log: np.ndarray  # (d_inner, N); A = -exp(a_log)
     w_out: np.ndarray  # (d_inner, d)
 
-    @property
-    def d_inner(self) -> int:
-        return self.d * self.expand
-
     @classmethod
     def init(cls, rng: Rng, d: int, n_state: int, expand: int) -> "SelectiveSsmParams":
         din = d * expand
         return cls(
-            d=d, n_state=n_state, expand=expand,
             w_in=rng.normals((d, din)) / np.sqrt(d),
             w_gate=rng.normals((d, din)) / np.sqrt(d),
             w_b=rng.normals((din, n_state)) / np.sqrt(din),
@@ -195,24 +178,9 @@ class SelectiveSsmParams:
             w_out=rng.normals((din, d)) / np.sqrt(din),
         )
 
-    def named_arrays(self):
-        return [
-            ("slow.w_in", self.w_in),
-            ("slow.w_gate", self.w_gate),
-            ("slow.w_b", self.w_b),
-            ("slow.b_b", self.b_b),
-            ("slow.w_c", self.w_c),
-            ("slow.b_c", self.b_c),
-            ("slow.w_delta", self.w_delta),
-            ("slow.b_delta", self.b_delta),
-            ("slow.a_log", self.a_log),
-            ("slow.w_out", self.w_out),
-        ]
-
 
 @dataclass
 class LstmParams:
-    d: int
     w_x: np.ndarray  # (d, 4d) input-to-gates, gate order (i, f, g, o)
     w_h: np.ndarray  # (d, 4d) hidden-to-gates
     b: np.ndarray  # (4d,)
@@ -220,14 +188,26 @@ class LstmParams:
     @classmethod
     def init(cls, rng: Rng, d: int) -> "LstmParams":
         return cls(
-            d=d,
             w_x=rng.normals((d, 4 * d)) / np.sqrt(d),
             w_h=rng.normals((d, 4 * d)) / np.sqrt(d),
             b=np.zeros(4 * d, dtype=DTYPE),
         )
 
-    def named_arrays(self):
-        return [("slow.w_x", self.w_x), ("slow.w_h", self.w_h), ("slow.b", self.b)]
+
+def named_leaves(obj, prefix: str = ""):
+    """(name, array) of every ndarray field of a dataclass, in field order.
+
+    A nested dataclass field `f` contributes its own leaves named `f.<name>`;
+    fields of any other type, None included, are skipped.
+    """
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            out.append((prefix + f.name, value))
+        elif is_dataclass(value):
+            out.extend(named_leaves(value, f"{prefix}{f.name}."))
+    return out
 
 
 @dataclass
@@ -245,10 +225,7 @@ class HyperNetBundle:
     @classmethod
     def init(cls, rng: Rng, n_layers: int, fast_kind: str, slow_kind: str, fast_hidden: int,
              d: int, n_state: int, expand: int) -> "HyperNetBundle":
-        if fast_kind not in ("mlp", "identity", "off"):
-            raise ValueError(f"unknown fast_kind {fast_kind!r}")
-        if slow_kind not in ("selective-ssm", "lstm", "off"):
-            raise ValueError(f"unknown slow_kind {slow_kind!r}")
+        """The kinds are those `TrainConfig.validate` accepts."""
         bundle = cls(fast_kind=fast_kind, slow_kind=slow_kind)
         if fast_kind == "mlp":
             bundle.fast = FastNetParams.init(rng.derive("fast-net"), fast_hidden)
@@ -265,16 +242,8 @@ class HyperNetBundle:
         return bundle
 
     def named_params(self):
-        """Stable-ordered (name, array) pairs of every trainable array."""
-        out = []
-        if self.fast is not None:
-            out.extend(self.fast.named_arrays())
-        if self.slow is not None:
-            out.extend(self.slow.named_arrays())
-            out.append(("lre", self.lre))
-            out.append(("w_a", self.w_a))
-            out.append(("w_head", self.w_head))
-        return out
+        """(name, array) of every trainable array: `fast.*`, `slow.*`, lre, w_a, w_head."""
+        return named_leaves(self)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +270,7 @@ def _build_tokens(layer_index: int, history: np.ndarray, bundle: HyperNetBundle)
 
 
 def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_shape,
-                        chunk: int = 128):
+                        chunk: int = SCAN_CHUNK):
     """Forward pass returning (output, cache) for reuse by the backward.
 
     For the selective block the cache also records which numeric guards
@@ -330,12 +299,12 @@ def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_s
 
 
 def slow_forward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
-                 chunk: int = 128):
+                 chunk: int = SCAN_CHUNK):
     return slow_forward_cached(layer_index, history, bundle, out_shape, chunk)[0]
 
 
 def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
-                  cotangent, cache=None, chunk: int = 128):
+                  cotangent, cache=None, chunk: int = SCAN_CHUNK):
     """Exact gradients w.r.t. every slow-side parameter (incl. lre/w_a/w_head)."""
     if cache is None:
         _, cache = slow_forward_cached(layer_index, history, bundle, out_shape, chunk)
@@ -557,7 +526,7 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
     c_tail = np.multiply.outer(history[tail0 - 1:], v @ p.w_c)
     c_tail += p.b_c  # C_t on the tail
-    y = np.empty((xi, p.d_inner), dtype=DTYPE)
+    y = np.empty((xi, p.w_in.shape[1]), dtype=DTYPE)
     if t0 == 0:  # h_0 = inp_0
         h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
     else:  # the horizon passed token 0

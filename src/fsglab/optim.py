@@ -36,7 +36,7 @@ class OptimizerState:
         self.counts[name] = self.counts.get(name, 0) + 1
         return self.counts[name]
 
-    def named_arrays(self, prefix: str = "opt"):
+    def slot_arrays(self, prefix: str = "opt"):
         out = []
         for name in sorted(self.slots):
             for key, arr in sorted(self.slots[name].items()):
@@ -45,8 +45,8 @@ class OptimizerState:
             out.append((f"{prefix}.{name}.count", np.asarray([self.counts[name]], dtype=DTYPE)))
         return out
 
-    def load_named_arrays(self, arrays: dict, prefix: str = "opt") -> None:
-        """Inverse of `named_arrays`: replace this state by the `prefix.*` arrays."""
+    def load_slot_arrays(self, arrays: dict, prefix: str = "opt") -> None:
+        """Inverse of `slot_arrays`: replace this state by the `prefix.*` arrays."""
         self.slots, self.counts = {}, {}
         for key, arr in arrays.items():
             if key.startswith(prefix + "."):

@@ -232,7 +232,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
             f"cross-entropy expects logits (B,K) and labels (B,), got {logits.shape} "
             f"and {labels.shape}"
         )
-    batch = logits.shape[0]
+    batch, k = logits.shape
+    if batch and not (0 <= labels.min() and labels.max() < k):
+        raise DimensionError(f"labels must lie in [0, {k}) for {k} logits, "
+                             f"got {labels.min()} .. {labels.max()}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)

@@ -50,6 +50,7 @@ from .errors import (ConfigError, ContractError, DimensionError, DivergenceError
                      EvaluationError, FormatError)
 from .history import GradientHistoryBuffer
 from .hypernet import (
+    SCAN_CHUNK,
     HyperNetBundle,
     fast_backward,
     fast_forward,
@@ -71,6 +72,16 @@ _ENUMS = {
     "history_source": ("raw", "composed"),
     "base_optimizer.kind": ("sgd", "adam"),
 }
+
+
+def check_fields(get, at_least_one, enums) -> None:
+    """ConfigError `field '<key>': ...` unless get(key) is >= 1 or in enums[key], as listed."""
+    for key in at_least_one:
+        if get(key) < 1:
+            raise ConfigError(f"field {key!r}: {key} must be >= 1, got {get(key)}")
+    for key, allowed in enums.items():
+        if get(key) not in allowed:
+            raise ConfigError(f"field {key!r}: {key} must be one of {allowed}, got {get(key)!r}")
 
 
 @dataclass
@@ -110,26 +121,18 @@ class TrainConfig:
     token_dim: int = 16
     state_dim: int = 8
     expand: int = 2
-    scan_chunk: int = 128
+    scan_chunk: int = SCAN_CHUNK
     history_source: str = "raw"
     record_timing: bool = False
 
     def validate(self) -> None:
         """The one check of the train settings; raises ConfigError naming the field."""
-        def fail(key, problem):
-            raise ConfigError(f"field {key!r}: {problem}")
-
-        for key in _AT_LEAST_ONE:
-            if getattr(self, key) < 1:
-                fail(key, f"{key} must be >= 1, got {getattr(self, key)}")
+        check_fields(lambda key: operator.attrgetter(key)(self), _AT_LEAST_ONE, _ENUMS)
         if self.base_optimizer.lr <= 0:
-            fail("base_optimizer.lr", f"lr must be > 0, got {self.base_optimizer.lr}")
+            raise ConfigError(f"field 'base_optimizer.lr': lr must be > 0, "
+                              f"got {self.base_optimizer.lr}")
         if not 0.0 <= self.beta <= 1.0:
-            fail("beta", f"beta must be in [0, 1], got {self.beta}")
-        for key, allowed in _ENUMS.items():
-            value = operator.attrgetter(key)(self)
-            if value not in allowed:
-                fail(key, f"{key} must be one of {allowed}, got {value!r}")
+            raise ConfigError(f"field 'beta': beta must be in [0, 1], got {self.beta}")
 
 
 @dataclass
@@ -216,7 +219,7 @@ def _restore_params(named_params, arrays: dict) -> None:
 
 def _restore_slots(state: OptimizerState, prefix: str, named_params, arrays: dict) -> None:
     """Load the `prefix.*` optimizer slots; each must match its parameter's shape."""
-    state.load_named_arrays(arrays, prefix)
+    state.load_slot_arrays(arrays, prefix)
     shapes = {name: arr.shape for name, arr in named_params}
     for name, slot in state.slots.items():
         if name not in shapes:
@@ -336,17 +339,22 @@ class _TrainerBase:
         rec.validate()
         return rec
 
+    def named_params(self):
+        """(name, array) of every trainable array: the model's, and FsgTrainer's hypernetworks'."""
+        return self.model.named_params()
+
     def params_checksum(self) -> str:
-        """Digest of all trainable state; used by purity tests."""
+        """sha256 over the name and bytes of every array of `named_params`, in order; the
+        purity tests compare it before and after a call that must not mutate anything."""
         h = hashlib.sha256()
-        for name, arr in self.model.named_params():
+        for name, arr in self.named_params():
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
     def _checkpoint_arrays(self) -> dict:
-        arrays = dict(self.model.named_params())
-        arrays.update(self.base_state.named_arrays("base"))
+        arrays = dict(self.named_params())
+        arrays.update(self.base_state.slot_arrays("base"))
         arrays["meta.iteration"] = np.asarray([self.iteration], dtype=DTYPE)
         arrays["meta.epoch"] = np.asarray([self.epoch], dtype=DTYPE)
         arrays["meta.data_rng_state"] = np.asarray([self.data_rng.state],
@@ -362,7 +370,7 @@ class _TrainerBase:
             self._restore_arrays({name: data[name] for name in data.files})
 
     def _restore_arrays(self, arrays: dict) -> None:
-        _restore_params(self.model.named_params(), arrays)
+        _restore_params(self.named_params(), arrays)
         _restore_slots(self.base_state, "base", self.model.named_params(), arrays)
         self.iteration = int(arrays["meta.iteration"][0])
         self.epoch = int(arrays["meta.epoch"][0])
@@ -462,9 +470,8 @@ class FsgTrainer(_TrainerBase):
             # cotangents through W' = W - lr*(alpha*F(*)dA - beta*S)
             if cfg.fast_kind == "mlp":
                 cot_fast = -lr * cfg.alpha * s.g_ste * s.da_dw
-                fgrads, _, _ = fast_backward(self.prev_quant_grad[i], s.w_hat,
-                                             self.bundle.fast, cot_fast)
-                accumulate(fgrads)
+                accumulate(fast_backward(self.prev_quant_grad[i], s.w_hat,
+                                         self.bundle.fast, cot_fast))
             if s.slow_cache is not None:
                 cot_slow = lr * cfg.beta * s.g_ste
                 sgrads = slow_backward(self._row[i], None, self.bundle, s.w_hat.shape,
@@ -516,10 +523,12 @@ class FsgTrainer(_TrainerBase):
         self._apply_step(result)
         return result["loss"], result
 
+    def named_params(self):
+        return self.model.named_params() + self.bundle.named_params()
+
     def _checkpoint_arrays(self) -> dict:
         arrays = super()._checkpoint_arrays()
-        arrays.update(self.bundle.named_params())
-        arrays.update(self.hyper_state.named_arrays("hyper"))
+        arrays.update(self.hyper_state.slot_arrays("hyper"))
         for i, buf in self.buffers.items():
             if len(buf):
                 arrays[f"history.layer{i}"] = np.stack(buf.entries())
@@ -529,7 +538,6 @@ class FsgTrainer(_TrainerBase):
 
     def _restore_arrays(self, arrays: dict) -> None:
         super()._restore_arrays(arrays)
-        _restore_params(self.bundle.named_params(), arrays)
         _restore_slots(self.hyper_state, "hyper", self.bundle.named_params(), arrays)
         for i in self.bin_indices:
             name, buf = f"history.layer{i}", self.buffers[i]

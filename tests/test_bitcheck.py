@@ -19,6 +19,7 @@ def test_same_tree_is_identical(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "fsg-adam: same" and out[3] == "fsg-conv-sgd: same"
     assert out[1].split()[1:] == out[2].split()[1:]  # a and b print the same digests
+    assert out[1].split()[-2] == "bundle" and out[1].split()[-1] != "-"  # an FSG run
     assert out[-1] == "2 of 2 configs identical"
 
 

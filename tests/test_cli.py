@@ -166,9 +166,15 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
     _row("ContractError-stride", IDX_DATA + ["model.layers = conv2d:1:2:3:stride=q"], 2,
          "error: 'q' is not an integer in 'conv2d:1:2:3:stride=q'"),
     _row("DimensionError", IDX_DATA + ["model.layers = flatten, dense:10:2:bin"], 2,
-         "error: layer 1 (dense): matmul shape mismatch", mid_run=True),
+         "error: layer 1 (dense): matmul shape mismatch"),
     _row("DomainError", IDX_DATA + ["model.layers = conv2d:1:2:3:pad=-1, flatten, dense:18:2"],
-         2, "error: pad must be >= 0", mid_run=True),
+         2, "error: pad must be >= 0"),
+    _row("ConfigError-classes-zero", ["dataset.kind = blobs", "dataset.classes = 0"], 2,
+         "config error: field 'dataset.classes': dataset.classes must be >= 1, got 0"),
+    _row("DimensionError-labels", ["dataset.kind = blobs", "dataset.classes = 3"], 2,
+         "error: label 2 is not below the model's output width 2"),
+    _row("DimensionError-labels-ablate", ["dataset.kind = blobs", "dataset.classes = 3"], 2,
+         "error: label 2 is not below the model's output width 2", "ablate --sweep beta=0.1"),
     _row("EmptyHistoryError", [], 2, "error: layer 3: history is empty",
          raised=("run_train", EmptyHistoryError("layer 3: history is empty")), mid_run=True),
     _row("FitError", ["bench.t = 400"], 2, "error: nonpositive gap at window index 0",

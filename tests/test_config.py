@@ -79,7 +79,8 @@ def test_duplicate_key_rejected():
 @pytest.mark.parametrize("text", [
     *(f"{key} = 0" for key in ("scan_chunk", "token_dim", "state_dim", "expand",
                                "fast_hidden", "bit_width", "bench.seeds", "bench.repeats",
-                               "bench.components", "bench.dim", "bench.t")),
+                               "bench.components", "bench.dim", "bench.t",
+                               "dataset.classes", "dataset.n_per_class")),
     "scan_chunk = -5",
     "bench.t = -1",
 ])

@@ -8,6 +8,7 @@ from fsglab.hypernet import (
     HyperNetBundle,
     fast_backward,
     fast_forward,
+    named_leaves,
     slow_backward,
     slow_forward,
     slow_forward_cached,
@@ -75,24 +76,15 @@ class TestFastNet:
 class TestFastBackward:
     def test_zero_cotangent(self):
         p = FastNetParams.init(Rng(0), hidden=8)
-        grads, g_g, g_wh = fast_backward(np.ones((2, 2)), np.ones((2, 2)), p,
-                                         np.zeros((2, 2)))
+        grads = fast_backward(np.ones((2, 2)), np.ones((2, 2)), p, np.zeros((2, 2)))
         assert all(not g.any() for g in grads.values())
-        assert not g_g.any() and not g_wh.any()
-
-    def test_scalar_collapse(self):
-        p = FastNetParams.init(Rng(1), hidden=6)
-        a = (p.m1 @ p.m2 @ p.m3)[0, 0]  # coefficient of g in the collapsed map
-        cot = np.array([[2.0]])
-        _, g_g, _ = fast_backward(np.array([[3.0]]), np.array([[0.0]]), p, cot)
-        assert abs(g_g[0, 0] - a * 2.0) < 1e-12
 
     @pytest.mark.parametrize("hidden", [1, 5, 100])
     def test_matches_hidden_width_form(self, hidden):
         # the O(P) collapse against the stack evaluated H wide
         p = FastNetParams.init(Rng(hidden), hidden=hidden)
         rng = Rng(200 + hidden)
-        for _, arr in p.named_arrays():
+        for _, arr in named_leaves(p):
             arr[...] = rng.normals(arr.shape) / np.sqrt(hidden)
         g, wh, cot = rng.normals((7, 9)), rng.normals((7, 9)), rng.normals((7, 9))
         pairs = np.stack([g.ravel(), wh.ravel()], axis=1)
@@ -102,17 +94,15 @@ class TestFastBackward:
         co = cot.reshape(-1, 1)
         g_h2 = co @ p.m3.T
         g_h1 = g_h2 @ p.m2.T
-        g_pairs = g_h1 @ p.m1.T
         expect = {
             "fast.m3": h2.T @ co, "fast.b3": co.sum(axis=0),
             "fast.m2": h1.T @ g_h2, "fast.b2": g_h2.sum(axis=0),
             "fast.m1": pairs.T @ g_h1, "fast.b1": g_h1.sum(axis=0),
         }
-        grads, g_g, g_wh = fast_backward(g, wh, p, cot)
-        got = dict(grads, out=fast_forward(g, wh, p), g_g=g_g, g_wh=g_wh)
-        expect.update(out=out[:, 0].reshape(g.shape), g_g=g_pairs[:, 0].reshape(g.shape),
-                      g_wh=g_pairs[:, 1].reshape(g.shape))
-        assert sorted(grads) == sorted(name for name, _ in p.named_arrays())
+        grads = fast_backward(g, wh, p, cot)
+        got = dict(grads, out=fast_forward(g, wh, p))
+        expect.update(out=out[:, 0].reshape(g.shape))
+        assert sorted(grads) == sorted(name for name, _ in named_leaves(p, "fast."))
         for name, ref in expect.items():
             assert got[name].shape == ref.shape, name
             assert np.max(np.abs(got[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
@@ -126,8 +116,8 @@ class TestFastBackward:
         g = rng.normals((2, 3))
         wh = rng.normals((2, 3))
         cot = rng.normals((2, 3))
-        grads, g_g, g_wh = fast_backward(g, wh, p, cot)
-        arrays = dict(p.named_arrays())
+        grads = fast_backward(g, wh, p, cot)
+        arrays = dict(named_leaves(p, "fast."))
         for name in arrays:
             def f(val, name=name):
                 saved = arrays[name].copy()
@@ -137,10 +127,6 @@ class TestFastBackward:
                 finally:
                     arrays[name][...] = saved
             assert finite_diff_check(f, arrays[name], grads[name]) < 1e-5
-        assert finite_diff_check(
-            lambda v: float(np.sum(cot * fast_forward(v, wh, p))), g, g_g) < 1e-5
-        assert finite_diff_check(
-            lambda v: float(np.sum(cot * fast_forward(g, v, p))), wh, g_wh) < 1e-5
 
 
 class TestSlowForward:
@@ -178,7 +164,7 @@ class TestSlowForward:
         craw = u @ p.w_c + p.b_c
         delta = np.logaddexp(0.0, u @ p.w_delta + p.b_delta)
         a = -np.exp(p.a_log)
-        h = np.zeros((p.d_inner, p.n_state))
+        h = np.zeros(p.a_log.shape)  # (d_inner, N)
         ys = []
         for t in range(3):
             ld = delta[t, 0] * a
@@ -296,6 +282,27 @@ class TestLstmSlowNet:
                 finally:
                     arr[...] = saved
             assert finite_diff_check(f, arr, grads[name]) < 1e-4, name
+
+
+SSM_NAMES = ["slow.w_in", "slow.w_gate", "slow.w_b", "slow.b_b", "slow.w_c", "slow.b_c",
+             "slow.w_delta", "slow.b_delta", "slow.a_log", "slow.w_out"]
+LSTM_NAMES = ["slow.w_x", "slow.w_h", "slow.b"]
+EMBEDDING_NAMES = ["lre", "w_a", "w_head"]
+FAST_NAMES = ["fast.m1", "fast.m2", "fast.m3", "fast.b1", "fast.b2", "fast.b3"]
+
+
+@pytest.mark.parametrize("slow_kind,slow_names", [
+    ("selective-ssm", SSM_NAMES + EMBEDDING_NAMES),
+    ("lstm", LSTM_NAMES + EMBEDDING_NAMES),
+    ("off", []),
+])
+@pytest.mark.parametrize("fast_kind", ["mlp", "identity", "off"])
+def test_named_params_pinned(fast_kind, slow_kind, slow_names):
+    """The names, and so the Adam slots, checkpoint arrays and RNG draw orders keyed by them."""
+    bundle = HyperNetBundle.init(Rng(3), n_layers=2, fast_kind=fast_kind, slow_kind=slow_kind,
+                                 fast_hidden=5, d=4, n_state=3, expand=2)
+    fast_names = FAST_NAMES if fast_kind == "mlp" else []
+    assert [name for name, _ in bundle.named_params()] == fast_names + slow_names
 
 
 class TestSharingAndCheckpoint:

@@ -242,6 +242,11 @@ class TestLayerRules:
         with pytest.raises(DimensionError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
+    def test_cross_entropy_label_outside_logits(self, labels):
+        with pytest.raises(DimensionError, match=r"labels must lie in \[0, 3\)"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
 
 def naive_conv2d_backward(x, w, g_out, stride, pad):
     """Gradients of sum(g_out * conv2d) by the 7-loop chain rule."""

@@ -4,9 +4,13 @@
 
 Each tree is a `src` directory holding the `fsglab` package, or a checkout
 whose `src/` does.  For every config, each tree runs `fsglab train` in its
-own process (3 epochs, record_timing = false), and the script prints the
-sha256 of the run's metrics.csv and the trainer's final params_checksum from
-both trees.  It exits 1 if any of them differ.
+own process (3 epochs, record_timing = false), and the script prints three
+sha256 digests from both trees: of the run's metrics.csv, of the final model
+parameters and of the final hypernetwork parameters ("-" for the
+straight-through trainer, which has none).  The child computes both parameter
+digests itself, over the name and bytes of each (name, array) of
+`model.named_params()` and `bundle.named_params()`, so two trees are compared
+on one definition.  It exits 1 if any digest differs.
 
 The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
@@ -65,14 +69,26 @@ CONFIGS = {
 # runs in the tree under test: `fsglab train`, keeping the trainer it builds
 CHILD = """
 import hashlib, sys
+import numpy as np
 from fsglab import cli
 built = []
 build = cli.build_trainer
 cli.build_trainer = lambda cfg: built.append(build(cfg)) or built[-1]
 if cli.main(["train", sys.argv[1], "--out", sys.argv[2]]) != 0:
     sys.exit(1)
+
+def digest(named):
+    h = hashlib.sha256()
+    for name, arr in named:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+trainer = built[0]
+bundle = getattr(trainer, "bundle", None)
 with open(sys.argv[2] + "/metrics.csv", "rb") as fh:
-    print(hashlib.sha256(fh.read()).hexdigest(), built[0].params_checksum())
+    print(hashlib.sha256(fh.read()).hexdigest(), digest(trainer.model.named_params()),
+          digest(bundle.named_params()) if bundle else "-")
 """
 
 
@@ -89,15 +105,15 @@ def _src_dir(tree: str) -> Path:
     return path / "src" if (path / "src" / "fsglab").is_dir() else path
 
 
-def _run(src: Path, cfg_path: Path, out: Path) -> tuple[str, str]:
+def _run(src: Path, cfg_path: Path, out: Path) -> tuple[str, str, str]:
+    """(metrics.csv sha256, model digest, bundle digest) of one `fsglab train` in tree src."""
     env = {k: v for k, v in os.environ.items() if k != "FSGLAB_OUTPUT_ROOT"}
     env["PYTHONPATH"] = str(src)
     done = subprocess.run([sys.executable, "-c", CHILD, str(cfg_path), str(out)], env=env,
                           capture_output=True, text=True, cwd=out.parent)
     if done.returncode != 0:
-        return ("failed: " + (done.stderr.strip().splitlines() or ["?"])[-1], "-")
-    metrics_sha, checksum = done.stdout.splitlines()[-1].split()  # after "wrote ..."
-    return metrics_sha, checksum
+        return ("failed: " + (done.stderr.strip().splitlines() or ["?"])[-1], "-", "-")
+    return tuple(done.stdout.splitlines()[-1].split())  # after "wrote ..."
 
 
 def main(argv=None) -> int:
@@ -125,8 +141,8 @@ def main(argv=None) -> int:
             same = got["a"] == got["b"] and not got["a"][0].startswith("failed")
             differ += not same
             print(f"{name}: {'same' if same else 'DIFFERENT'}")
-            for label, (metrics_sha, checksum) in got.items():
-                print(f"  {label} metrics.csv {metrics_sha}  params_checksum {checksum}")
+            for label, (metrics_sha, model, bundle) in got.items():
+                print(f"  {label} metrics.csv {metrics_sha}  model {model}  bundle {bundle}")
     print(f"{len(names) - differ} of {len(names)} configs identical")
     return 1 if differ else 0
 
