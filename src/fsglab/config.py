@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .hypernet import field_leaves
 from .trainer import TrainConfig, check_fields
 
 _DEFAULT_LAYERS = [
@@ -31,20 +32,8 @@ _DEFAULT_LAYERS = [
 _TAGS = {int: "int", float: "float", str: "str", bool: "bool"}
 
 
-def _flatten(obj, prefix: str = "") -> dict:
-    """Dotted key -> value of every leaf field of a (nested) dataclass."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            out.update(_flatten(value, f"{prefix}{f.name}."))
-        else:
-            out[prefix + f.name] = value
-    return out
-
-
 # key -> (type tag, default); type tags: int, float, str, bool, list
-_SCHEMA = {key: (_TAGS[type(v)], v) for key, v in _flatten(TrainConfig()).items()}
+_SCHEMA = {key: (_TAGS[type(v)], v) for key, v in field_leaves(TrainConfig())}
 _SCHEMA.update({
     "method": ("str", "fsg"),
     "dataset.kind": ("str", "spirals"),
@@ -94,7 +83,7 @@ class RunConfig:
 
     def to_train_config(self) -> TrainConfig:
         tc = TrainConfig()
-        for key in _flatten(tc):
+        for key, _ in field_leaves(tc):
             *path, name = key.split(".")
             setattr(functools.reduce(getattr, path, tc), name, self.values[key])
         return tc
@@ -145,6 +134,10 @@ def loads_config(text: str) -> RunConfig:
         values[key] = _parse_value(key, raw, lineno, col)
     cfg = RunConfig(values)
     check_fields(cfg.__getitem__, _AT_LEAST_ONE, _ENUMS)
+    kind, classes = cfg["dataset.kind"], cfg["dataset.classes"]
+    if (kind == "spirals" and classes != 2) or (kind == "idx" and "dataset.classes" in values):
+        raise ConfigError(f"field 'dataset.classes': {kind} data sets its own classes "
+                          f"(spirals 2, idx from the labels), got {classes}")
     cfg.to_train_config().validate()
     return cfg
 

@@ -244,9 +244,9 @@ def pk_recursion_check(trace: IterateTrace, beta: float) -> float:
             rhs = (xs[k] + p_prev
                    - trace.alpha / (1.0 - beta) * phig[k]
                    + ratio * xi[k])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # a NaN propagates
             p_prev = p[k]
-    return worst
+    return float(worst)
 
 
 def rate_fit(ts, gaps, window=(100, 10000)) -> float:

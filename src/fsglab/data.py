@@ -31,7 +31,6 @@ LABEL_MAGIC = 0x00000801
 class Dataset:
     x: np.ndarray  # (B, ...) float64 features
     y: np.ndarray  # (B,) int labels
-    n_classes: int
 
 
 def gen_synthetic(kind: str, n_per_class: int, noise: float, rng: Rng,
@@ -56,7 +55,7 @@ def _gen_blobs(n_per_class: int, noise: float, rng: Rng, classes: int) -> Datase
             xs[row] = centers[c] + noise * rng.normals(2)
             ys[row] = c
             row += 1
-    return Dataset(xs, ys, classes)
+    return Dataset(xs, ys)
 
 
 def _gen_spirals(n_per_class: int, noise: float, rng: Rng) -> Dataset:
@@ -77,7 +76,7 @@ def _gen_spirals(n_per_class: int, noise: float, rng: Rng) -> Dataset:
             xs[row, 1] = r * np.sin(angle) + noise * rng.normal()
             ys[row] = c
             row += 1
-    return Dataset(xs, ys, 2)
+    return Dataset(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     images = np.frombuffer(payload, dtype=np.uint8).astype(DTYPE) / 255.0
     labels = np.frombuffer(lab_payload, dtype=np.uint8).astype(np.int64)
     x = images.reshape(count, 1, rows, cols)
-    return Dataset(x, labels, int(labels.max()) + 1 if count else 0)
+    return Dataset(x, labels)
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:

@@ -194,20 +194,24 @@ class LstmParams:
         )
 
 
-def named_leaves(obj, prefix: str = ""):
-    """(name, array) of every ndarray field of a dataclass, in field order.
+def field_leaves(obj, prefix: str = ""):
+    """(dotted name, value) of every leaf field of a (nested) dataclass, in field order.
 
-    A nested dataclass field `f` contributes its own leaves named `f.<name>`;
-    fields of any other type, None included, are skipped.
+    A nested dataclass field `f` contributes its own leaves named `f.<name>`.
     """
     out = []
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
+        if is_dataclass(value):
+            out.extend(field_leaves(value, f"{prefix}{f.name}."))
+        else:
             out.append((prefix + f.name, value))
-        elif is_dataclass(value):
-            out.extend(named_leaves(value, f"{prefix}{f.name}."))
     return out
+
+
+def named_leaves(obj, prefix: str = ""):
+    """(name, array) of the ndarray leaves of `field_leaves`; None and other types are skipped."""
+    return [(name, v) for name, v in field_leaves(obj, prefix) if isinstance(v, np.ndarray)]
 
 
 @dataclass

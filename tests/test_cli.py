@@ -366,3 +366,43 @@ def test_check_subcommand_failing_entry_exit_one(monkeypatch, capsys, failure):
     out = capsys.readouterr().out.splitlines()
     detail = "raised RuntimeError: boom" if failure == "raises" else "broken on purpose"
     assert out == [f"ACCEPTANCE 11: FAIL - {detail}", "ACCEPTANCE 12: PASS - still runs"]
+
+
+def _nan_w_head(grads):
+    grads["w_head"][0, 0] = np.nan
+
+
+def _nan_fast_m2(grads):
+    grads["fast.m2"][1, 0] = np.nan
+
+
+def _nan_entry(out):
+    out[2] = np.nan
+
+
+def _nan_phi_g(trace):
+    trace.phi_g[0][5, 0] = np.nan
+
+
+@pytest.mark.parametrize("check,target,poison", [
+    (checks.criterion_1_gradients, "slow_backward", _nan_w_head),
+    (checks.criterion_1_gradients, "fast_backward", _nan_fast_m2),
+    (checks.criterion_2_ssm_duality, "ssm_conv", _nan_entry),
+    (checks.criterion_3_momentum_identity, "momentum_expand", _nan_entry),
+    (checks.criterion_9_pk_recursion, "run_fsg_convex", _nan_phi_g),
+], ids=["1-slow", "1-fast", "2", "3", "9"])
+def test_nan_error_fails_its_check(monkeypatch, check, target, poison):
+    """A NaN in one result makes the check report FAIL; `max` used to drop it."""
+    original = getattr(checks, target)
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        poison(out)
+        return out
+
+    monkeypatch.setattr(checks, target, poisoned)
+    monkeypatch.setattr(checks, "CHECKS", [check])
+    lines = []
+    ok = checks.run_all(lines.append)
+    assert ok is False and lines[0].startswith(
+        f"ACCEPTANCE {checks.criterion_number(check)}: FAIL"), lines

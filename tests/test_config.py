@@ -2,7 +2,6 @@ import pytest
 
 from fsglab.config import (
     RunConfig,
-    _flatten,
     config_hash,
     dumps_config,
     load_config,
@@ -10,6 +9,7 @@ from fsglab.config import (
     save_config,
 )
 from fsglab.errors import ConfigError
+from fsglab.hypernet import field_leaves
 
 
 def test_empty_file_gives_full_defaults(tmp_path):
@@ -90,6 +90,24 @@ def test_nonpositive_size_names_field(text):
         loads_config(text)
 
 
+@pytest.mark.parametrize("text", [
+    "dataset.classes = 5",  # spirals is the default kind
+    "dataset.kind = spirals\ndataset.classes = 1",
+    "dataset.kind = idx\ndataset.classes = 2",
+    "dataset.kind = idx\ndataset.classes = 10",
+])
+def test_classes_the_dataset_kind_does_not_take(text):
+    with pytest.raises(ConfigError, match="'dataset.classes'"):
+        loads_config(text)
+
+
+@pytest.mark.parametrize("text", ["dataset.kind = spirals\ndataset.classes = 2",
+                                  "dataset.kind = blobs\ndataset.classes = 5",
+                                  "dataset.kind = idx"])
+def test_classes_the_dataset_kind_takes(text):
+    loads_config(text)
+
+
 def test_enum_validation():
     with pytest.raises(ConfigError, match="slow_kind"):
         loads_config("slow_kind = transformer\n")
@@ -113,7 +131,7 @@ def test_to_train_config_carries_fields():
 def test_to_train_config_carries_every_train_key():
     cfg = loads_config("base_optimizer.momentum = 0.5\nlr_decay.every = 7\n"
                        "scan_chunk = 16\nrecord_timing = true\n")
-    flat = _flatten(cfg.to_train_config())
+    flat = dict(field_leaves(cfg.to_train_config()))
     assert flat == {key: cfg[key] for key in flat}
     assert flat["lr_decay.every"] == 7 and flat["record_timing"] is True
 

@@ -117,16 +117,9 @@ class TestFastBackward:
         wh = rng.normals((2, 3))
         cot = rng.normals((2, 3))
         grads = fast_backward(g, wh, p, cot)
-        arrays = dict(named_leaves(p, "fast."))
-        for name in arrays:
-            def f(val, name=name):
-                saved = arrays[name].copy()
-                arrays[name][...] = val
-                try:
-                    return float(np.sum(cot * fast_forward(g, wh, p)))
-                finally:
-                    arrays[name][...] = saved
-            assert finite_diff_check(f, arrays[name], grads[name]) < 1e-5
+        for name, arr in named_leaves(p, "fast."):
+            assert finite_diff_check(lambda _: float(np.sum(cot * fast_forward(g, wh, p))),
+                                     arr, grads[name]) < 1e-5
 
 
 class TestSlowForward:
@@ -217,16 +210,9 @@ class TestSlowBackward:
         cot = rng.normals((2, 3))
         out, cache = slow_forward_cached(1, hist, bundle, (2, 3), chunk=5)
         grads = slow_backward(1, hist, bundle, (2, 3), cot, cache=cache)
+        loss = lambda _: float(np.sum(cot * slow_forward(1, hist, bundle, (2, 3), chunk=5)))
         for name, arr in bundle.named_params():
-            def f(val, arr=arr):
-                saved = arr.copy()
-                arr[...] = val
-                try:
-                    return float(np.sum(cot * slow_forward(1, hist, bundle, (2, 3),
-                                                           chunk=5)))
-                finally:
-                    arr[...] = saved
-            assert finite_diff_check(f, arr, grads[name]) < 1e-4, name
+            assert finite_diff_check(loss, arr, grads[name]) < 1e-4, name
 
     def test_cotangent_shape_check(self):
         bundle = o1_bundle(30)
@@ -273,15 +259,9 @@ class TestLstmSlowNet:
         hist = rng.normals(8) * 0.5
         cot = rng.normals((2, 2))
         grads = slow_backward(1, hist, bundle, (2, 2), cot)
+        loss = lambda _: float(np.sum(cot * slow_forward(1, hist, bundle, (2, 2))))
         for name, arr in bundle.named_params():
-            def f(val, arr=arr):
-                saved = arr.copy()
-                arr[...] = val
-                try:
-                    return float(np.sum(cot * slow_forward(1, hist, bundle, (2, 2))))
-                finally:
-                    arr[...] = saved
-            assert finite_diff_check(f, arr, grads[name]) < 1e-4, name
+            assert finite_diff_check(loss, arr, grads[name]) < 1e-4, name
 
 
 SSM_NAMES = ["slow.w_in", "slow.w_gate", "slow.w_b", "slow.b_b", "slow.w_c", "slow.b_c",

@@ -9,6 +9,7 @@ from fsglab.rng import Rng
 from fsglab.tensor import (
     conv2d_backward,
     conv2d_forward,
+    finite_diff,
     finite_diff_check,
     matmul,
     orthogonal_init,
@@ -167,6 +168,41 @@ class TestFiniteDiffCheck:
     def test_bad_h(self):
         with pytest.raises(DomainError):
             finite_diff_check(lambda x: 0.0, np.zeros(1), np.zeros(1), h=0.0)
+
+    @pytest.mark.parametrize("analytic", [[np.nan, np.nan], [6.0, np.nan], [np.inf, 4.0]])
+    def test_nonfinite_analytic_raises(self, analytic):
+        with pytest.raises(EvaluationError, match="analytic"):
+            finite_diff_check(lambda x: float(np.sum(x**2)), np.array([3.0, 2.0]),
+                              np.array(analytic))
+
+
+class TestFiniteDiff:
+    def test_point_restored_bit_for_bit(self):
+        # -0.0 and 1e-17 do not survive x + h - h: the coordinate is put back, not undone
+        point = np.array([[-0.0, 1e-17], [1.0 / 3.0, -7.25]])
+        before = point.tobytes()
+        seen = []
+        fd = finite_diff(lambda x: seen.append(x is point) or float(np.sum(x**2)), point)
+        assert point.tobytes() == before and np.signbit(point[0, 0])
+        assert all(seen) and len(seen) == 8
+        assert np.allclose(fd, 2.0 * point, atol=1e-8)
+
+    def test_live_parameter_through_closure(self):
+        rng = Rng(9)
+        w = rng.normals((3, 2))
+        x = rng.normals((4, 3))
+        cot = rng.normals((4, 2))
+        fd = finite_diff(lambda _: float(np.sum(cot * matmul(x, w))), w)
+        assert np.max(np.abs(fd - np.einsum("bi,bo->io", x, cot))) < 1e-8
+
+    def test_bad_h(self):
+        for h in (0.0, -1e-6):
+            with pytest.raises(DomainError):
+                finite_diff(lambda x: 0.0, np.zeros(1), h=h)
+
+    def test_nonfinite_f_names_coordinate(self):
+        with pytest.raises(EvaluationError, match="coordinate 1"):
+            finite_diff(lambda x: x[0] if x[1] == 1.0 else np.nan, np.array([2.0, 1.0]))
 
 
 class TestOrthogonalInit:

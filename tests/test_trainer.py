@@ -7,6 +7,7 @@ from fsglab.data import gen_synthetic
 from fsglab.errors import ContractError, DimensionError, DivergenceError, FormatError
 from fsglab.model import Model
 from fsglab.rng import Rng
+from fsglab.tensor import finite_diff
 from fsglab.trainer import (
     FsgTrainer,
     LrDecay,
@@ -150,19 +151,9 @@ class TestHypernetGradients:
             tr.prev_quant_grad[i] = r.normals(tr.model.layers[i].w.shape)
         res = tr._compute_step(*b2, quantizer="surrogate")
         hyper = res["hyper_grads"]
-        h = 1e-6
         for name, arr in tr.bundle.named_params():
             an = hyper[name]
-            fd = np.zeros_like(arr)
-            flat = arr.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                fp = tr.surrogate_loss(*b2)
-                flat[j] = orig - h
-                fm = tr.surrogate_loss(*b2)
-                flat[j] = orig
-                fd.ravel()[j] = (fp - fm) / (2.0 * h)
+            fd = finite_diff(lambda _: tr.surrogate_loss(*b2), arr)
             rel = np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12)
             assert rel < 1e-4, f"{name}: {rel}"
 

@@ -15,6 +15,13 @@ on one definition.  It exits 1 if any digest differs.
 The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
 images and two 64x64 binarized layers at the paper's slow-net dims.
+
+At the default hyper_lr the LSTM and composed-history configs write the
+same metrics.csv bytes as slow_kind = off, so they run with hyper_lr = 0.1,
+where their bytes depend on the slow net.  The selective-SSM configs write
+slow_kind = off's metrics bytes at either rate, because the selective slow
+net is numerically inert at these dims, so only their bundle digest
+compares the slow net.
 """
 
 from __future__ import annotations
@@ -53,9 +60,9 @@ CONFIGS = {
     "fsg-beta-1": SMALL + ADAM + ["beta = 1.0"],
     "fsg-fast-identity": SMALL + ADAM + ["fast_kind = identity"],
     "fsg-fast-off": SMALL + ADAM + ["fast_kind = off"],
-    "fsg-slow-lstm": SMALL + ADAM + ["slow_kind = lstm"],
+    "fsg-slow-lstm": SMALL + ADAM + ["slow_kind = lstm", "hyper_lr = 0.1"],
     "fsg-slow-off": SMALL + ADAM + ["slow_kind = off"],
-    "fsg-composed": SMALL + ADAM + ["history_source = composed"],
+    "fsg-composed": SMALL + ADAM + ["history_source = composed", "hyper_lr = 0.1"],
     "fsg-bit-width-2": SMALL + ADAM + ["bit_width = 2"],
     "ste-adam": SMALL + ADAM + ["method = ste"],
     "ste-sgd-momentum": SMALL + MOMENTUM + ["method = ste"],
