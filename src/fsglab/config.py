@@ -135,9 +135,9 @@ def loads_config(text: str) -> RunConfig:
     cfg = RunConfig(values)
     check_fields(cfg.__getitem__, _AT_LEAST_ONE, _ENUMS)
     kind, classes = cfg["dataset.kind"], cfg["dataset.classes"]
-    if (kind == "spirals" and classes != 2) or (kind == "idx" and "dataset.classes" in values):
-        raise ConfigError(f"field 'dataset.classes': {kind} data sets its own classes "
-                          f"(spirals 2, idx from the labels), got {classes}")
+    if kind != "blobs" and classes != 2:
+        raise ConfigError(f"field 'dataset.classes': only blobs read it, {kind} keeps 2, "
+                          f"got {classes}")
     cfg.to_train_config().validate()
     return cfg
 

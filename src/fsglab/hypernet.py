@@ -195,10 +195,7 @@ class LstmParams:
 
 
 def field_leaves(obj, prefix: str = ""):
-    """(dotted name, value) of every leaf field of a (nested) dataclass, in field order.
-
-    A nested dataclass field `f` contributes its own leaves named `f.<name>`.
-    """
+    """(dotted name, value) of every leaf field of a (nested) dataclass, in field order."""
     out = []
     for f in fields(obj):
         value = getattr(obj, f.name)

@@ -254,42 +254,47 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def finite_diff(f, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central differences (f(x + h e_i) - f(x - h e_i)) / (2h) of scalar f at point.
 
-    Each coordinate is moved in place and put back bit for bit, so f may
-    ignore its argument and read a live parameter through a closure.  f must
-    stay finite at the probe points.
+    Each coordinate is moved in place and put back bit for bit, also when f
+    raises, so f may ignore its argument and read a live parameter through a
+    closure.  point must be a float64 array: a converted copy would hide the
+    moves from such an f.  f must stay finite at the probe points.
     """
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
-    point = np.asarray(point, dtype=DTYPE)
+    if not (isinstance(point, np.ndarray) and point.dtype == DTYPE):
+        raise DomainError(f"point must be a float64 array, got "
+                          f"{getattr(point, 'dtype', type(point).__name__)}")
     fd = np.empty(point.shape, dtype=DTYPE)
     for i in range(point.size):
         orig = point.flat[i]
-        point.flat[i] = orig + h
-        fp = float(f(point))
-        point.flat[i] = orig - h
-        fm = float(f(point))
-        point.flat[i] = orig
+        try:
+            point.flat[i] = orig + h
+            fp = float(f(point))
+            point.flat[i] = orig - h
+            fm = float(f(point))
+        finally:
+            point.flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise EvaluationError(f"f non-finite at perturbed coordinate {i}")
         fd.flat[i] = (fp - fm) / (2.0 * h)
     return fd
 
 
-def finite_diff_check(f, point: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-6) -> float:
-    """Max relative error between `finite_diff(f, point, h)` and analytic_grad.
-
-    Per coordinate: |fd - analytic| / (|analytic| + 1e-12).  A live parameter
-    is checked as `finite_diff_check(lambda _: loss(), arr, grad)`.  A
-    non-finite analytic entry raises EvaluationError.
-    """
-    point = np.asarray(point, dtype=DTYPE)
-    analytic_grad = np.asarray(analytic_grad, dtype=DTYPE)
-    if point.shape != analytic_grad.shape:
-        raise DimensionError(
-            f"gradient shape {analytic_grad.shape} != point shape {point.shape}"
-        )
-    if not np.isfinite(analytic_grad).all():
+def finite_grad(grad: np.ndarray) -> np.ndarray:
+    """An analytic gradient as float64; a non-finite entry raises EvaluationError."""
+    grad = np.asarray(grad, dtype=DTYPE)
+    if not np.isfinite(grad).all():
         raise EvaluationError("analytic gradient holds a non-finite entry")
+    return grad
+
+
+def finite_diff_check(f, point: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-6) -> float:
+    """Max over coordinates of |fd - analytic| / (|analytic| + 1e-12), fd being
+    `finite_diff(f, point, h)`; a non-finite analytic entry raises EvaluationError."""
+    analytic_grad = finite_grad(analytic_grad)
+    if np.shape(point) != analytic_grad.shape:
+        raise DimensionError(f"gradient shape {analytic_grad.shape} != point shape "
+                             f"{np.shape(point)}")
     fd = finite_diff(f, point, h)
     return float(np.max(np.abs(fd - analytic_grad) / (np.abs(analytic_grad) + 1e-12),
                         initial=0.0))

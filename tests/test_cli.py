@@ -71,7 +71,8 @@ class TestTrainCommand:
         cfg = write_cfg(tmp_path, text + "\nrecord_timing = false")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["train", str(cfg), "--out", str(out1)]) == 0
-        assert main(["train", str(cfg), "--out", str(out2)]) == 0
+        # the rerun starts from the run's own saved config
+        assert main(["train", str(out1 / "config.txt"), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
     def test_test_split_rows(self, tmp_path):

@@ -54,6 +54,21 @@ def test_canonical_form_is_byte_stable(tmp_path):
     assert config_hash(cfg) == config_hash(loads_config(first))
 
 
+def test_saved_idx_config_reloads(tmp_path):
+    # the saved form writes every key, dataset.classes = 2 included
+    cfg = loads_config("\n".join([
+        "dataset.kind = idx",
+        "dataset.images_path = data/train-images-idx3-ubyte",
+        "dataset.labels_path = data/train-labels-idx1-ubyte",
+        "model.layers = flatten, dense:784:10:bin, bias:10",
+    ]))
+    path = tmp_path / "config.txt"
+    save_config(cfg, path)
+    again = load_config(path)
+    assert again.values == cfg.values
+    assert dumps_config(again) == dumps_config(cfg)
+
+
 def test_unknown_key_rejected_with_location():
     with pytest.raises(ConfigError, match="line 2.*mystery"):
         loads_config("beta = 0.5\nmystery = 1\n")
@@ -93,7 +108,6 @@ def test_nonpositive_size_names_field(text):
 @pytest.mark.parametrize("text", [
     "dataset.classes = 5",  # spirals is the default kind
     "dataset.kind = spirals\ndataset.classes = 1",
-    "dataset.kind = idx\ndataset.classes = 2",
     "dataset.kind = idx\ndataset.classes = 10",
 ])
 def test_classes_the_dataset_kind_does_not_take(text):
@@ -103,7 +117,8 @@ def test_classes_the_dataset_kind_does_not_take(text):
 
 @pytest.mark.parametrize("text", ["dataset.kind = spirals\ndataset.classes = 2",
                                   "dataset.kind = blobs\ndataset.classes = 5",
-                                  "dataset.kind = idx"])
+                                  "dataset.kind = idx",
+                                  "dataset.kind = idx\ndataset.classes = 2"])
 def test_classes_the_dataset_kind_takes(text):
     loads_config(text)
 

@@ -200,6 +200,30 @@ class TestFiniteDiff:
             with pytest.raises(DomainError):
                 finite_diff(lambda x: 0.0, np.zeros(1), h=h)
 
+    def test_point_restored_when_f_raises(self):
+        point = np.array([-0.0, 2.5])
+        before = point.tobytes()
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("probe failed")
+            return float(np.sum(x))
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            finite_diff(f, point)
+        assert point.tobytes() == before
+
+    @pytest.mark.parametrize("point", [np.array([1.0, 2.0], dtype=np.float32),
+                                       np.array([1, 2]), [1.0, 2.0]])
+    def test_point_that_would_be_copied_rejected(self, point):
+        # a converted copy would hide the moves from f reading the caller's array
+        with pytest.raises(DomainError, match="float64"):
+            finite_diff(lambda _: float(np.sum(point)), point)
+        with pytest.raises(DomainError, match="float64"):
+            finite_diff_check(lambda _: float(np.sum(point)), point, np.ones(2))
+
     def test_nonfinite_f_names_coordinate(self):
         with pytest.raises(EvaluationError, match="coordinate 1"):
             finite_diff(lambda x: x[0] if x[1] == 1.0 else np.nan, np.array([2.0, 1.0]))

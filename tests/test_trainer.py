@@ -7,7 +7,7 @@ from fsglab.data import gen_synthetic
 from fsglab.errors import ContractError, DimensionError, DivergenceError, FormatError
 from fsglab.model import Model
 from fsglab.rng import Rng
-from fsglab.tensor import finite_diff
+from fsglab.checks import _group_norm_fd
 from fsglab.trainer import (
     FsgTrainer,
     LrDecay,
@@ -152,9 +152,7 @@ class TestHypernetGradients:
         res = tr._compute_step(*b2, quantizer="surrogate")
         hyper = res["hyper_grads"]
         for name, arr in tr.bundle.named_params():
-            an = hyper[name]
-            fd = finite_diff(lambda _: tr.surrogate_loss(*b2), arr)
-            rel = np.max(np.abs(fd - an)) / (np.max(np.abs(an)) + 1e-12)
+            rel = _group_norm_fd(lambda: tr.surrogate_loss(*b2), arr, hyper[name])
             assert rel < 1e-4, f"{name}: {rel}"
 
     def test_surrogate_loss_is_pure(self, blobs):
