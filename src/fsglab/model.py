@@ -6,7 +6,9 @@ cross-entropy head applied by the trainer.  dense and conv2d carry a
 weight overrides so a trainer can substitute binarized or re-parameterized
 weights without mutating the stored full-precision ones, and backward
 returns the gradient with respect to exactly the weight array the forward
-used.
+used.  A layer's backward(cache, g_out, need_input) returns (g_input,
+grads); with need_input=False a layer with weights skips its input
+gradient and returns None for it.
 
 Layer descriptors (config `model.layers`):
 
@@ -33,6 +35,9 @@ from .tensor import (
 
 LAYER_KINDS = ("dense", "conv2d", "bias", "relu", "tanh", "flatten")
 
+# The parameter array of each kind that has one, by attribute name.
+PARAM_OF_KIND = {"dense": "w", "conv2d": "w", "bias": "b"}
+
 
 class DenseLayer:
     kind = "dense"
@@ -50,9 +55,9 @@ class DenseLayer:
         w = self.w if w is None else w
         return matmul(x, w), (x, w)
 
-    def backward(self, cache, g_out):
+    def backward(self, cache, g_out, need_input=True):
         x, w = cache
-        g_x = matmul(g_out, w.T)
+        g_x = matmul(g_out, w.T) if need_input else None
         g_w = np.einsum("bi,bo->io", x, g_out)
         return g_x, {"w": g_w}
 
@@ -78,9 +83,9 @@ class Conv2dLayer:
         w = self.w if w is None else w
         return conv2d_forward(x, w, self.stride, self.pad), (x, w)
 
-    def backward(self, cache, g_out):
+    def backward(self, cache, g_out, need_input=True):
         x, w = cache
-        g_x, g_w = conv2d_backward(x, w, g_out, self.stride, self.pad)
+        g_x, g_w = conv2d_backward(x, w, g_out, self.stride, self.pad, need_input)
         return g_x, {"w": g_w}
 
 
@@ -106,7 +111,7 @@ class BiasLayer:
             return x + self.b[None, :, None, None], x.ndim
         raise DimensionError(f"bias layer expects 2-D or 4-D input, got {x.shape}")
 
-    def backward(self, cache, g_out):
+    def backward(self, cache, g_out, need_input=True):
         ndim = cache
         axes = (0,) if ndim == 2 else (0, 2, 3)
         return g_out, {"b": g_out.sum(axis=axes)}
@@ -122,7 +127,7 @@ class ReluLayer:
     def forward(self, x, w=None):
         return relu_forward(x), x
 
-    def backward(self, cache, g_out):
+    def backward(self, cache, g_out, need_input=True):
         return relu_backward(cache, g_out), {}
 
 
@@ -137,7 +142,7 @@ class TanhLayer:
         out = np.tanh(x)
         return out, out
 
-    def backward(self, cache, g_out):
+    def backward(self, cache, g_out, need_input=True):
         return g_out * (1.0 - cache * cache), {}
 
 
@@ -151,7 +156,7 @@ class FlattenLayer:
     def forward(self, x, w=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, cache, g_out):
+    def backward(self, cache, g_out, need_input=True):
         return g_out.reshape(cache), {}
 
 
@@ -223,13 +228,8 @@ class Model:
         return [i for i, l in enumerate(self.layers) if getattr(l, "binarize", False)]
 
     def named_params(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            if layer.kind in ("dense", "conv2d"):
-                out.append((f"layer{i}.w", layer.w))
-            elif layer.kind == "bias":
-                out.append((f"layer{i}.b", layer.b))
-        return out
+        return [(f"layer{i}.{PARAM_OF_KIND[l.kind]}", getattr(l, PARAM_OF_KIND[l.kind]))
+                for i, l in enumerate(self.layers) if l.kind in PARAM_OF_KIND]
 
     def forward(self, x, overrides=None):
         """Returns (output, caches); overrides maps layer index -> weight array.
@@ -249,15 +249,19 @@ class Model:
         return out, caches
 
     def backward(self, g_out, caches):
-        """Returns (g_input, grads dict keyed like named_params).
+        """Gradients of every parameter, keyed like named_params.
 
         For layers whose forward ran with an override, the "w" entry is the
-        gradient w.r.t. that override (the weights actually used).
+        gradient w.r.t. that override (the weights actually used).  Nothing
+        reads the gradient w.r.t. the model input, so the walk ends at the
+        lowest layer with parameters and skips that layer's input gradient.
         """
+        lowest = next((i for i, layer in enumerate(self.layers)
+                       if layer.kind in PARAM_OF_KIND), len(self.layers))
         grads = {}
         g = g_out
-        for i in range(len(self.layers) - 1, -1, -1):
-            g, layer_grads = self.layers[i].backward(caches[i], g)
+        for i in range(len(self.layers) - 1, lowest - 1, -1):
+            g, layer_grads = self.layers[i].backward(caches[i], g, i > lowest)
             for pname, garr in layer_grads.items():
                 grads[f"layer{i}.{pname}"] = garr
-        return g, grads
+        return grads

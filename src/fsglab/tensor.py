@@ -23,11 +23,22 @@ values and is reused from block to block; only a single output row
 that.  There is no full im2col: the convolutions copy one tap's
 strided window at a time.
 
+`matmul` and `conv2d_backward` run with numpy's ufunc buffer scoped down to
+`_UFUNC_BUFFER` values (`_small_ufunc_buffer`).  At the default size numpy
+runs a broadcast ufunc whose inner runs are shorter than a few thousand
+elements on its slow buffered path, and every rank-1 product block and
+window add of these kernels has such runs.  Their operands are aligned
+float64 and never need a buffer, so the scope changes the speed only: the
+same operations run in the same order, and the caller's buffer size and
+error settings are restored on return.
+
 `finite_diff` is the package's one central-difference loop: every gradient
 claim, in the acceptance checks and the tests, is checked against it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,14 +48,34 @@ from .rng import Rng
 DTYPE = np.float64
 
 # Largest number of float64 values (512 KiB) in one kernel scratch buffer.
-# A tile of that size stays in a 2 MiB L2 cache, and its contiguous runs
-# stay in the thousands, long enough for numpy not to buffer its ufunc loops.
+# A tile of that size stays in a 2 MiB L2 cache.
 _SCRATCH = 1 << 16
+
+# numpy's ufunc buffer size (in elements) inside `matmul` and
+# `conv2d_backward`.  At the default, 8192, a broadcast (R, 1) x (1, C)
+# multiply takes numpy's buffered path while C is below a few thousand:
+# 1.33 ns per product at C = 800 against 0.34 ns at this size, and 0.3 ns
+# either way from C = 4096 (numpy 2.4, one Xeon core).  In interleaved runs
+# at the benchmark's shapes 128 was fastest or tied for both kernels: 16 and
+# 64 slow the window adds of `conv2d_backward`, 256 the 2048-deep head
+# product, and 1024 and up bring the slow path back in `matmul`.
+_UFUNC_BUFFER = 128
 
 # Contraction indices per `matmul` block when the output is too large for
 # the block to hold all of its rows: fewer make the per-block calls and the
 # extra add of the accumulator dominate.
 _K_BLOCK = 64
+
+
+@contextmanager
+def _small_ufunc_buffer():
+    """numpy's ufunc buffer at `_UFUNC_BUFFER` values inside the block.
+
+    `np.errstate()` keeps the caller's error settings and restores them and
+    the buffer size on exit, also when the block raises."""
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFFER)
+        yield
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,34 +93,35 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=DTYPE)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    flip = a.shape[0] > b.shape[1]
-    if flip:
-        a, b = b.T, a.T
-    rows, depth = a.shape
-    cols = b.shape[1]
-    acc = np.zeros((rows, cols), dtype=DTYPE)
-    if cols == 1:
-        # A one-column reduction would be numpy's inner loop, which sums
-        # pairwise; one k per block keeps the order.
-        k_tile = 1
-    else:
-        k_tile = max(1, min(depth, _SCRATCH // max(cols, 1),
-                            max(_K_BLOCK, _SCRATCH // max(rows * cols, 1))))
-    row_tile = max(1, min(rows, _SCRATCH // max(k_tile * cols, 1)))
-    terms_buf = np.empty(k_tile * row_tile * cols, dtype=DTYPE)
-    rhs_buf = np.empty(k_tile * cols, dtype=DTYPE)
-    for k0 in range(0, depth, k_tile):
-        kb = min(k_tile, depth - k0)
-        rhs = rhs_buf[: kb * cols].reshape(kb, cols)
-        np.copyto(rhs, b[k0 : k0 + kb])  # contiguous rows, also when b is a.T
-        for r0 in range(0, rows, row_tile):
-            out = acc[r0 : r0 + row_tile]
-            terms = terms_buf[: kb * out.size].reshape(kb, out.shape[0], cols)
-            np.multiply(a[r0 : r0 + row_tile, k0 : k0 + kb, None], rhs,
-                        out=terms.transpose(1, 0, 2))
-            np.add(out, terms[0], out=terms[0])
-            np.add.reduce(terms, axis=0, out=out)
-    return np.ascontiguousarray(acc.T) if flip else acc
+    with _small_ufunc_buffer():
+        flip = a.shape[0] > b.shape[1]
+        if flip:
+            a, b = b.T, a.T
+        rows, depth = a.shape
+        cols = b.shape[1]
+        acc = np.zeros((rows, cols), dtype=DTYPE)
+        if cols == 1:
+            # A one-column reduction would be numpy's inner loop, which sums
+            # pairwise; one k per block keeps the order.
+            k_tile = 1
+        else:
+            k_tile = max(1, min(depth, _SCRATCH // max(cols, 1),
+                                max(_K_BLOCK, _SCRATCH // max(rows * cols, 1))))
+        row_tile = max(1, min(rows, _SCRATCH // max(k_tile * cols, 1)))
+        terms_buf = np.empty(k_tile * row_tile * cols, dtype=DTYPE)
+        rhs_buf = np.empty(k_tile * cols, dtype=DTYPE)
+        for k0 in range(0, depth, k_tile):
+            kb = min(k_tile, depth - k0)
+            rhs = rhs_buf[: kb * cols].reshape(kb, cols)
+            np.copyto(rhs, b[k0 : k0 + kb])  # contiguous rows, also when b is a.T
+            for r0 in range(0, rows, row_tile):
+                out = acc[r0 : r0 + row_tile]
+                terms = terms_buf[: kb * out.size].reshape(kb, out.shape[0], cols)
+                np.multiply(a[r0 : r0 + row_tile, k0 : k0 + kb, None], rhs,
+                            out=terms.transpose(1, 0, 2))
+                np.add(out, terms[0], out=terms[0])
+                np.add.reduce(terms, axis=0, out=out)
+        return np.ascontiguousarray(acc.T) if flip else acc
 
 
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -166,7 +198,7 @@ def conv2d_forward(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     return out
 
 
-def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0):
+def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0, input_grad: bool = True):
     """Gradients of sum(g_out * conv2d_forward(x, w)) w.r.t. x and w.
 
     Per batch tile and kernel offset (kh, kw), the windows of every input
@@ -174,7 +206,8 @@ def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0):
     `np.matmul` contractions with the tile's cotangent give that offset's
     weight gradient and the input-gradient columns, which are added back
     into the padded input's window.  Sums run in BLAS order, not in a fixed
-    one.
+    one.  With input_grad=False the input gradient is not computed and
+    comes back as None.
     """
     x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
     g_out = np.asarray(g_out, dtype=DTYPE)
@@ -185,34 +218,39 @@ def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0):
             f"conv2d_backward cotangent shape {g_out.shape} != output shape "
             f"{(batch, c_out, h_out, w_out)}"
         )
-    hw = h_out * w_out
-    padded = (height + 2 * pad, width + 2 * pad)
-    tile = _batch_tile(batch, c_in * padded[0] * padded[1], c_out * hw, c_in * hw)
-    xp = np.zeros((tile, c_in) + padded, dtype=DTYPE)
-    g_xp = np.empty_like(xp)
-    g_buf = np.empty(c_out * tile * hw, dtype=DTYPE)
-    col_buf = np.empty(c_in * tile * hw, dtype=DTYPE)
-    g_x = np.empty_like(x)
-    g_w = np.zeros_like(w)
-    for b0 in range(0, batch, tile):
-        n = min(tile, batch - b0)
-        xp[:n, :, pad : pad + height, pad : pad + width] = x[b0 : b0 + n]
-        g = g_buf[: c_out * n * hw].reshape(c_out, n, hw)
-        np.copyto(g, g_out[b0 : b0 + n].reshape(n, c_out, hw).transpose(1, 0, 2))
-        g = g.reshape(c_out, n * hw)
-        cols = col_buf[: c_in * n * hw].reshape(c_in, n, h_out, w_out)
-        flat = cols.reshape(c_in, n * hw)
-        gxp = g_xp[:n]
-        gxp.fill(0.0)
-        for i in range(kh):
-            for j in range(kw):
-                np.copyto(cols, _window(xp[:n], i, j, stride, h_out, w_out).transpose(1, 0, 2, 3))
-                g_w[:, :, i, j] += np.matmul(g, flat.T)
-                np.matmul(w[:, :, i, j].T, g, out=flat)  # the columns' gradient
-                window = _window(gxp, i, j, stride, h_out, w_out)
-                window += cols.transpose(1, 0, 2, 3)
-        g_x[b0 : b0 + n] = gxp[:, :, pad : pad + height, pad : pad + width]
-    return g_x, g_w
+    with _small_ufunc_buffer():
+        hw = h_out * w_out
+        padded = (height + 2 * pad, width + 2 * pad)
+        tile = _batch_tile(batch, c_in * padded[0] * padded[1], c_out * hw, c_in * hw)
+        xp = np.zeros((tile, c_in) + padded, dtype=DTYPE)
+        g_xp = np.empty_like(xp) if input_grad else None
+        g_buf = np.empty(c_out * tile * hw, dtype=DTYPE)
+        col_buf = np.empty(c_in * tile * hw, dtype=DTYPE)
+        g_x = np.empty_like(x) if input_grad else None
+        g_w = np.zeros_like(w)
+        for b0 in range(0, batch, tile):
+            n = min(tile, batch - b0)
+            xp[:n, :, pad : pad + height, pad : pad + width] = x[b0 : b0 + n]
+            g = g_buf[: c_out * n * hw].reshape(c_out, n, hw)
+            np.copyto(g, g_out[b0 : b0 + n].reshape(n, c_out, hw).transpose(1, 0, 2))
+            g = g.reshape(c_out, n * hw)
+            cols = col_buf[: c_in * n * hw].reshape(c_in, n, h_out, w_out)
+            flat = cols.reshape(c_in, n * hw)
+            if input_grad:
+                gxp = g_xp[:n]
+                gxp.fill(0.0)
+            for i in range(kh):
+                for j in range(kw):
+                    np.copyto(cols, _window(xp[:n], i, j, stride, h_out, w_out)
+                              .transpose(1, 0, 2, 3))
+                    g_w[:, :, i, j] += np.matmul(g, flat.T)
+                    if input_grad:
+                        np.matmul(w[:, :, i, j].T, g, out=flat)  # the columns' gradient
+                        window = _window(gxp, i, j, stride, h_out, w_out)
+                        window += cols.transpose(1, 0, 2, 3)
+            if input_grad:
+                g_x[b0 : b0 + n] = gxp[:, :, pad : pad + height, pad : pad + width]
+        return g_x, g_w
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -300,7 +300,7 @@ class _TrainerBase:
         loss, g_logits, _ = softmax_cross_entropy(logits, y)
         if not np.isfinite(loss):
             raise DivergenceError(it)
-        _, grads = self.model.backward(g_logits, caches)
+        grads = self.model.backward(g_logits, caches)
         for i, s in layers.items():
             s.g_fwd = grads[f"layer{i}.w"]
             s.g_ste = ste_backward(s.g_fwd) * s.da_fwd

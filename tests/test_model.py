@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from fsglab import model as model_module
 from fsglab.errors import ContractError, DimensionError
 from fsglab.model import Model, parse_layer
 from fsglab.rng import Rng
@@ -71,7 +72,7 @@ def test_full_model_backward_matches_finite_differences():
 
     logits, caches = model.forward(x)
     _, g_logits, _ = softmax_cross_entropy(logits, labels)
-    _, grads = model.backward(g_logits, caches)
+    grads = model.backward(g_logits, caches)
 
     for name, arr in model.named_params():
         err = finite_diff_check(lambda _: loss_fn(), arr, grads[name])
@@ -86,11 +87,33 @@ def test_weight_override_gradient_is_wrt_override():
     cot = rng.normals((4, 2))
     out, caches = model.forward(x, overrides={0: override})
     assert np.allclose(out, x @ override, atol=1e-12)
-    _, grads = model.backward(cot, caches)
+    grads = model.backward(cot, caches)
     err = finite_diff_check(
         lambda p: float(np.sum(cot * model.forward(x, overrides={0: p})[0])),
         override, grads["layer0.w"])
     assert err < 1e-6
+
+
+def test_backward_skips_the_model_input_gradient(monkeypatch):
+    """Nothing reads the gradient w.r.t. the model input: the lowest layer
+    with parameters skips its input gradient and the layers below it are not
+    run backward."""
+    asked = []
+    conv_backward = model_module.conv2d_backward
+
+    def spy(x, w, g_out, stride, pad, input_grad):
+        asked.append(input_grad)
+        return conv_backward(x, w, g_out, stride, pad, input_grad)
+
+    monkeypatch.setattr(model_module, "conv2d_backward", spy)
+    model = Model.build(["relu", "conv2d:1:2:3:pad=1", "relu", "conv2d:2:2:3",
+                         "flatten", "dense:8:3"], Rng(7))
+    x = Rng(8).normals((2, 1, 4, 4))
+    logits, caches = model.forward(x)
+    caches[0] = None  # the leading relu's backward would fail on it
+    grads = model.backward(np.ones_like(logits), caches)
+    assert asked == [True, False]
+    assert sorted(grads) == ["layer1.w", "layer3.w", "layer5.w"]
 
 
 def test_build_determinism():

@@ -390,6 +390,67 @@ class TestMatmulBlocking:
         assert_same_bits(matmul(a, b), naive_matmul(a, b))
 
 
+def ascending_k_matmul(a, b):
+    """The naive loop's rounding sequence, vectorised over output elements:
+    every element starts at +0.0 and adds one rounded product per k, in order."""
+    acc = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        acc = acc + a[:, k : k + 1] * b[k]
+    return acc
+
+
+class TestMatmulBenchShapes:
+    # (m, k, n) of the benchmark's products: slow-wide's 800-row batch
+    # through its 64-wide stack, conv-idx's 2048-wide dense head on batches
+    # of 64 and 256.  Their inner runs straddle numpy's default ufunc buffer
+    # (8192), below which the unscoped kernel took the buffered path.
+    SHAPES = [(800, 64, 64), (800, 2, 64), (800, 64, 2),
+              (64, 2048, 10), (64, 10, 2048), (256, 2048, 10)]
+
+    @pytest.mark.parametrize("m,k,n", SHAPES)
+    def test_matches_ascending_k_bits(self, m, k, n):
+        rng = Rng(m + 3 * k + 7 * n)
+        a, b = wide_normals(rng, (m, k)), wide_normals(rng, (k, n))
+        assert_same_bits(matmul(a, b), ascending_k_matmul(a, b))
+
+
+def numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+class TestUfuncBufferScope:
+    """The kernels scope numpy's ufunc buffer down; the caller's buffer size
+    and error settings must be the same after they return or raise."""
+
+    CALLER = dict(divide="ignore", over="raise", under="warn", invalid="raise")
+
+    def test_matmul_returns_to_the_callers_state(self):
+        rng = Rng(8)
+        with np.errstate(**self.CALLER):
+            np.setbufsize(4096)
+            before = numpy_state()
+            matmul(rng.normals((40, 30)), rng.normals((30, 20)))
+            assert numpy_state() == before
+
+    def test_matmul_raises_under_the_callers_error_settings(self):
+        a, b = np.array([[1.0, np.inf]]), np.array([[1.0], [0.0]])
+        with np.errstate(**self.CALLER):
+            np.setbufsize(4096)
+            before = numpy_state()
+            with pytest.raises(FloatingPointError):
+                matmul(a, b)  # inf * 0
+            assert numpy_state() == before
+
+    def test_conv2d_backward_returns_to_the_callers_state(self):
+        rng = Rng(9)
+        x, w = rng.normals((3, 2, 6, 6)), rng.normals((4, 2, 3, 3))
+        with np.errstate(**self.CALLER):
+            np.setbufsize(4096)
+            before = numpy_state()
+            conv2d_backward(x, w, rng.normals((3, 4, 6, 6)), 1, 1)
+            assert numpy_state() == before
+
+
 class TestConvTiling:
     # (x shape, w shape, stride, pad, scratch): the scratch size gives a batch
     # tile that does not divide the batch (or one image per tile).
@@ -429,6 +490,18 @@ class TestConvTiling:
                              naive_conv2d_backward(x, w, g_out, stride, pad)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    def test_backward_without_input_gradient_keeps_weight_gradient_bits(
+            self, monkeypatch, x_shape, w_shape, stride, pad, scratch):
+        if scratch is not None:
+            monkeypatch.setattr(tensor, "_SCRATCH", scratch)
+        rng = Rng(sum(x_shape) * 19 + stride)
+        x, w = rng.normals(x_shape), rng.normals(w_shape)
+        g_out = rng.normals(conv2d_forward(x, w, stride, pad).shape)
+        g_x, g_w = conv2d_backward(x, w, g_out, stride, pad, input_grad=False)
+        assert g_x is None
+        assert_same_bits(g_w, conv2d_backward(x, w, g_out, stride, pad)[1])
 
     def test_backward_checks_geometry_like_forward(self):
         x, w = np.zeros((2, 3, 5, 5)), np.zeros((4, 3, 3, 3))

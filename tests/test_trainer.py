@@ -251,6 +251,19 @@ class TestTrainerBehavior:
             for kk, vv in v.items():
                 assert np.array_equal(vv, opt_before[k][kk])
 
+    def test_step_and_evaluate_keep_the_callers_numpy_state(self, blobs):
+        """The kernels scope numpy's ufunc buffer; none of it may leak out."""
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm")
+        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(5)), cfg)
+        with np.errstate(all="ignore"):
+            np.setbufsize(4096)
+            before = (np.getbufsize(), np.geterr())
+            for _ in range(2):  # the first step and a generated-gradient one
+                tr.step(blobs.x[:16], blobs.y[:16])
+                assert (np.getbufsize(), np.geterr()) == before
+            tr.evaluate(blobs.x, blobs.y)
+            assert (np.getbufsize(), np.geterr()) == before
+
     def test_evaluate_perfect_fit(self):
         # dataset the quantized model classifies perfectly by construction
         data = gen_synthetic("blobs", 10, 0.0, Rng(2))

@@ -1,4 +1,4 @@
-"""Byte-identity check of two source trees over 17 small training configs.
+"""Byte-identity check of two source trees over 19 small training configs.
 
     python tools/bitcheck.py <src_a> <src_b> [--configs NAME,NAME,...]
 
@@ -14,7 +14,11 @@ on one definition.  It exits 1 if any digest differs.
 
 The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
-images and two 64x64 binarized layers at the paper's slow-net dims.
+images and two 64x64 binarized layers at the paper's slow-net dims.  Two
+run `tensor.matmul` at the benchmark's shapes: `wide-full-batch` puts a
+400-sample batch through the 64-wide stack (the transposed kernel on rows
+of 400), and `conv-head-2048` a `flatten, dense:2048:10` head on 16x16 IDX
+images (contractions 2048 long).
 
 At the default hyper_lr the LSTM and composed-history configs write the
 same metrics.csv bytes as slow_kind = off, so they run with hyper_lr = 0.1,
@@ -53,6 +57,18 @@ WIDE = ["epochs = 3", "record_timing = false", "lr_decay.factor = 1.0", "seed = 
         "batch_size = 64", "l = 6", "dataset.kind = spirals", "dataset.n_per_class = 100",
         "model.layers = dense:2:64, bias:64, relu, dense:64:64:bin, relu, dense:64:2, bias:2"]
 
+
+def _override(lines, *changes):
+    """lines with each `key = value` of changes in place of that key's line."""
+    keys = {change.split("=")[0].strip() for change in changes}
+    return [line for line in lines if line.split("=")[0].strip() not in keys] + list(changes)
+
+
+# batches of 16 > 10 outputs, so the head's products run transposed, 2048 deep
+CONV16 = _override(CONV, "batch_size = 16", "dataset.images_path = {images16}",
+                   "model.layers = conv2d:1:8:3:pad=1, relu, conv2d:8:8:3:pad=1:bin, relu, "
+                   "flatten, dense:2048:10")
+
 CONFIGS = {
     "fsg-adam": SMALL + ADAM + ["dataset.test_per_class = 8"],
     "fsg-sgd": SMALL + SGD,
@@ -71,6 +87,8 @@ CONFIGS = {
     "ste-conv": CONV + ADAM + ["method = ste"],
     "wide-adam": WIDE + ["base_optimizer.kind = adam", "base_optimizer.lr = 0.001"],
     "wide-sgd": WIDE + SGD,
+    "wide-full-batch": _override(WIDE, "batch_size = 400", "dataset.n_per_class = 200") + ADAM,
+    "conv-head-2048": CONV16 + ADAM,
 }
 
 # runs in the tree under test: `fsglab train`, keeping the trainer it builds
@@ -99,10 +117,14 @@ with open(sys.argv[2] + "/metrics.csv", "rb") as fh:
 """
 
 
-def _write_idx(images_path: Path, labels_path: Path) -> None:
-    """24 deterministic 6x6 uint8 images and alternating labels, in the IDX layout."""
-    pixels = (np.arange(24 * 36).reshape(24, 6, 6) * 37 % 251).astype(np.uint8)
-    images_path.write_bytes(struct.pack(">IIII", 0x803, 24, 6, 6) + pixels.tobytes())
+def _write_idx(images_path: Path, size: int) -> None:
+    """24 deterministic size x size uint8 images in the IDX layout."""
+    pixels = (np.arange(24 * size * size).reshape(24, size, size) * 37 % 251).astype(np.uint8)
+    images_path.write_bytes(struct.pack(">IIII", 0x803, 24, size, size) + pixels.tobytes())
+
+
+def _write_labels(labels_path: Path) -> None:
+    """24 alternating labels in the IDX layout."""
     labels = (np.arange(24) % 2).astype(np.uint8)
     labels_path.write_bytes(struct.pack(">II", 0x801, 24) + labels.tobytes())
 
@@ -138,8 +160,11 @@ def main(argv=None) -> int:
     differ = 0
     with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
         tmp = Path(tmp)
-        paths = {"images": tmp / "img.idx", "labels": tmp / "lab.idx"}
-        _write_idx(paths["images"], paths["labels"])
+        paths = {"images": tmp / "img.idx", "images16": tmp / "img16.idx",
+                 "labels": tmp / "lab.idx"}
+        _write_idx(paths["images"], 6)
+        _write_idx(paths["images16"], 16)
+        _write_labels(paths["labels"])
         for name in names:
             cfg_path = tmp / f"{name}.cfg"
             cfg_path.write_text("\n".join(CONFIGS[name]).format(**paths) + "\n")
