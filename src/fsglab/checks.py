@@ -128,7 +128,7 @@ def criterion_1_gradients():
             tr.buffers[i].load(r.normals((1, tr.buffers[i].xi)))
             tr.prev_quant_grad[i] = r.normals(tr.model.layers[i].w.shape)
         batch = (blobs.x[8:16], blobs.y[8:16])
-        hyper = tr._compute_step(*batch, quantizer="surrogate")["hyper_grads"]
+        hyper = tr._compute_step(*batch, surrogate=True)["hyper_grads"]
         for name, arr in tr.bundle.named_params():
             errs["end-to-end"].append(
                 _group_norm_fd(lambda: tr.surrogate_loss(*batch), arr, hyper[name]))

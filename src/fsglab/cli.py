@@ -42,6 +42,7 @@ import numpy as np
 from . import checks
 from .config import RunConfig, config_hash, load_config, save_config
 from .convergence import (
+    FIT_WINDOW,
     make_phi,
     make_quadratic_problem,
     pk_recursion_check,
@@ -182,9 +183,8 @@ def run_bench(cfg: RunConfig, outdir: Path):
     v = cfg.values
     dim, t_max = v["bench.dim"], v["bench.t"]
     seeds, repeats = v["bench.seeds"], v["bench.repeats"]
-    slopes, residuals = [], []
+    slopes, residuals, gaps, errs = [], [], [], []
     bound_ok = True
-    rows = None
     for s in range(seeds):
         rng = Rng(v["seed"] + 1000 * s)
         problem = make_quadratic_problem(dim, v["bench.components"], v["bench.noise"],
@@ -200,21 +200,17 @@ def run_bench(cfg: RunConfig, outdir: Path):
         slopes.append(rate_fit(trace.ts, trace.gaps))
         residuals.append(pk_recursion_check(trace, v["beta"]))
         bound_ok &= bool(np.all(trace.gaps <= theorem_bound(trace, trace.ts)))
-        if rows is None:
-            rows = [(int(t), [g], [e]) for t, g, e in
-                    zip(trace.ts, trace.gaps, trace.gap_stderr)]
-        else:
-            for i, (t, g, e) in enumerate(zip(trace.ts, trace.gaps, trace.gap_stderr)):
-                rows[i][1].append(g)
-                rows[i][2].append(e)
+        gaps.append(trace.gaps)
+        errs.append(trace.gap_stderr)
     gap_path = outdir / "bench_gap.csv"
     with open(gap_path, "w", encoding="utf-8") as fh:
         fh.write("t,mean_gap,stderr\n")
-        for t, gaps, errs in rows:
-            fh.write(f"{t},{np.mean(gaps)!r},{np.mean(errs)!r}\n")
+        # every seed logs the same ts; each row is the mean over the seeds, in seed order
+        for t, g, e in zip(trace.ts, np.transpose(gaps), np.transpose(errs)):
+            fh.write(f"{int(t)},{np.mean(g)!r},{np.mean(e)!r}\n")
     summary = {
         "slopes": slopes,
-        "max_pk_residual": max(residuals),
+        "max_pk_residual": float(np.max(residuals)),  # a NaN propagates
         "bound_holds": bool(bound_ok),
         "config": {k: v[k] for k in sorted(v.keys()) if k.startswith("bench.")},
     }
@@ -279,6 +275,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"field 'bench.c': C must be positive, got {cfg['bench.c']}")
             if not cfg["beta"] < 1:
                 raise ConfigError(f"field 'beta': the bench needs beta < 1, got {cfg['beta']}")
+            if cfg["bench.t"] < FIT_WINDOW[0]:
+                raise ConfigError(f"field 'bench.t': the rate fit starts at t = "
+                                  f"{FIT_WINDOW[0]}, got {cfg['bench.t']}")
             outdir = resolve_outdir(cfg, args.out)
             write_manifest(outdir / "manifest.json", config_hash(cfg), cfg["seed"],
                            {"command": "bench-convergence"})

@@ -36,6 +36,7 @@ from .rng import Rng
 from .tensor import DTYPE, orthogonal_init
 
 DIVERGENCE_LIMIT = 1e12
+FIT_WINDOW = (100, 10000)  # iteration counts `rate_fit` fits over by default
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,8 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass
 class ConvexProblem:
-    """Finite-sum quadratic f_i = 0.5 ||x - c_i||^2 with a known minimizer."""
+    """Finite-sum quadratic f_i = 0.5 ||x - c_i||^2 with its minimizer x* = mean c_i
+    and f* = f(x*), so f(x) = 0.5 ||x - x*||^2 + f* and E||grad_i - grad||^2 = 2 f*."""
 
     dim: int
     n_components: int
@@ -54,20 +56,13 @@ class ConvexProblem:
     centers: np.ndarray
 
     def value(self, x) -> float:
-        mean_c = self.centers.mean(axis=0)
-        const = 0.5 * float(np.mean(np.sum((self.centers - mean_c) ** 2, axis=1)))
-        return 0.5 * float(np.sum((x - mean_c) ** 2)) + const
+        return 0.5 * float(np.sum((x - self.x_star) ** 2)) + self.f_star
 
     def grad(self, x) -> np.ndarray:
-        return x - self.centers.mean(axis=0)
+        return x - self.x_star
 
     def grad_component(self, x, i: int) -> np.ndarray:
         return x - self.centers[i]
-
-    def gradient_noise_sq(self) -> float:
-        """Exact E||grad_i - grad||^2 (x-independent)."""
-        mean_c = self.centers.mean(axis=0)
-        return float(np.mean(np.sum((self.centers - mean_c) ** 2, axis=1)))
 
 
 def make_quadratic_problem(dim: int, n_components: int, noise: float,
@@ -218,7 +213,7 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
     trace.constants = dict(
         omega=phi.omega, theta=phi.theta, G=g_max,
         kappa=float(dist_min), rho=float(dist_max),
-        delta_sq=problem.gradient_noise_sq() + slow_noise**2,
+        delta_sq=2.0 * problem.f_star + slow_noise**2,
         f0_gap=problem.value(x0) - problem.f_star, x0_dist=x0_dist,
     )
     return trace
@@ -235,21 +230,15 @@ def pk_recursion_check(trace: IterateTrace, beta: float) -> float:
     worst = 0.0
     ratio = beta / (1.0 - beta)
     for xs, phig, xi in zip(trace.xs, trace.phi_g, trace.noise):
-        steps = phig.shape[0]
-        diffs = np.diff(xs, axis=0)  # x_{k+1} - x_k
-        p = ratio * diffs  # p_{k+1} for k = 0..steps-1
-        p_prev = np.zeros_like(xs[0])
-        for k in range(steps):
-            lhs = xs[k + 1] + p[k]
-            rhs = (xs[k] + p_prev
-                   - trace.alpha / (1.0 - beta) * phig[k]
-                   + ratio * xi[k])
-            worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # a NaN propagates
-            p_prev = p[k]
+        p = ratio * np.diff(xs, axis=0)  # row k is p_{k+1}
+        p_prev = np.concatenate([np.zeros_like(xs[:1]), p[:-1]])  # row k is p_k
+        lhs = xs[1:] + p
+        rhs = xs[:-1] + p_prev - trace.alpha / (1.0 - beta) * phig + ratio * xi
+        worst = np.max(np.abs(lhs - rhs), initial=worst)  # a NaN propagates
     return float(worst)
 
 
-def rate_fit(ts, gaps, window=(100, 10000)) -> float:
+def rate_fit(ts, gaps, window=FIT_WINDOW) -> float:
     """Least-squares slope of log(gap) vs log(t+1) over the window."""
     ts = np.asarray(ts, dtype=DTYPE)
     gaps = np.asarray(gaps, dtype=DTYPE)

@@ -30,13 +30,15 @@ EPS_MAX = 1e-12
 DOMAIN_SLACK = 1e-9
 
 
-def preprocess(w: np.ndarray):
-    """Return (w_hat, dA_dW) for a weight tensor."""
+def preprocess(w: np.ndarray, m=None):
+    """Return (w_hat, dA_dW) for a weight tensor, normalised by the layer max m, by
+    default max|tanh(w)|; the trainer's surrogate path passes its base weights'."""
     w = np.asarray(w, dtype=DTYPE)
     if not np.all(np.isfinite(w)):
         raise EvaluationError("preprocess: non-finite weights")
     t = np.tanh(w)
-    m = np.max(np.abs(t)) if w.size else 0.0
+    if m is None:
+        m = np.max(np.abs(t)) if w.size else 0.0
     if m < EPS_MAX:
         return np.full_like(w, 0.5), np.zeros_like(w)
     w_hat = t / (2.0 * m) + 0.5

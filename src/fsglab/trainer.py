@@ -16,9 +16,9 @@ evaluated at the probe point
 
 (the exact point a plain-SGD update will land on), quantized as Q(A(W')).
 Backward crosses Q with the straight-through rule and A with its elementwise
-derivative, reaching the two hypernetworks through the W' expression; the
-hypernetwork gradients implemented here are the exact reverse-mode gradients
-of that surrogate path, which is what the finite-difference suite checks.
+derivative, reaching the two hypernetworks through the W' expression; their
+gradients here are exact in reverse mode once Q is the identity and A's layer
+max is held at W, which is what the finite-difference suite checks.
 
 Iteration protocol
 ------------------
@@ -72,6 +72,8 @@ _ENUMS = {
     "history_source": ("raw", "composed"),
     "base_optimizer.kind": ("sgd", "adam"),
 }
+_POSITIVE = ("base_optimizer.lr", "base_optimizer.eps", "hyper_lr", "lr_decay.factor")
+_BELOW_ONE = ("base_optimizer.beta1", "base_optimizer.beta2")  # Adam divides by 1 - beta**t
 
 
 def check_fields(get, at_least_one, enums) -> None:
@@ -127,10 +129,16 @@ class TrainConfig:
 
     def validate(self) -> None:
         """The one check of the train settings; raises ConfigError naming the field."""
-        check_fields(lambda key: operator.attrgetter(key)(self), _AT_LEAST_ONE, _ENUMS)
-        if self.base_optimizer.lr <= 0:
-            raise ConfigError(f"field 'base_optimizer.lr': lr must be > 0, "
-                              f"got {self.base_optimizer.lr}")
+        get = lambda key: operator.attrgetter(key)(self)
+        check_fields(get, _AT_LEAST_ONE, _ENUMS)
+        for key in _POSITIVE:
+            if not get(key) > 0:
+                raise ConfigError(f"field {key!r}: {key.split('.')[-1]} must be > 0, "
+                                  f"got {get(key)}")
+        for key in _BELOW_ONE:
+            if not 0.0 <= get(key) < 1.0:
+                raise ConfigError(f"field {key!r}: {key.split('.')[-1]} must be in [0, 1), "
+                                  f"got {get(key)}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"field 'beta': beta must be in [0, 1], got {self.beta}")
 
@@ -175,30 +183,17 @@ class LayerStep:
 def compose_gradient(g_fast, g_slow, da_dw, alpha: float, beta: float) -> np.ndarray:
     """G = alpha * g_fast (*) da_dw - beta * g_slow; absent terms are zero."""
     da_dw = np.asarray(da_dw, dtype=DTYPE)
-    if g_fast is None and g_slow is None:
-        return np.zeros_like(da_dw)
-    if g_fast is not None:
-        g_fast = np.asarray(g_fast, dtype=DTYPE)
-        if g_fast.shape != da_dw.shape:
+    for which, g in (("fast", g_fast), ("slow", g_slow)):
+        if g is not None and np.shape(g) != da_dw.shape:
             raise DimensionError(
-                f"fast gradient shape {g_fast.shape} != da_dw shape {da_dw.shape}"
-            )
-        out = alpha * g_fast * da_dw
-    else:
+                f"{which} gradient shape {np.shape(g)} != da_dw shape {da_dw.shape}")
+    if g_fast is None:
         out = np.zeros_like(da_dw)
+    else:
+        out = alpha * np.asarray(g_fast, dtype=DTYPE) * da_dw
     if g_slow is not None:
-        g_slow = np.asarray(g_slow, dtype=DTYPE)
-        if g_slow.shape != da_dw.shape:
-            raise DimensionError(
-                f"slow gradient shape {g_slow.shape} != da_dw shape {da_dw.shape}"
-            )
-        out = out - beta * g_slow
+        out = out - beta * np.asarray(g_slow, dtype=DTYPE)
     return out
-
-
-def _layer_index(param_name: str) -> int:
-    """Model layer index of a parameter name `layer{i}.{w|b}`."""
-    return int(param_name.split(".")[0][5:])
 
 
 def _checked(arrays: dict, name: str, shape: tuple) -> np.ndarray:
@@ -278,13 +273,22 @@ class _TrainerBase:
 
     # -- binarized layers ------------------------------------------------------
 
-    def _preprocess(self, w, i: int, it: int, which: str = "W"):
-        """preprocess(w) of binarized layer i; non-finite weights end the run."""
+    def _preprocess(self, w, i: int, it: int, which: str = "W", m=None):
+        """preprocess(w, m) of binarized layer i; non-finite weights end the run."""
         try:
-            return preprocess(w)
+            return preprocess(w, m)
         except EvaluationError as exc:
             raise DivergenceError(it, f"non-finite weights {which} of layer {i} "
                                       f"at iteration {it}") from exc
+
+    def _update_model(self, grads: dict, bin_grads: dict, lr: float) -> None:
+        """One base-optimizer step of every model parameter by its backprop gradient,
+        except binarized layer i's weights: they move by bin_grads[i], or hold still
+        while that is None."""
+        grads = {**grads, **{f"layer{i}.w": g for i, g in bin_grads.items()}}
+        for name, arr in self.model.named_params():
+            if grads[name] is not None:
+                self._base_update(name, arr, grads[name], lr)
 
     def _ste_layer(self, i: int, it: int) -> LayerStep:
         """Layer i's record with the forward at Q(A(W)), i.e. W' = W."""
@@ -385,9 +389,7 @@ class SteTrainer(_TrainerBase):
         it = self.iteration + 1
         layers = {i: self._ste_layer(i, it) for i in self.bin_indices}
         loss, correct, grads = self._forward_backward(x, y, layers, it)
-        for name, arr in self.model.named_params():
-            i = _layer_index(name)
-            self._base_update(name, arr, layers[i].g_ste if i in layers else grads[name], lr)
+        self._update_model(grads, {i: s.g_ste for i, s in layers.items()}, lr)
         self.iteration = it
         return loss, {"correct": correct, "layers": layers}
 
@@ -415,24 +417,16 @@ class FsgTrainer(_TrainerBase):
 
     # -- one iteration, split into pure compute + state mutation -------------
 
-    def _effective_weight(self, w_prime, quantizer: str, w_base, i: int, it: int):
-        if quantizer == "dorefa":
-            w_hat_p, da_p = self._preprocess(w_prime, i, it, "W' = W - lr*G")
-            return quantize(w_hat_p, self.cfg.bit_width), da_p
-        if quantizer == "surrogate":
-            # Q replaced by identity, and the preprocessing normalization is
-            # frozen at the base weights (which do not depend on the
-            # hypernetworks).  The constant-max derivative convention is then
-            # the exact Jacobian of this path, so finite differences of the
-            # surrogate loss match the implemented backward.
-            t = np.tanh(w_prime)
-            m = np.max(np.abs(np.tanh(w_base)))
-            if m < 1e-12:
-                return np.full_like(w_prime, 0.5), np.zeros_like(w_prime)
-            return t / (2.0 * m) + 0.5, (1.0 - t * t) / (2.0 * m)
-        raise ValueError(f"unknown quantizer {quantizer!r}")
+    def _effective_weight(self, w_prime, surrogate: bool, w_base, i: int, it: int):
+        """(forward weight, dA/dW) at W': Q(A(W')), or on the surrogate path A(W') with Q
+        replaced by identity and A's layer max frozen at the base weights', which do not
+        depend on the hypernetworks.  The constant-max dA/dW is then that path's exact
+        Jacobian, so finite differences of the surrogate loss match the backward."""
+        m = np.max(np.abs(np.tanh(w_base))) if surrogate else None
+        w_hat_p, da_p = self._preprocess(w_prime, i, it, "W' = W - lr*G", m)
+        return (w_hat_p if surrogate else quantize(w_hat_p, self.cfg.bit_width)), da_p
 
-    def _compute_step(self, x, y, quantizer: str = "dorefa"):
+    def _compute_step(self, x, y, surrogate: bool = False):
         cfg = self.cfg
         lr = self.current_lr()
         it = self.iteration + 1
@@ -454,7 +448,7 @@ class FsgTrainer(_TrainerBase):
                     )
                 s.g_fsg = compose_gradient(s.g_fast, s.g_slow, s.da_dw, cfg.alpha, cfg.beta)
                 w_prime = w - lr * s.g_fsg
-            s.w_fwd, s.da_fwd = self._effective_weight(w_prime, quantizer, w, i, it)
+            s.w_fwd, s.da_fwd = self._effective_weight(w_prime, surrogate, w, i, it)
 
         loss, correct, grads = self._forward_backward(x, y, layers, it)
 
@@ -490,7 +484,7 @@ class FsgTrainer(_TrainerBase):
 
     def surrogate_loss(self, x, y) -> float:
         """Loss of the differentiable surrogate path (Q = identity); pure."""
-        return self._compute_step(x, y, quantizer="surrogate")["loss"]
+        return self._compute_step(x, y, surrogate=True)["loss"]
 
     def _apply_step(self, result) -> None:
         cfg = self.cfg
@@ -504,12 +498,7 @@ class FsgTrainer(_TrainerBase):
         for name, arr in self.bundle.named_params():
             if name in hyper_grads:
                 adam_step(arr, hyper_grads[name], self.hyper_state, name, cfg.hyper_lr)
-        for name, arr in self.model.named_params():
-            i = _layer_index(name)
-            if i not in layers:
-                self._base_update(name, arr, result["grads"][name], lr)
-            elif layers[i].g_fsg is not None:  # without one the weights hold still
-                self._base_update(name, arr, layers[i].g_fsg, lr)
+        self._update_model(result["grads"], {i: s.g_fsg for i, s in layers.items()}, lr)
         for i, s in layers.items():
             if cfg.history_source == "composed" and s.g_fsg is not None:
                 self.buffers[i].push(s.g_fsg)
@@ -519,7 +508,7 @@ class FsgTrainer(_TrainerBase):
         self.iteration = result["iteration"]
 
     def step(self, x, y):
-        result = self._compute_step(x, y, quantizer="dorefa")
+        result = self._compute_step(x, y)
         self._apply_step(result)
         return result["loss"], result
 

@@ -23,6 +23,13 @@ def test_same_tree_is_identical(capsys):
     assert out[-1] == "2 of 2 configs identical"
 
 
+def test_bench_entry_compares_its_two_output_files(capsys):
+    assert load_bitcheck().main([str(ROOT), str(ROOT), "--configs", "bench-convergence"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "bench-convergence: same" and out[1].split()[1:] == out[2].split()[1:]
+    assert out[1].split()[1::2] == ["bench_gap.csv", "bench_summary.json"]
+
+
 def test_a_tree_that_cannot_train_differs(tmp_path, capsys):
     assert load_bitcheck().main([str(ROOT), str(tmp_path), "--configs", "ste-adam"]) == 1
     out = capsys.readouterr().out.splitlines()

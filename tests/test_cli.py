@@ -199,6 +199,19 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "config error: field 'beta': the bench needs beta < 1, got 1.0", "bench-convergence"),
     _row("ConfigError-bench-c", ["bench.c = -1.0"], 2,
          "config error: field 'bench.c': C must be positive, got -1.0", "bench-convergence"),
+    _row("ConfigError-bench-t", ["bench.t = 50"], 2,
+         "config error: field 'bench.t': the rate fit starts at t = 100, got 50",
+         "bench-convergence"),
+    _row("ConfigError-beta2", ["base_optimizer.beta2 = 1.0"], 2,
+         "config error: field 'base_optimizer.beta2': beta2 must be in [0, 1), got 1.0"),
+    _row("ConfigError-decay-factor", ["lr_decay.factor = -2"], 2,
+         "config error: field 'lr_decay.factor': factor must be > 0, got -2.0"),
+    _row("ConfigError-hyper-lr", ["hyper_lr = -1"], 2,
+         "config error: field 'hyper_lr': hyper_lr must be > 0, got -1.0"),
+    _row("ConfigError-hyper-lr-zero", ["hyper_lr = 0"], 2,
+         "config error: field 'hyper_lr': hyper_lr must be > 0, got 0.0", "ablate --sweep l=2"),
+    _row("ConfigError-eps", ["base_optimizer.eps = 0"], 2,
+         "config error: field 'base_optimizer.eps': eps must be > 0, got 0.0"),
     _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",
          raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0")),
          mid_run=True),
@@ -289,6 +302,33 @@ class TestBenchCommand:
         summary = json.loads((out / "bench_summary.json").read_text())
         assert len(summary["slopes"]) == 2
         assert summary["max_pk_residual"] < 1e-10
+
+    def test_gap_rows_average_the_seeds_in_order(self, tmp_path, monkeypatch):
+        """Each bench_gap.csv row is np.mean of that row's per-seed values in seed order;
+        10 seeds are more than numpy's 8 summation lanes, so the order shows."""
+        traces = []
+        run = cli.run_fsg_convex
+        monkeypatch.setattr(cli, "run_fsg_convex",
+                            lambda *a, **kw: traces.append(run(*a, **kw)) or traces[-1])
+        cfg = write_cfg(tmp_path, "bench.t = 200\nbench.seeds = 10\nbench.repeats = 2\n"
+                                  "bench.dim = 2\nbeta = 0.5")
+        assert main(["bench-convergence", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        expect = ["t,mean_gap,stderr"] + [
+            f"{int(t)},{np.mean([tr.gaps[k] for tr in traces])!r},"
+            f"{np.mean([tr.gap_stderr[k] for tr in traces])!r}"
+            for k, t in enumerate(traces[0].ts)]
+        assert (tmp_path / "b" / "bench_gap.csv").read_text().splitlines() == expect
+
+    def test_nan_residual_reaches_the_summary(self, tmp_path, monkeypatch, capsys):
+        """A NaN residual after a finite one is the max; Python's `max` dropped it."""
+        residuals = iter([1e-16, float("nan")])
+        monkeypatch.setattr(cli, "pk_recursion_check", lambda trace, beta: next(residuals))
+        cfg = write_cfg(tmp_path, "bench.t = 200\nbench.seeds = 2\nbench.repeats = 1\n"
+                                  "bench.dim = 2\nbeta = 0.5")
+        assert main(["bench-convergence", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        summary = json.loads((tmp_path / "b" / "bench_summary.json").read_text())
+        assert np.isnan(summary["max_pk_residual"])
+        assert np.isnan(json.loads(capsys.readouterr().out)["max_pk_residual"])
 
 
 class TestDumpCurve:

@@ -21,6 +21,17 @@ class TestProblems:
         assert np.allclose(prob.grad(prob.x_star), 0.0, atol=1e-14)
         assert prob.value(prob.x_star) == pytest.approx(prob.f_star)
 
+    def test_closed_form_matches_finite_sum(self):
+        """value and grad read x* and f*; the finite-sum definitions are the oracle."""
+        prob = make_quadratic_problem(3, 16, 0.4, Rng(4))
+        x = Rng(5).normals(3)
+        parts = [0.5 * np.sum((x - c) ** 2) for c in prob.centers]
+        assert prob.value(x) == pytest.approx(np.mean(parts), rel=1e-13)
+        grads = [prob.grad_component(x, i) for i in range(prob.n_components)]
+        assert np.allclose(prob.grad(x), np.mean(grads, axis=0), rtol=0, atol=1e-14)
+        noise_sq = np.mean([np.sum((g - prob.grad(x)) ** 2) for g in grads])
+        assert 2.0 * prob.f_star == pytest.approx(noise_sq, rel=1e-12)
+
     def test_stochastic_gradient_unbiased(self):
         prob = make_quadratic_problem(4, 32, 0.3, Rng(2))
         rng = Rng(3)
@@ -70,7 +81,37 @@ class TestRunConvex:
             run_fsg_convex(prob, C=0.0, beta=0.5, T=10, repeats=1, rng=Rng(0))
 
 
+def _pk_residual_loop(trace, beta):
+    """The recursion residual one iteration at a time: the oracle of the array form."""
+    worst = 0.0
+    ratio = beta / (1.0 - beta)
+    for xs, phig, xi in zip(trace.xs, trace.phi_g, trace.noise):
+        p = ratio * np.diff(xs, axis=0)
+        p_prev = np.zeros_like(xs[0])
+        for k in range(phig.shape[0]):
+            rhs = xs[k] + p_prev - trace.alpha / (1.0 - beta) * phig[k] + ratio * xi[k]
+            worst = np.maximum(worst, np.max(np.abs(xs[k + 1] + p[k] - rhs)))
+            p_prev = p[k]
+    return float(worst)
+
+
 class TestPkRecursion:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("beta,c,poison", [(0.0, 1.0, None), (0.3, 1.0, None),
+                                               (0.9, 1.0, None), (0.9, 1e9, None),
+                                               (0.5, 1.0, (1, 7, 0))],
+                             ids=["beta-0", "beta-0.3", "beta-0.9", "diverged", "nan"])
+    def test_array_form_equals_loop_by_repr(self, beta, c, poison):
+        prob = make_quadratic_problem(3, 16, 0.2, Rng(18))
+        trace = run_fsg_convex(prob, C=c, beta=beta, T=300, repeats=2, rng=Rng(19),
+                               slow_noise=0.1, x0=np.full(3, 1e9) if c > 1 else None)
+        if poison is not None:  # a NaN in the second run, after a finite first run
+            rep, k, j = poison
+            trace.phi_g[rep][k, j] = np.nan
+        got = pk_recursion_check(trace, beta)
+        assert repr(got) == repr(_pk_residual_loop(trace, beta))
+        assert (c > 1) == trace.failed and (poison is not None) == np.isnan(got)
+
     def test_base_case_and_identity(self):
         prob = make_quadratic_problem(1, 8, 0.2, Rng(14))
         trace = run_fsg_convex(prob, C=1.0, beta=0.5, T=100, repeats=2,

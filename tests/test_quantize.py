@@ -36,6 +36,22 @@ class TestPreprocess:
         err = finite_diff_check(surrogate, w, cot * da)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 0.0], ids=["normal", "below-eps", "zero"])
+    def test_given_layer_max_is_the_frozen_normalization(self, scale):
+        """preprocess(w, m) is the trainer's surrogate map, bit for bit, with m the base
+        weights' layer max; below EPS_MAX it is 0.5 with zero derivative."""
+        rng = Rng(4)
+        w_base, w = scale * rng.normals((3, 4)), rng.normals((3, 4))
+        t = np.tanh(w)
+        m = np.max(np.abs(np.tanh(w_base)))
+        if m < 1e-12:
+            expect = np.full_like(w, 0.5), np.zeros_like(w)
+        else:
+            expect = t / (2.0 * m) + 0.5, (1.0 - t * t) / (2.0 * m)
+        got = preprocess(w, m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+        assert np.array_equal(preprocess(w, np.max(np.abs(t)))[0], preprocess(w)[0])
+
     def test_monotone_per_entry(self):
         rng = Rng(2)
         w = rng.normals(50)

@@ -149,7 +149,7 @@ class TestHypernetGradients:
         for i in tr.bin_indices:
             tr.buffers[i].load(r.normals((2, tr.buffers[i].xi)))
             tr.prev_quant_grad[i] = r.normals(tr.model.layers[i].w.shape)
-        res = tr._compute_step(*b2, quantizer="surrogate")
+        res = tr._compute_step(*b2, surrogate=True)
         hyper = res["hyper_grads"]
         for name, arr in tr.bundle.named_params():
             rel = _group_norm_fd(lambda: tr.surrogate_loss(*b2), arr, hyper[name])
@@ -202,6 +202,14 @@ class TestTrainerBehavior:
         with pytest.raises(DivergenceError,
                            match="^non-finite weights W of layer 3 at iteration 1$"):
             tr.evaluate(blobs.x, blobs.y)
+
+    def test_nonfinite_probe_point_on_surrogate_path_names_layer(self, blobs):
+        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(5)), toy_config())
+        tr.step(blobs.x[:16], blobs.y[:16])
+        tr.prev_quant_grad[3] = np.full_like(tr.model.layers[3].w, np.inf)  # G = inf
+        with pytest.raises(DivergenceError, match="^non-finite weights W' = W - lr[*]G "
+                                                  "of layer 3 at iteration 2$"):
+            tr.surrogate_loss(blobs.x[16:32], blobs.y[16:32])
 
     def test_nonfinite_generated_gradient_names_layer(self, blobs):
         cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm", l=2)

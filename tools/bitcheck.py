@@ -1,4 +1,5 @@
-"""Byte-identity check of two source trees over 19 small training configs.
+"""Byte-identity check of two source trees over 19 small training configs and
+one convex-rate bench.
 
     python tools/bitcheck.py <src_a> <src_b> [--configs NAME,NAME,...]
 
@@ -10,7 +11,10 @@ parameters and of the final hypernetwork parameters ("-" for the
 straight-through trainer, which has none).  The child computes both parameter
 digests itself, over the name and bytes of each (name, array) of
 `model.named_params()` and `bundle.named_params()`, so two trees are compared
-on one definition.  It exits 1 if any digest differs.
+on one definition.  The `bench-convergence` entry runs that command instead
+and prints the sha256 of bench_gap.csv and of bench_summary.json; its
+manifest holds a timestamp and is not compared.  It exits 1 if any digest
+differs.
 
 The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
@@ -53,6 +57,9 @@ CONV = ["epochs = 3", "record_timing = false", "lr_decay.factor = 1.0", "seed = 
         "dataset.labels_path = {labels}",
         "model.layers = conv2d:1:3:3:pad=1, relu, conv2d:3:4:3:pad=1:bin, relu, flatten, "
         "dense:144:2"]
+# 10 seeds: each bench_gap.csv row averages more values than numpy's 8 summation lanes
+BENCH = ["seed = 5", "beta = 0.5", "bench.dim = 4", "bench.t = 2000", "bench.repeats = 2",
+         "bench.seeds = 10"]
 WIDE = ["epochs = 3", "record_timing = false", "lr_decay.factor = 1.0", "seed = 5",
         "batch_size = 64", "l = 6", "dataset.kind = spirals", "dataset.n_per_class = 100",
         "model.layers = dense:2:64, bias:64, relu, dense:64:64:bin, relu, dense:64:2, bias:2"]
@@ -89,17 +96,23 @@ CONFIGS = {
     "wide-sgd": WIDE + SGD,
     "wide-full-batch": _override(WIDE, "batch_size = 400", "dataset.n_per_class = 200") + ADAM,
     "conv-head-2048": CONV16 + ADAM,
+    "bench-convergence": BENCH,
 }
+# the files (or parameter sets) each command's digests cover; a config named after a
+# command other than train runs that command
+DIGESTS = {"train": ("metrics.csv", "model", "bundle"),
+           "bench-convergence": ("bench_gap.csv", "bench_summary.json")}
 
-# runs in the tree under test: `fsglab train`, keeping the trainer it builds
+# runs in the tree under test: `fsglab <command>`, keeping the trainer a train run builds
 CHILD = """
 import hashlib, sys
 import numpy as np
 from fsglab import cli
+command, cfg, out = sys.argv[1:]
 built = []
 build = cli.build_trainer
 cli.build_trainer = lambda cfg: built.append(build(cfg)) or built[-1]
-if cli.main(["train", sys.argv[1], "--out", sys.argv[2]]) != 0:
+if cli.main([command, cfg, "--out", out]) != 0:
     sys.exit(1)
 
 def digest(named):
@@ -109,10 +122,16 @@ def digest(named):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
-trainer = built[0]
-bundle = getattr(trainer, "bundle", None)
-with open(sys.argv[2] + "/metrics.csv", "rb") as fh:
-    print(hashlib.sha256(fh.read()).hexdigest(), digest(trainer.model.named_params()),
+def file_digest(name):
+    with open(out + "/" + name, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+if command == "bench-convergence":
+    print(file_digest("bench_gap.csv"), file_digest("bench_summary.json"))
+else:
+    trainer = built[0]
+    bundle = getattr(trainer, "bundle", None)
+    print(file_digest("metrics.csv"), digest(trainer.model.named_params()),
           digest(bundle.named_params()) if bundle else "-")
 """
 
@@ -134,15 +153,16 @@ def _src_dir(tree: str) -> Path:
     return path / "src" if (path / "src" / "fsglab").is_dir() else path
 
 
-def _run(src: Path, cfg_path: Path, out: Path) -> tuple[str, str, str]:
-    """(metrics.csv sha256, model digest, bundle digest) of one `fsglab train` in tree src."""
+def _run(src: Path, command: str, cfg_path: Path, out: Path) -> tuple:
+    """The digests (`DIGESTS[command]`) of one `fsglab <command>` run in tree src."""
     env = {k: v for k, v in os.environ.items() if k != "FSGLAB_OUTPUT_ROOT"}
     env["PYTHONPATH"] = str(src)
-    done = subprocess.run([sys.executable, "-c", CHILD, str(cfg_path), str(out)], env=env,
-                          capture_output=True, text=True, cwd=out.parent)
+    done = subprocess.run([sys.executable, "-c", CHILD, command, str(cfg_path), str(out)],
+                          env=env, capture_output=True, text=True, cwd=out.parent)
     if done.returncode != 0:
-        return ("failed: " + (done.stderr.strip().splitlines() or ["?"])[-1], "-", "-")
-    return tuple(done.stdout.splitlines()[-1].split())  # after "wrote ..."
+        failed = "failed: " + (done.stderr.strip().splitlines() or ["?"])[-1]
+        return (failed,) + ("-",) * (len(DIGESTS[command]) - 1)
+    return tuple(done.stdout.splitlines()[-1].split())  # after the command's own output
 
 
 def main(argv=None) -> int:
@@ -168,13 +188,15 @@ def main(argv=None) -> int:
         for name in names:
             cfg_path = tmp / f"{name}.cfg"
             cfg_path.write_text("\n".join(CONFIGS[name]).format(**paths) + "\n")
-            got = {label: _run(src, cfg_path, tmp / f"{name}-{label}")
+            command = name if name in DIGESTS else "train"
+            got = {label: _run(src, command, cfg_path, tmp / f"{name}-{label}")
                    for label, src in trees.items()}
             same = got["a"] == got["b"] and not got["a"][0].startswith("failed")
             differ += not same
             print(f"{name}: {'same' if same else 'DIFFERENT'}")
-            for label, (metrics_sha, model, bundle) in got.items():
-                print(f"  {label} metrics.csv {metrics_sha}  model {model}  bundle {bundle}")
+            for label, digests in got.items():
+                print(f"  {label} " + "  ".join(
+                    f"{what} {digest}" for what, digest in zip(DIGESTS[command], digests)))
     print(f"{len(names) - differ} of {len(names)} configs identical")
     return 1 if differ else 0
 
