@@ -273,6 +273,12 @@ def main(argv=None) -> int:
             # the domain of `run_fsg_convex`, which a train config need not meet
             if not cfg["bench.c"] > 0:
                 raise ConfigError(f"field 'bench.c': C must be positive, got {cfg['bench.c']}")
+            if not cfg["bench.omega"] > 0:
+                raise ConfigError(f"field 'bench.omega': omega must be positive, "
+                                  f"got {cfg['bench.omega']}")
+            if not cfg["bench.theta"] >= cfg["bench.omega"]:
+                raise ConfigError(f"field 'bench.theta': theta must be >= omega = "
+                                  f"{cfg['bench.omega']}, got {cfg['bench.theta']}")
             if not cfg["beta"] < 1:
                 raise ConfigError(f"field 'beta': the bench needs beta < 1, got {cfg['beta']}")
             if cfg["bench.t"] < FIT_WINDOW[0]:

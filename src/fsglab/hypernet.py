@@ -23,12 +23,14 @@ the scan input expm1(delta A) (v / A) w_t needs no phi = expm1(x) / x
 token, keep the phi form.  The kernel starts at a decay horizon: it skips
 the tokens whose decay product to the tail start is below exp(-750), under
 the smallest float64 subnormal, so that their terms and adjoints round to
-0.0 (the bound is derived above `_chunk_spans`); the chunk length is sized
-from the tokens it keeps.  Chunks with explicit states run the recurrence
-and its adjoint in `ssm.linear_recurrence[_backward]`, whose scans over
-tokens are blocked GEMMs against a triangle of ones (`ssm._scan`), and the
-per-token outer products with a fixed vector are GEMMs against its block
-expansion (`_expansion`), exact because each output has one nonzero term.
+0.0 (the bound is derived above `_chunk_spans`).  The horizon keeps the walk
+before the tail short however long the history is, and the chunk length is
+sized from the tokens it keeps.  Every chunk keeps explicit states and runs
+the recurrence and its adjoint in `ssm.linear_recurrence[_backward]`, whose
+scans over tokens are blocked GEMMs against a triangle of ones
+(`ssm._scan`), and the per-token outer products with a fixed vector are GEMMs
+against its block expansion (`_expansion`), exact because each output has
+one nonzero term.
 The oracle is the per-token reference in `tests/slow_reference.py`.  An LSTM
 of hidden size d can replace the whole block for ablations (no
 gate/projections around it).
@@ -366,31 +368,26 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 #
 # Chunks start at max(t0, 1) and at the tail start, so none straddles the
 # tail; the forward fixes this walk of (start, end, clamp) chunks once and
-# the backward replays it in reverse.  A chunk before the tail only carries
-# the state on.  Its adjoint is lambda_t = K exp(-A S_t), with S_t the
-# chunk-local cumsum of delta and
-# K = exp(A S_end) carry, and the carry it passes back is K itself; every
-# term is then a contraction of X_t = expm1(ld_t) exp(-A S_t) or of
-# exp(-A S_{t-1}) with a fixed (d_inner, N) weight or with w_t, one GEMM
-# each.  Tail chunks and one-token chunks (every chunk when chunk_plan
-# returns 1, and a one-token remainder) keep explicit states and run lambda
-# as a reverse scan; only the tail feeds the readout (y, gate,
-# out-projection, residual).  Where the clamp ld <= -_LD_CLAMP can fire the
-# identity fails, so those clamp chunks keep the phi form, with
-# r_t = delta_t v (x) w_t.  chunk_plan and M are sized from delta over the
-# tokens the kernel keeps, so a dropped token cannot force one-token chunks.
+# the backward replays it in reverse.  Every chunk keeps explicit states and
+# runs lambda as a reverse scan.  A chunk before the tail only carries the
+# state on (g_h = 0 there); only the tail feeds the readout (y, gate,
+# out-projection, residual).  The horizon bounds the walk before the tail to
+# about 750 / (delta |max(A)|) tokens for a typical delta, whatever the
+# history length.  Where the clamp ld <= -_LD_CLAMP can fire the identity
+# fails, so those clamp chunks keep the phi form, with r_t = delta_t v (x) w_t.
+# chunk_plan and M are sized from delta over the tokens the kernel keeps, so
+# a dropped token cannot force one-token chunks.
 #
-# Explicit-state chunks avoid numpy's two slow loops.  Their states and
-# reverse adjoint scan are `ssm.linear_recurrence` and
-# `ssm.linear_recurrence_backward`, one call per chunk, and those and the
-# clamp chunks' S sum over tokens in `ssm._scan`: blocks of rows times a
-# triangle of ones in one batched GEMM, then each block adds the scanned
-# totals of the blocks before it (the same terms as np.cumsum in another
-# order, about 1e-15 relative).  The products r_t = M (x) w_t and
-# delta_t v (x) w_t broadcast along the short N axis; they are w @ E
-# instead, with E the fixed (N, d_inner N) block expansion of M or v.  Each
-# column of E has one nonzero entry, so every output is one product plus
-# exact zeros, bit-identical to the broadcast.
+# The chunks avoid numpy's two slow loops.  Their states and reverse adjoint
+# scan are `ssm.linear_recurrence` and `ssm.linear_recurrence_backward`, one
+# call per chunk, and those and the clamp chunks' S sum over tokens in
+# `ssm._scan`: blocks of rows times a triangle of ones in one batched GEMM,
+# then each block adds the scanned totals of the blocks before it (the same
+# terms as np.cumsum in another order, about 1e-15 relative).  The products
+# r_t = M (x) w_t and delta_t v (x) w_t broadcast along the short N axis;
+# they are w @ E instead, with E the fixed (N, d_inner N) block expansion of
+# M or v.  Each column of E has one nonzero entry, so every output is one
+# product plus exact zeros, bit-identical to the broadcast.
 # The oracle, `tests/slow_reference.py`, steps the scan token by token.
 
 
@@ -430,7 +427,7 @@ class _ChunkTerms:
     """
 
     def __init__(self, history, delta, v, p: SelectiveSsmParams, a, chunk: int, d_top: float):
-        self.delta, self.a, self.neg_a = delta, a, -a
+        self.delta, self.a = delta, a
         self.sc = np.concatenate(([0.0], history))  # s_t by token; token 0 is not scaled
         self.ws = np.stack((self.sc * self.sc, self.sc))
         self.bb = np.stack((v @ p.w_b, p.b_b))
@@ -441,8 +438,6 @@ class _ChunkTerms:
         self.e_v = _expansion(v[:, None], n)  # w @ e_v = v (x) w
         self.e_m = _expansion(self.m, n) if unclamped else None  # w @ e_m = M (x) w
         self.bufs = np.empty((5, chunk) + a.shape, dtype=DTYPE)
-        self.xe = np.empty((2 * chunk + 1,) + a.shape, dtype=DTYPE)
-        self.sums = np.zeros(chunk + 1, dtype=DTYPE)
 
     def w_sums(self, p):
         """(..., 2, d_inner * N) ws-weighted token sums -> (..., d_inner, N) w_t-weighted sums."""
@@ -473,22 +468,6 @@ class _ChunkTerms:
         np.matmul(w, self.e_v if clamp else self.e_m, out=r.reshape(e - s, -1))
         np.multiply(f, r, out=inp)
         return ld, decay, f, r, inp
-
-    def closed(self, s: int, e: int):
-        """(xe, sums) of an unclamped chunk: xe[:c] = X_t, xe[c:] = exp(-A S_t) for t = s-1 .. e-1.
-
-        sums holds S_{s-1} = 0, S_s, .., S_{e-1}.
-        """
-        c = e - s
-        xe, sums = self.xe[: 2 * c + 1], self.sums[: c + 1]
-        x, ex = xe[:c], xe[c:]
-        np.cumsum(self.delta[s:e], out=sums[1:])
-        np.multiply(sums[:, None, None], self.neg_a, out=ex)
-        np.exp(ex, out=ex)
-        np.multiply(self.delta[s:e, None, None], self.a, out=x)
-        np.expm1(x, out=x)
-        x *= ex[1:]
-        return xe, sums
 
 
 def _expansion(x, n: int):
@@ -534,13 +513,6 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
         h = np.zeros(a.shape, dtype=DTYPE)
     for k, (s, e, clamp) in enumerate(walk):
         bounds[k] = h
-        if s < tail0 and not clamp and e - s > 1:  # h_end = exp(A S_end)(h_prev + M sum X_t w_t)
-            xe, _ = terms.closed(s, e)
-            h = terms.w_sums(terms.ws[:, s:e] @ xe[: e - s].reshape(e - s, -1))
-            h *= terms.m
-            h += bounds[k]
-            h /= xe[-1]
-            continue
         _, decay, _, _, inp = terms.scan(s, e, clamp)
         hs = states[: e - s + 1]
         hs[0] = h
@@ -598,35 +570,6 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
         s, e, clamp = walk[k]
         c = e - s
         dl, ws = delta[s:e], terms.ws[:, s:e]
-        if s < tail0 and not clamp and c > 1:  # lambda_t = K exp(-A S_t)
-            xe, sums = terms.closed(s, e)
-            kk = carry / xe[-1]  # K
-            km = kk * terms.m
-            kv = np.multiply(kk, v[:, None])  # K A M = K v
-            # per token, A . g_ld_t = (K A) . h_prev + sum_{r<t} q_r + p_t, with
-            # q_r = (K v) . X_r w_r and p_t = (K v) . exp(-A S_{t-1}) w_t
-            z = np.multiply(kv[..., None], terms.bb.T).reshape(-1, 2)
-            qp = np.einsum("ijk,kj->ij", (xe[: 2 * c].reshape(2 * c, -1) @ z).reshape(2, c, 2), ws)
-            gd = g_delta[s:e]
-            gd[0] = 0.0
-            np.cumsum(qp[0, :-1], out=gd[1:])
-            gd += qp[1]
-            gd += np.vdot(kk * a, bounds[k])
-            # sum_t delta_t g_ld_t = K (S_end h_prev + M (sum_t (S_end - S_t) X_t w_t
-            #                                             + sum_t delta_t exp(-A S_{t-1}) w_t))
-            px = np.concatenate((ws, ws * (sums[c] - sums[1:]))) @ xe[:c].reshape(c, -1)
-            pe = (ws * dl) @ xe[c : 2 * c].reshape(c, -1)
-            xw, xwr, ew = terms.w_sums(np.concatenate((px, pe)).reshape(3, 2, -1))
-            xwr += ew
-            xwr *= terms.m
-            xwr += sums[c] * bounds[k]
-            xwr *= kk
-            g_a += xwr
-            xw *= kk  # sum_t lambda_t expm1(ld_t) w_t
-            g_m += xw
-            g_w += np.einsum("cn,kcn->kn", km, px[:2].reshape((2,) + a.shape))
-            carry = kk
-            continue
         ld, decay, f, r, inp = terms.scan(s, e, clamp)
         hs = states[: c + 1]
         hs[0] = bounds[k]
@@ -636,7 +579,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
             gy = g_y[s - tail0 : e - tail0]
             g_c[s - tail0 : e - tail0] = np.matmul(gy[:, None, :], hs[1:])[:, 0]
             np.einsum("tc,tn->tcn", gy, c_tail[s - tail0 : e - tail0], out=lam)  # g_h
-        else:
+        else:  # g_h = 0 before the tail
             lam[...] = 0.0
         linear_recurrence_backward(decay, lam, carry)
         eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)

@@ -73,7 +73,8 @@ _ENUMS = {
     "base_optimizer.kind": ("sgd", "adam"),
 }
 _POSITIVE = ("base_optimizer.lr", "base_optimizer.eps", "hyper_lr", "lr_decay.factor")
-_BELOW_ONE = ("base_optimizer.beta1", "base_optimizer.beta2")  # Adam divides by 1 - beta**t
+# Adam divides by 1 - beta**t; momentum >= 1 makes SGD's velocity grow without bound
+_BELOW_ONE = ("base_optimizer.beta1", "base_optimizer.beta2", "base_optimizer.momentum")
 
 
 def check_fields(get, at_least_one, enums) -> None:

@@ -1,6 +1,7 @@
 """`tools/bitcheck.py` with this tree on both sides, on two of its configs."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +35,23 @@ def test_a_tree_that_cannot_train_differs(tmp_path, capsys):
     assert load_bitcheck().main([str(ROOT), str(tmp_path), "--configs", "ste-adam"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "ste-adam: DIFFERENT" and out[2].startswith("  b metrics.csv failed: ")
+
+
+def test_a_changed_kernel_names_its_differing_arrays(tmp_path, capsys):
+    # a shorter default chunk sums the slow net's scans in another order: the hyper-gradients
+    # move by rounding, the bundle digest differs and the model's and metrics' do not
+    shutil.copytree(ROOT / "src" / "fsglab", tmp_path / "fsglab")
+    kernel = tmp_path / "fsglab" / "hypernet.py"
+    text = kernel.read_text()
+    assert "\nSCAN_CHUNK = 128 " in text
+    kernel.write_text(text.replace("\nSCAN_CHUNK = 128 ", "\nSCAN_CHUNK = 5 "))
+    assert load_bitcheck().main([str(ROOT), str(tmp_path), "--configs", "fsg-adam"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "fsg-adam: DIFFERENT"
+    a, b = (line.split()[1:] for line in out[1:3])
+    assert a[:4] == b[:4] and a[5] != b[5]  # metrics.csv and model are the same, bundle not
+    diffs = out[3:-1]
+    assert diffs and all(line.startswith("    bundle ") for line in diffs)
+    for line in diffs:
+        assert 0.0 < float(line.split(" = ")[1]) < 1e-12, line
+    assert out[-1] == "0 of 1 configs identical"

@@ -199,11 +199,22 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "config error: field 'beta': the bench needs beta < 1, got 1.0", "bench-convergence"),
     _row("ConfigError-bench-c", ["bench.c = -1.0"], 2,
          "config error: field 'bench.c': C must be positive, got -1.0", "bench-convergence"),
+    _row("ConfigError-bench-omega-zero", ["bench.omega = 0"], 2,
+         "config error: field 'bench.omega': omega must be positive, got 0.0",
+         "bench-convergence"),
+    _row("ConfigError-bench-omega-negative", ["bench.omega = -0.5"], 2,
+         "config error: field 'bench.omega': omega must be positive, got -0.5",
+         "bench-convergence"),
+    _row("ConfigError-bench-theta", ["bench.theta = 0.5"], 2,
+         "config error: field 'bench.theta': theta must be >= omega = 0.8, got 0.5",
+         "bench-convergence"),
     _row("ConfigError-bench-t", ["bench.t = 50"], 2,
          "config error: field 'bench.t': the rate fit starts at t = 100, got 50",
          "bench-convergence"),
     _row("ConfigError-beta2", ["base_optimizer.beta2 = 1.0"], 2,
          "config error: field 'base_optimizer.beta2': beta2 must be in [0, 1), got 1.0"),
+    _row("ConfigError-momentum", ["base_optimizer.kind = sgd", "base_optimizer.momentum = 1.5"],
+         2, "config error: field 'base_optimizer.momentum': momentum must be in [0, 1), got 1.5"),
     _row("ConfigError-decay-factor", ["lr_decay.factor = -2"], 2,
          "config error: field 'lr_decay.factor': factor must be > 0, got -2.0"),
     _row("ConfigError-hyper-lr", ["hyper_lr = -1"], 2,

@@ -81,8 +81,7 @@ def clamp_kinds(cache):
 @pytest.mark.parametrize("dims", [(4, 3, 2), (3, 2, 1)])
 def test_one_token_remainder_chunks(dims):
     # 7 tokens before the tail (from token 1) and 7 in it, in chunks of 3: each
-    # run ends in a one-token chunk, which takes the plain recurrence, also
-    # before the tail where a longer unclamped chunk takes the closed form
+    # run ends in a one-token chunk, which takes the plain recurrence
     xi, l, chunk = 7, 2, 3
     bundle = o1_bundle(31, *dims)
     cache = check_against_reference(bundle, Rng(32).normals(xi * l), (xi,), chunk)
@@ -219,9 +218,9 @@ def test_no_multi_axis_cumsum_at_paper_dims(monkeypatch):
 
 
 def test_recurrence_calls_at_paper_dims(monkeypatch):
-    """At test_bytes_per_token_at_paper_dims's setup every explicit-state chunk (there, the
-    tail's) runs `linear_recurrence` once in the forward and once in the backward's recompute,
-    and `linear_recurrence_backward` once, each on that chunk's decay.  A count, not a speed."""
+    """At test_bytes_per_token_at_paper_dims's setup every walked chunk, before the tail and in
+    it, runs `linear_recurrence` once in the forward and once in the backward's recompute, and
+    `linear_recurrence_backward` once, each on that chunk's decay.  A count, not a speed."""
     calls = []
     for name in ("linear_recurrence", "linear_recurrence_backward"):
         def counted(decay, *rest, _name=name, _f=getattr(hypernet, name)):
@@ -234,8 +233,9 @@ def test_recurrence_calls_at_paper_dims(monkeypatch):
     forward = list(calls)
     slow_backward(0, None, bundle, (64, 64), Rng(13).normals((64, 64)), cache=cache)
     tail0 = history.size + 1 - 4096
-    lengths = [e - s for s, e, _ in cache["walk"] if s >= tail0]
-    assert cache["chunk"] > 1 and sum(lengths) == 4096
+    lengths = [e - s for s, e, _ in cache["walk"]]
+    assert cache["chunk"] > 1 and sum(lengths) == history.size + 1 - max(cache["t0"], 1)
+    assert any(s < tail0 for s, _, _ in cache["walk"])
     assert forward == [("linear_recurrence", c) for c in lengths]
     assert calls[len(forward):] == [(name, c) for c in reversed(lengths) for name in
                                     ("linear_recurrence", "linear_recurrence_backward")]

@@ -14,7 +14,9 @@ digests itself, over the name and bytes of each (name, array) of
 on one definition.  The `bench-convergence` entry runs that command instead
 and prints the sha256 of bench_gap.csv and of bench_summary.json; its
 manifest holds a timestamp and is not compared.  It exits 1 if any digest
-differs.
+differs.  Each child also saves its parameter arrays, and where a `model` or
+`bundle` digest differs the script prints every array whose bytes differ,
+with max |a - b| / max |a| over its entries.
 
 The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
@@ -131,6 +133,9 @@ if command == "bench-convergence":
 else:
     trainer = built[0]
     bundle = getattr(trainer, "bundle", None)
+    np.savez(out + "/model.npz", **dict(trainer.model.named_params()))
+    if bundle:
+        np.savez(out + "/bundle.npz", **dict(bundle.named_params()))
     print(file_digest("metrics.csv"), digest(trainer.model.named_params()),
           digest(bundle.named_params()) if bundle else "-")
 """
@@ -165,6 +170,24 @@ def _run(src: Path, command: str, cfg_path: Path, out: Path) -> tuple:
     return tuple(done.stdout.splitlines()[-1].split())  # after the command's own output
 
 
+def _array_diffs(run_a: Path, run_b: Path, what: str) -> list:
+    """A line per array of `what` (model or bundle) whose bytes differ between two train runs."""
+    lines = []
+    with np.load(run_a / f"{what}.npz") as a, np.load(run_b / f"{what}.npz") as b:
+        for name in dict.fromkeys(a.files + b.files):
+            if name not in a.files or name not in b.files:
+                lines.append(f"{name}: only in {'a' if name in a.files else 'b'}")
+                continue
+            x, y = a[name], b[name]
+            if x.shape != y.shape:
+                lines.append(f"{name}: shape {x.shape} vs {y.shape}")
+            elif x.tobytes() != y.tobytes():
+                scale = np.abs(x).max()
+                rel = np.abs(x - y).max() / scale if scale else np.inf
+                lines.append(f"{name}: max |a - b| / max |a| = {rel:.1e}")
+    return [f"    {what} {line}" for line in lines]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a")
@@ -189,14 +212,20 @@ def main(argv=None) -> int:
             cfg_path = tmp / f"{name}.cfg"
             cfg_path.write_text("\n".join(CONFIGS[name]).format(**paths) + "\n")
             command = name if name in DIGESTS else "train"
-            got = {label: _run(src, command, cfg_path, tmp / f"{name}-{label}")
+            runs = {label: tmp / f"{name}-{label}" for label in trees}
+            got = {label: _run(src, command, cfg_path, runs[label])
                    for label, src in trees.items()}
-            same = got["a"] == got["b"] and not got["a"][0].startswith("failed")
+            failed = any(digests[0].startswith("failed") for digests in got.values())
+            same = got["a"] == got["b"] and not failed
             differ += not same
             print(f"{name}: {'same' if same else 'DIFFERENT'}")
             for label, digests in got.items():
                 print(f"  {label} " + "  ".join(
                     f"{what} {digest}" for what, digest in zip(DIGESTS[command], digests)))
+            if command == "train" and not failed:
+                for i in (1, 2):  # the model and bundle digests
+                    if got["a"][i] != got["b"][i]:
+                        print("\n".join(_array_diffs(runs["a"], runs["b"], DIGESTS["train"][i])))
     print(f"{len(names) - differ} of {len(names)} configs identical")
     return 1 if differ else 0
 
