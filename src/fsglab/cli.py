@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .config import RunConfig, config_hash, load_config, save_config
+from .config import RunConfig, config_hash, load_config, parse_value, save_config
 from .convergence import (
     FIT_WINDOW,
     make_phi,
@@ -134,35 +134,27 @@ def run_train(run, outdir: Path) -> Path:
     return metrics_path
 
 
+_SWEEP_KEYS = {"beta": "beta", "l": "l", "slow": "slow_kind"}
+
+
 def _parse_sweep(spec: str):
     """Returns (config key, display tag, values); the values are never empty."""
     if "=" not in spec:
         raise ConfigError(f"sweep spec must be key=values, got {spec!r}")
-    key, raw = spec.split("=", 1)
-    key = key.strip()
-    try:
-        if key == "beta":
-            values = [float(v) for v in raw.split(",") if v.strip()]
-        elif key == "l" and ".." in raw:
-            lo, hi = raw.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        elif key == "l":
-            values = [int(v) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad value in sweep spec {spec!r}: {exc}") from None
-    if key == "slow":
-        names = {"ssm": "selective-ssm", "lstm": "lstm", "off": "off"}
-        values = []
-        for v in raw.split(","):
-            v = v.strip()
-            if v not in names:
-                raise ConfigError(f"unknown slow-net {v!r} in sweep")
-            values.append(names[v])
-    elif key not in ("beta", "l"):
-        raise ConfigError(f"sweep key must be beta, l or slow, got {key!r}")
+    display, raw = spec.split("=", 1)
+    display = display.strip()
+    if display not in _SWEEP_KEYS:
+        raise ConfigError(f"sweep key must be beta, l or slow, got {display!r}")
+    key, where = _SWEEP_KEYS[display], f"bad value in sweep spec {spec!r}"
+    if key == "l" and ".." in raw:
+        lo, hi = (parse_value(key, v, where) for v in raw.split("..", 1))
+        values = list(range(lo, hi + 1))
+    else:
+        values = [parse_value(key, v, where) for v in raw.split(",") if v.strip()]
+    values = [{"ssm": "selective-ssm"}.get(v, v) for v in values]  # the slow net's short name
     if not values:
         raise ConfigError(f"sweep spec {spec!r} has no values")
-    return ("slow_kind" if key == "slow" else key), key, values
+    return key, display, values
 
 
 def build_ablation(cfg: RunConfig, sweep):

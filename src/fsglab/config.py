@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -89,29 +90,32 @@ class RunConfig:
         return tc
 
 
-def _parse_value(key: str, raw: str, lineno: int, col: int):
+def parse_value(key: str, raw: str, where: str):
+    """raw as key's type; a ConfigError starts with where, e.g. `line 3, col 5`."""
     tag = _SCHEMA[key][0]
     raw = raw.strip()
     if not raw and tag != "str":
-        raise ConfigError(f"line {lineno}, col {col}: empty value for {key!r}")
+        raise ConfigError(f"{where}: empty value for {key!r}")
     try:
         if tag == "int":
             if "." in raw or "e" in raw.lower():
                 raise ValueError
             return int(raw)
         if tag == "float":
-            return float(raw)
-        if tag == "bool":
+            value = float(raw)
+            if math.isfinite(value):
+                return value
+        elif tag == "bool":
             if raw not in ("true", "false"):
                 raise ValueError
             return raw == "true"
-        if tag == "list":
+        elif tag == "list":
             return [p.strip() for p in raw.split(",") if p.strip()]
-        return raw
+        else:
+            return raw
     except ValueError:
-        raise ConfigError(
-            f"line {lineno}, col {col}: cannot parse {raw!r} as {tag} for {key!r}"
-        ) from None
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {tag} for {key!r}") from None
+    raise ConfigError(f"{where}: {key!r} must be finite, got {raw!r}")  # a nan or inf float
 
 
 def loads_config(text: str) -> RunConfig:
@@ -130,8 +134,7 @@ def loads_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}, col {col}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        col = line.index("=") + 2
-        values[key] = _parse_value(key, raw, lineno, col)
+        values[key] = parse_value(key, raw, f"line {lineno}, col {line.index('=') + 2}")
     cfg = RunConfig(values)
     check_fields(cfg.__getitem__, _AT_LEAST_ONE, _ENUMS)
     kind, classes = cfg["dataset.kind"], cfg["dataset.classes"]

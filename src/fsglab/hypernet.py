@@ -30,10 +30,11 @@ the recurrence and its adjoint in `ssm.linear_recurrence[_backward]`, whose
 scans over tokens are blocked GEMMs against a triangle of ones
 (`ssm._scan`), and the per-token outer products with a fixed vector are GEMMs
 against its block expansion (`_expansion`), exact because each output has
-one nonzero term.
+one nonzero term.  No (T, d) token array is built: the block keeps the
+(T,) scales s_t and builds only the last xi tokens, for gate and residual.
 The oracle is the per-token reference in `tests/slow_reference.py`.  An LSTM
 of hidden size d can replace the whole block for ablations (no
-gate/projections around it).
+gate/projections around it); it builds all T tokens.
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -254,7 +255,21 @@ class HyperNetBundle:
 # ---------------------------------------------------------------------------
 
 
-def _build_tokens(layer_index: int, history: np.ndarray, bundle: HyperNetBundle):
+def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_shape,
+                        chunk: int = SCAN_CHUNK):
+    """Forward pass returning (output, cache) for reuse by the backward.
+
+    `cache["tokens"]` has one entry per token: the (T,) scales [0, s_1, ...]
+    for the selective block (token 0 is the embedding row, token t >= 1 is
+    s_t w_a), the (T, d) tokens for the LSTM.
+
+    For the selective block the cache also records which numeric guards
+    fired: `t0`, the tokens the decay horizon skipped; `chunk`, the chunk
+    length after `chunk_plan`'s overflow guard (1 where even two tokens would
+    overflow); and `walk`, the (start, end, clamp) chunks, clamp marking those
+    where the ld clamp can fire.
+    """
+    xi = int(np.prod(out_shape))
     history = np.asarray(history, dtype=DTYPE).reshape(-1)
     if history.size == 0:
         raise EmptyHistoryError("slow net needs a non-empty history window")
@@ -266,37 +281,22 @@ def _build_tokens(layer_index: int, history: np.ndarray, bundle: HyperNetBundle)
         pos = int(np.flatnonzero(~np.isfinite(history))[0])
         raise DomainError(f"layer {layer_index}: non-finite gradient history "
                           f"at position {pos} ({history[pos]!r})")
-    tokens = np.empty((history.size + 1, bundle.lre.shape[1]), dtype=DTYPE)
-    tokens[0] = bundle.lre[layer_index]
-    np.multiply.outer(history, bundle.w_a[0], out=tokens[1:])  # scalar token projection
-    return history, tokens
-
-
-def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_shape,
-                        chunk: int = SCAN_CHUNK):
-    """Forward pass returning (output, cache) for reuse by the backward.
-
-    For the selective block the cache also records which numeric guards
-    fired: `t0`, the tokens the decay horizon skipped; `chunk`, the chunk
-    length after `chunk_plan`'s overflow guard (1 where even two tokens would
-    overflow); and `walk`, the (start, end, clamp) chunks, clamp marking those
-    where the ld clamp can fire.
-    """
-    xi = int(np.prod(out_shape))
-    history, tokens = _build_tokens(layer_index, history, bundle)
     if history.size % xi != 0:
         raise DimensionError(
             f"history length {history.size} is not a multiple of xi={xi}"
         )
+    emb = bundle.lre[layer_index]
     if bundle.slow_kind == "selective-ssm":
-        sliced, cache = _ssm_stream_forward(tokens, history, bundle.w_a, bundle.slow, chunk, xi)
+        tokens = np.concatenate(([0.0], history))  # token 0 is not scaled
+        sliced, cache = _ssm_stream_forward(emb, tokens, bundle.w_a, bundle.slow, chunk, xi)
     else:
+        tokens = np.concatenate((emb[None], np.multiply.outer(history, bundle.w_a[0])))
         out, cache = _lstm_block_forward(tokens, bundle.slow)
         sliced = out[-xi:]
+        cache["history"] = history
     scalars = sliced @ bundle.w_head  # (xi, 1)
     cache.update(
-        layer_index=layer_index, history=history, tokens=tokens,
-        sliced=sliced, out_shape=tuple(out_shape),
+        layer_index=layer_index, tokens=tokens, sliced=sliced, out_shape=tuple(out_shape),
     )
     return scalars[:, 0].reshape(out_shape), cache
 
@@ -426,10 +426,9 @@ class _ChunkTerms:
     form of r_t.
     """
 
-    def __init__(self, history, delta, v, p: SelectiveSsmParams, a, chunk: int, d_top: float):
+    def __init__(self, sc, delta, v, p: SelectiveSsmParams, a, chunk: int, d_top: float):
         self.delta, self.a = delta, a
-        self.sc = np.concatenate(([0.0], history))  # s_t by token; token 0 is not scaled
-        self.ws = np.stack((self.sc * self.sc, self.sc))
+        self.ws = np.stack((sc * sc, sc))
         self.bb = np.stack((v @ p.w_b, p.b_b))
         self.vb = np.multiply.outer(v, self.bb.T).reshape(-1, 2)  # v (x) (v w_b, b_b)
         unclamped = d_top * float(a.max()) <= -_LD_CLAMP  # max(A), the entry closest to zero
@@ -479,16 +478,15 @@ def _expansion(x, n: int):
     return (np.eye(n)[:, None, :] * x).reshape(n, -1)
 
 
-def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray,
+def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
                         p: SelectiveSsmParams, chunk: int, xi: int):
-    """Block output on the last xi tokens, and the cache for the backward."""
-    total = tokens.shape[0]
+    """Block output on the last xi tokens and the backward's cache; token t >= 1 is sc[t] w_a."""
+    total = sc.shape[0]
     tail0 = total - xi
-    u0 = tokens[0] @ p.w_in
+    u0 = emb @ p.w_in
     v = w_a[0] @ p.w_in
-    draw = np.empty(total, dtype=DTYPE)
+    draw = sc * (v @ p.w_delta[:, 0])
     draw[0] = u0 @ p.w_delta[:, 0]
-    np.multiply(history, v @ p.w_delta[:, 0], out=draw[1:])
     draw += p.b_delta[0]
     delta = _softplus(draw)
     a = -np.exp(p.a_log)  # (din, N), negative
@@ -497,14 +495,14 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
     d_top = float(delta[t0:].max())  # over the tokens the kernel walks, token 0 when t0 = 0
     # chunk_plan's overflow guard, on max |ld| of the clamped ld = min(delta * A, -eps)
     chunk = chunk_plan(max(d_top * float(-a.min()), _LD_CLAMP), chunk)
-    terms = _ChunkTerms(history, delta, v, p, a, chunk, d_top)
+    terms = _ChunkTerms(sc, delta, v, p, a, chunk, d_top)
     # (start, end, clamp) per chunk, clamp if ld <= -_LD_CLAMP can fire: fl(delta * A) is
-    # monotone in delta and A, so min(delta) * max(A) is max(ld)
-    walk = [(s, e, float(delta[s:e].min()) * a_top > -_LD_CLAMP)
+    # monotone in delta and A, so min(delta) * max(A) is max(ld); a NaN delta clamps
+    walk = [(s, e, not float(delta[s:e].min()) * a_top <= -_LD_CLAMP)
             for s, e in _chunk_spans(max(t0, 1), tail0, total, chunk)]
     bounds = np.empty((len(walk),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
-    c_tail = np.multiply.outer(history[tail0 - 1:], v @ p.w_c)
+    c_tail = np.multiply.outer(sc[tail0:], v @ p.w_c)
     c_tail += p.b_c  # C_t on the tail
     y = np.empty((xi, p.w_in.shape[1]), dtype=DTYPE)
     if t0 == 0:  # h_0 = inp_0
@@ -521,12 +519,12 @@ def _ssm_stream_forward(tokens: np.ndarray, history: np.ndarray, w_a: np.ndarray
         if s >= tail0:
             ct = c_tail[s - tail0 : e - tail0]
             y[s - tail0 : e - tail0] = np.matmul(hs[1:], ct[:, :, None])[..., 0]
-    tail = tokens[tail0:]
+    tail = np.multiply.outer(sc[tail0:], w_a[0])  # the last xi tokens
     gate = _sigmoid(tail @ p.w_gate)
     gated = y * gate
     out = gated @ p.w_out
     out += tail  # residual
-    cache = dict(u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk, d_top=d_top,
+    cache = dict(emb=emb, u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk, d_top=d_top,
                  walk=walk, bounds=bounds, c_tail=c_tail, y=y, gate=gate, gated=gated)
     return out, cache
 
@@ -540,10 +538,10 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     gradient is g_ld_t = lambda_t (exp(ld_t) h_{t-1} + F'(ld_t) r_t).
     Unclamped, F' = exp(ld) and g_ld_t = lambda_t exp(ld_t) (h_{t-1} + M w_t).
     """
-    history, delta, a, u0, v = (cache[k] for k in ("history", "delta", "a", "u0", "v"))
-    tokens, bounds, y, gate = cache["tokens"], cache["bounds"], cache["y"], cache["gate"]
+    sc, delta, a, u0, v = (cache[k] for k in ("tokens", "delta", "a", "u0", "v"))
+    bounds, y, gate = cache["bounds"], cache["y"], cache["gate"]
     t0, chunk, walk = cache["t0"], cache["chunk"], cache["walk"]
-    total, xi = tokens.shape[0], g_tail.shape[0]
+    total, xi = sc.shape[0], g_tail.shape[0]
     tail0 = total - xi
 
     g_gated = g_tail @ p.w_out.T
@@ -553,7 +551,7 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_z *= gate
     g_z *= 1.0 - gate
 
-    terms = _ChunkTerms(history, delta, v, p, a, chunk, cache["d_top"])
+    terms = _ChunkTerms(sc, delta, v, p, a, chunk, cache["d_top"])
     c_tail = cache["c_tail"]
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)  # h_{s-1} .. h_{e-1}
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
@@ -628,8 +626,8 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_draw = g_delta
     g_draw[0] *= _sigmoid(draw[:1])[0]
     g_draw[kept] *= _sigmoid(draw[kept])
-    g_dv = terms.sc @ g_draw  # sc[0] = 0: token 0 is not rank-1
-    s_tail = terms.sc[tail0:]
+    g_dv = sc @ g_draw  # sc[0] = 0: token 0 is not rank-1
+    s_tail = sc[tail0:]
     g_cv = s_tail @ g_c
     g_alog = g_a * a  # A = -exp(a_log)
     g_v = g_vn.sum(axis=1) + p.w_b @ g_w[0] + p.w_c @ g_cv + p.w_delta[:, 0] * g_dv
@@ -644,9 +642,8 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     grads["slow.b_c"] = g_c.sum(axis=0)
     grads["slow.w_delta"] = (v * g_dv + u0 * g_draw[0])[:, None]
     grads["slow.b_delta"] = np.array([g_draw.sum()])
-    grads["slow.w_in"] = np.multiply.outer(tokens[0], g_u0) + np.multiply.outer(w_a[0], g_v)
-    tail = tokens[tail0:]
-    grads["slow.w_gate"] = tail.T @ g_z
+    grads["slow.w_in"] = np.multiply.outer(cache["emb"], g_u0) + np.multiply.outer(w_a[0], g_v)
+    grads["slow.w_gate"] = np.multiply.outer(s_tail, w_a[0]).T @ g_z  # the last xi tokens
     g_tail_tokens = g_z @ p.w_gate.T
     g_tail_tokens += g_tail  # residual branch
     return p.w_in @ g_u0, p.w_in @ g_v + s_tail @ g_tail_tokens

@@ -155,7 +155,7 @@ class MetricsRecord:
     wall_ms: int
 
     def validate(self) -> None:
-        if self.loss < 0:
+        if not self.loss >= 0:
             raise ValueError(f"loss must be >= 0, got {self.loss}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
@@ -319,6 +319,9 @@ class _TrainerBase:
         overrides = {i: self._ste_layer(i, self.iteration).w_fwd for i in self.bin_indices}
         logits, _ = self.model.forward(x, overrides)
         loss, _, _ = softmax_cross_entropy(logits, y)
+        if not np.isfinite(loss):
+            raise DivergenceError(self.iteration, f"non-finite {split} loss at iteration "
+                                                  f"{self.iteration}")
         acc = float((logits.argmax(axis=1) == y).mean())
         ms = int((time.perf_counter() - t0) * 1000) if self.cfg.record_timing else 0
         rec = MetricsRecord(self.epoch, self.iteration, split, loss, acc,

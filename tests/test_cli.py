@@ -138,6 +138,10 @@ WEIGHT_OVERFLOW = ["method = ste", "base_optimizer.kind = sgd", "base_optimizer.
                    "lr_decay.factor = 1.0", "dataset.kind = blobs", "dataset.n_per_class = 40",
                    "batch_size = 16", "seed = 1",
                    "model.layers = dense:2:8:bin, dense:8:2:bin"]
+NAN_TEST_LOSS = ["method = ste", "base_optimizer.kind = sgd", "base_optimizer.lr = 1e308",
+                 "lr_decay.factor = 1.0", "dataset.kind = blobs", "dataset.n_per_class = 16",
+                 "dataset.test_per_class = 8", "epochs = 1", "batch_size = 64",
+                 "model.layers = dense:2:8, bias:8, relu, dense:8:2:bin, bias:2"]
 DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
                    "bench.repeats = 1"]
 
@@ -151,6 +155,12 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "config error: bad value in sweep spec 'l=1..x'", "ablate --sweep l=1..x"),
     _row("ConfigError-sweep-list", [], 2,
          "config error: bad value in sweep spec 'l=3,q'", "ablate --sweep l=3,q"),
+    _row("ConfigError-sweep-nan", [], 2,
+         "config error: bad value in sweep spec 'beta=0.1,nan': 'beta' must be finite, got 'nan'",
+         "ablate --sweep beta=0.1,nan"),
+    _row("ConfigError-sweep-slow-kind", [], 2,
+         "config error: field 'slow_kind': slow_kind must be one of",
+         "ablate --sweep slow=ssm,gru"),
     _row("ConfigError-sweep-empty-range", [], 2,
          "config error: sweep spec 'l=5..2' has no values", "ablate --sweep l=5..2"),
     _row("ConfigError-sweep-empty-beta", [], 2,
@@ -192,6 +202,10 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          4, "error: non-finite loss at iteration ", mid_run=True),
     _row("DivergenceError-weights", WEIGHT_OVERFLOW, 4,
          "error: non-finite weights W of layer 0 at iteration 2", mid_run=True),
+    _row("DivergenceError-slow-net", TINY_TRAIN.splitlines() + ["hyper_lr = 1e200"], 4,
+         "error: non-finite weights W' = W - lr*G of layer 3 at iteration 3", mid_run=True),
+    _row("DivergenceError-test-loss", NAN_TEST_LOSS, 4,
+         "error: non-finite test loss at iteration 1", mid_run=True),
     _row("DivergenceError-bench", DIVERGING_BENCH, 4,
          "error: bench seed 0: every repeat diverged, the first at iteration ",
          "bench-convergence", mid_run=True),
@@ -221,6 +235,13 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "config error: field 'hyper_lr': hyper_lr must be > 0, got -1.0"),
     _row("ConfigError-hyper-lr-zero", ["hyper_lr = 0"], 2,
          "config error: field 'hyper_lr': hyper_lr must be > 0, got 0.0", "ablate --sweep l=2"),
+    _row("ConfigError-nan-alpha", ["alpha = nan"], 2,
+         "config error: line 1, col 8: 'alpha' must be finite, got 'nan'"),
+    _row("ConfigError-inf-hyper-lr", ["hyper_lr = inf"], 2,
+         "config error: line 1, col 11: 'hyper_lr' must be finite, got 'inf'"),
+    _row("ConfigError-inf-bench-theta", ["bench.theta = inf"], 2,
+         "config error: line 1, col 14: 'bench.theta' must be finite, got 'inf'",
+         "bench-convergence"),
     _row("ConfigError-eps", ["base_optimizer.eps = 0"], 2,
          "config error: field 'base_optimizer.eps': eps must be > 0, got 0.0"),
     _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",

@@ -13,7 +13,7 @@ import pytest
 
 from fsglab import hypernet, ssm
 from fsglab.errors import DomainError
-from fsglab.hypernet import HyperNetBundle, _build_tokens, slow_backward, slow_forward_cached
+from fsglab.hypernet import HyperNetBundle, slow_backward, slow_forward_cached
 from fsglab.rng import Rng
 from fsglab.ssm import discretize_zoh, ssm_scan
 from slow_reference import selective_terms, slow_net
@@ -159,7 +159,7 @@ def test_pre_gate_output_matches_reference_scan():
     xi, l = 5, 4
     history = Rng(10).normals(xi * l)
     _, cache = slow_forward_cached(2, history, bundle, (xi,), chunk=6)
-    _, tokens = _build_tokens(2, history, bundle)
+    tokens = np.concatenate([bundle.lre[2][None], history[:, None] * bundle.w_a])
     u = tokens @ p.w_in
     b_t, c_t, delta_t = selective_terms(u, p)
     a_bar, b_bar = discretize_zoh(-np.exp(p.a_log), b_t[:, None, :], delta_t[:, :, None])
@@ -173,7 +173,8 @@ def paper_dims_bundle():
 
 
 def test_bytes_per_token_at_paper_dims():
-    """tracemalloc peak of slow fwd+bwd at xi = 4096, l = 6 (24577 tokens): at most 800 B a token."""
+    """tracemalloc peak of slow fwd+bwd at xi = 4096, l = 6 (24577 tokens): at most 520 B a
+    token; the cache keeps the tokens as their (T,) scales."""
     bundle = paper_dims_bundle()
     xi, l = 4096, 6
     history = 1e-2 * Rng(12).normals(xi * l)
@@ -186,7 +187,8 @@ def test_bytes_per_token_at_paper_dims():
     finally:
         tracemalloc.stop()
     tokens = xi * l + 1
-    assert peak / tokens <= 800, f"{peak / tokens:.0f} B per token"
+    assert cache["tokens"].shape == (tokens,)
+    assert peak / tokens <= 520, f"{peak / tokens:.0f} B per token"
 
 
 def test_pre_tail_chunks_at_paper_dims():
