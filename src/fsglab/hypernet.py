@@ -31,10 +31,12 @@ scans over tokens are blocked GEMMs against a triangle of ones
 (`ssm._scan`), and the per-token outer products with a fixed vector are GEMMs
 against its block expansion (`_expansion`), exact because each output has
 one nonzero term.  No (T, d) token array is built: the block keeps the
-(T,) scales s_t and builds only the last xi tokens, for gate and residual.
-The oracle is the per-token reference in `tests/slow_reference.py`.  An LSTM
-of hidden size d can replace the whole block for ablations (no
-gate/projections around it); it builds all T tokens.
+(T,) scales s_t.  The readout (C_t, y, gate, out-projection and residual)
+runs inside the walk on each tail chunk's states, and the backward rebuilds
+it from the states it recomputes, so no (xi, d_inner) or (xi, N) array
+exists beyond one chunk's.  The oracle is the per-token reference in
+`tests/slow_reference.py`.  An LSTM of hidden size d can replace the whole
+block for ablations (no gate/projections around it); it builds all T tokens.
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -261,13 +263,17 @@ def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_s
 
     `cache["tokens"]` has one entry per token: the (T,) scales [0, s_1, ...]
     for the selective block (token 0 is the embedding row, token t >= 1 is
-    s_t w_a), the (T, d) tokens for the LSTM.
+    s_t w_a), the (T, d) tokens for the LSTM.  `cache["sliced"]` is the block
+    output on the last xi tokens, the head's input.
 
-    For the selective block the cache also records which numeric guards
-    fired: `t0`, the tokens the decay horizon skipped; `chunk`, the chunk
-    length after `chunk_plan`'s overflow guard (1 where even two tokens would
-    overflow); and `walk`, the (start, end, clamp) chunks, clamp marking those
-    where the ld clamp can fire.
+    For the selective block the cache holds, besides fixed-size vectors, (T,)
+    sequences (the scales, delta and its pre-activation), the state entering
+    every chunk and the sliced output, but no readout term (C_t, y, gate):
+    the backward recomputes those per tail chunk.  It also records which numeric guards fired: `t0`, the
+    tokens the decay horizon skipped; `chunk`, the chunk length after
+    `chunk_plan`'s overflow guard (1 where even two tokens would overflow);
+    and `walk`, the (start, end, clamp) chunks, clamp marking those where the
+    ld clamp can fire.
     """
     xi = int(np.prod(out_shape))
     history = np.asarray(history, dtype=DTYPE).reshape(-1)
@@ -370,11 +376,15 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # tail; the forward fixes this walk of (start, end, clamp) chunks once and
 # the backward replays it in reverse.  Every chunk keeps explicit states and
 # runs lambda as a reverse scan.  A chunk before the tail only carries the
-# state on (g_h = 0 there); only the tail feeds the readout (y, gate,
-# out-projection, residual).  The horizon bounds the walk before the tail to
-# about 750 / (delta |max(A)|) tokens for a typical delta, whatever the
-# history length.  Where the clamp ld <= -_LD_CLAMP can fire the identity
-# fails, so those clamp chunks keep the phi form, with r_t = delta_t v (x) w_t.
+# state on (g_h = 0 there).  A tail chunk also computes its rows of the
+# readout (C_t, y, gate, out-projection, residual) from its states in
+# `_readout`: the forward writes them into the output, and the backward,
+# which recomputes the same states, rebuilds them to seed g_h and to add the
+# chunk's share of the head-side gradients.  The horizon bounds the walk
+# before the tail to about 750 / (delta |max(A)|) tokens for a typical
+# delta, whatever the history length.  Where the clamp ld <= -_LD_CLAMP can
+# fire the identity fails, so those clamp chunks keep the phi form, with
+# r_t = delta_t v (x) w_t.
 # chunk_plan and M are sized from delta over the tokens the kernel keeps, so
 # a dropped token cannot force one-token chunks.
 #
@@ -418,17 +428,16 @@ def _first_token(u0, b0, delta0, a):
 class _ChunkTerms:
     """The scan over tokens 1..T-1 as scalar sequences and fixed vectors, with chunk scratch.
 
-    ws[:, t] = (s_t^2, s_t), so w_t = s_t B_t = ws[:, t] @ bb with
-    bb = (v w_b, b_b); `w_sums` turns ws-weighted token sums of (d_inner, N)
-    terms into sums weighted by w_t.  M = v / A exists when some kept chunk
-    can be unclamped (d_top is the max of delta over the kept tokens); A is
-    then bounded away from zero.  e_v and e_m expand v and M for the GEMM
-    form of r_t.
+    `weights(s, e)` is the (2, e - s) stack (s_t^2, s_t) of a chunk's tokens,
+    so w_t = s_t B_t = weights[:, t] @ bb with bb = (v w_b, b_b); `w_sums`
+    turns token sums of (d_inner, N) terms weighted by those rows into sums
+    weighted by w_t.  M = v / A exists when some kept chunk can be unclamped
+    (d_top is the max of delta over the kept tokens); A is then bounded away
+    from zero.  e_v and e_m expand v and M for the GEMM form of r_t.
     """
 
     def __init__(self, sc, delta, v, p: SelectiveSsmParams, a, chunk: int, d_top: float):
-        self.delta, self.a = delta, a
-        self.ws = np.stack((sc * sc, sc))
+        self.sc, self.delta, self.a = sc, delta, a
         self.bb = np.stack((v @ p.w_b, p.b_b))
         self.vb = np.multiply.outer(v, self.bb.T).reshape(-1, 2)  # v (x) (v w_b, b_b)
         unclamped = d_top * float(a.max()) <= -_LD_CLAMP  # max(A), the entry closest to zero
@@ -438,8 +447,13 @@ class _ChunkTerms:
         self.e_m = _expansion(self.m, n) if unclamped else None  # w @ e_m = M (x) w
         self.bufs = np.empty((5, chunk) + a.shape, dtype=DTYPE)
 
+    def weights(self, s: int, e: int):
+        """(s_t^2, s_t) of tokens s..e-1, shape (2, e - s)."""
+        sc = self.sc[s:e]
+        return np.stack((sc * sc, sc))
+
     def w_sums(self, p):
-        """(..., 2, d_inner * N) ws-weighted token sums -> (..., d_inner, N) w_t-weighted sums."""
+        """(..., 2, d_inner * N) sums over `weights` -> (..., d_inner, N) sums weighted by w_t."""
         p = p.reshape(p.shape[:-2] + (2,) + self.a.shape)
         return np.einsum("...kcn,kn->...cn", p, self.bb)
 
@@ -460,7 +474,7 @@ class _ChunkTerms:
             np.multiply(np.cumsum(dl)[:, None, None], self.a, out=decay)
         np.exp(decay, out=decay)
         np.expm1(ld, out=f)
-        w = self.ws[:, s:e].T @ self.bb
+        w = self.weights(s, e).T @ self.bb
         if clamp:
             f /= ld
             w *= dl[:, None]
@@ -476,6 +490,16 @@ def _expansion(x, n: int):
     one product and equals the broadcast bit for bit.
     """
     return (np.eye(n)[:, None, :] * x).reshape(n, -1)
+
+
+def _readout(sc, hs, v, w_a: np.ndarray, p: SelectiveSsmParams):
+    """A tail chunk's readout terms from its scales sc and states hs = h_s .. h_{e-1}:
+    C_t = s_t (v w_c) + b_c, y_t = h_t C_t, the tokens s_t w_a and the gate."""
+    c_t = np.multiply.outer(sc, v @ p.w_c)
+    c_t += p.b_c
+    y = np.matmul(hs, c_t[:, :, None])[..., 0]
+    tail = np.multiply.outer(sc, w_a[0])
+    return c_t, y, tail, _sigmoid(tail @ p.w_gate)
 
 
 def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
@@ -502,9 +526,7 @@ def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
             for s, e in _chunk_spans(max(t0, 1), tail0, total, chunk)]
     bounds = np.empty((len(walk),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
-    c_tail = np.multiply.outer(sc[tail0:], v @ p.w_c)
-    c_tail += p.b_c  # C_t on the tail
-    y = np.empty((xi, p.w_in.shape[1]), dtype=DTYPE)
+    out = np.empty((xi, w_a.shape[1]), dtype=DTYPE)
     if t0 == 0:  # h_0 = inp_0
         h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
     else:  # the horizon passed token 0
@@ -517,15 +539,13 @@ def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
         linear_recurrence(decay, inp, hs)
         h = hs[-1].copy()
         if s >= tail0:
-            ct = c_tail[s - tail0 : e - tail0]
-            y[s - tail0 : e - tail0] = np.matmul(hs[1:], ct[:, :, None])[..., 0]
-    tail = np.multiply.outer(sc[tail0:], w_a[0])  # the last xi tokens
-    gate = _sigmoid(tail @ p.w_gate)
-    gated = y * gate
-    out = gated @ p.w_out
-    out += tail  # residual
+            _, y, tail, gate = _readout(sc[s:e], hs[1:], v, w_a, p)
+            y *= gate
+            rows = out[s - tail0 : e - tail0]
+            np.matmul(y, p.w_out, out=rows)
+            rows += tail  # residual
     cache = dict(emb=emb, u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk, d_top=d_top,
-                 walk=walk, bounds=bounds, c_tail=c_tail, y=y, gate=gate, gated=gated)
+                 walk=walk, bounds=bounds)
     return out, cache
 
 
@@ -539,20 +559,11 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     Unclamped, F' = exp(ld) and g_ld_t = lambda_t exp(ld_t) (h_{t-1} + M w_t).
     """
     sc, delta, a, u0, v = (cache[k] for k in ("tokens", "delta", "a", "u0", "v"))
-    bounds, y, gate = cache["bounds"], cache["y"], cache["gate"]
-    t0, chunk, walk = cache["t0"], cache["chunk"], cache["walk"]
+    bounds, t0, chunk, walk = (cache[k] for k in ("bounds", "t0", "chunk", "walk"))
     total, xi = sc.shape[0], g_tail.shape[0]
     tail0 = total - xi
 
-    g_gated = g_tail @ p.w_out.T
-    grads["slow.w_out"] = cache["gated"].T @ g_tail
-    g_y = g_gated * gate
-    g_z = g_gated * y
-    g_z *= gate
-    g_z *= 1.0 - gate
-
     terms = _ChunkTerms(sc, delta, v, p, a, chunk, cache["d_top"])
-    c_tail = cache["c_tail"]
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)  # h_{s-1} .. h_{e-1}
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
     a_flat = a.ravel()
@@ -561,22 +572,40 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_a = np.zeros(a.shape, dtype=DTYPE)  # through ld = delta A
     g_m = np.zeros(a.shape, dtype=DTYPE)  # into M, from unclamped chunks
     g_vn = np.zeros(a.shape, dtype=DTYPE)  # into v (x) 1, from clamp chunks' r
-    g_w = np.zeros((2,) + a.shape[1:], dtype=DTYPE)  # sum_t ws[:, t] dL/dw_t
-    g_c = np.empty_like(c_tail)
+    g_w = np.zeros((2,) + a.shape[1:], dtype=DTYPE)  # sum_t weights[:, t] dL/dw_t
+    g_w_out = np.zeros(p.w_out.shape, dtype=DTYPE)
+    g_w_gate = np.zeros(p.w_gate.shape, dtype=DTYPE)
+    g_cv = np.zeros(a.shape[1], dtype=DTYPE)  # sum_t s_t dL/dC_t
+    g_bc = np.zeros(a.shape[1], dtype=DTYPE)  # sum_t dL/dC_t
+    g_w_a = np.zeros(w_a.shape[1], dtype=DTYPE)  # through the tail tokens s_t w_a
     carry = np.zeros(a.shape, dtype=DTYPE)
     for k in range(len(walk) - 1, -1, -1):
         s, e, clamp = walk[k]
         c = e - s
-        dl, ws = delta[s:e], terms.ws[:, s:e]
+        dl, ws = delta[s:e], terms.weights(s, e)
         ld, decay, f, r, inp = terms.scan(s, e, clamp)
         hs = states[: c + 1]
         hs[0] = bounds[k]
         linear_recurrence(decay, inp, hs)
         lam = lam_buf[:c]
         if s >= tail0:
-            gy = g_y[s - tail0 : e - tail0]
-            g_c[s - tail0 : e - tail0] = np.matmul(gy[:, None, :], hs[1:])[:, 0]
-            np.einsum("tc,tn->tcn", gy, c_tail[s - tail0 : e - tail0], out=lam)  # g_h
+            c_t, y, tail, gate = _readout(sc[s:e], hs[1:], v, w_a, p)
+            g = g_tail[s - tail0 : e - tail0]
+            g_y = g @ p.w_out.T  # the gradient into y * gate
+            g_z = g_y * y
+            g_z *= gate
+            g_z *= 1.0 - gate
+            g_w_gate += tail.T @ g_z
+            g_tokens = g_z @ p.w_gate.T
+            g_tokens += g  # residual branch
+            g_w_a += sc[s:e] @ g_tokens
+            y *= gate
+            g_w_out += y.T @ g
+            g_y *= gate
+            g_c = np.matmul(g_y[:, None, :], hs[1:])[:, 0]
+            g_cv += sc[s:e] @ g_c
+            g_bc += g_c.sum(axis=0)
+            np.einsum("tc,tn->tcn", g_y, c_t, out=lam)  # g_h
         else:  # g_h = 0 before the tail
             lam[...] = 0.0
         linear_recurrence_backward(decay, lam, carry)
@@ -627,8 +656,6 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_draw[0] *= _sigmoid(draw[:1])[0]
     g_draw[kept] *= _sigmoid(draw[kept])
     g_dv = sc @ g_draw  # sc[0] = 0: token 0 is not rank-1
-    s_tail = sc[tail0:]
-    g_cv = s_tail @ g_c
     g_alog = g_a * a  # A = -exp(a_log)
     g_v = g_vn.sum(axis=1) + p.w_b @ g_w[0] + p.w_c @ g_cv + p.w_delta[:, 0] * g_dv
     if terms.m is not None:  # M = v / A
@@ -639,14 +666,13 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     grads["slow.w_b"] = np.multiply.outer(v, g_w[0]) + np.multiply.outer(u0, g_b0)
     grads["slow.b_b"] = g_w[1] + g_b0
     grads["slow.w_c"] = np.multiply.outer(v, g_cv)
-    grads["slow.b_c"] = g_c.sum(axis=0)
+    grads["slow.b_c"] = g_bc
     grads["slow.w_delta"] = (v * g_dv + u0 * g_draw[0])[:, None]
     grads["slow.b_delta"] = np.array([g_draw.sum()])
     grads["slow.w_in"] = np.multiply.outer(cache["emb"], g_u0) + np.multiply.outer(w_a[0], g_v)
-    grads["slow.w_gate"] = np.multiply.outer(s_tail, w_a[0]).T @ g_z  # the last xi tokens
-    g_tail_tokens = g_z @ p.w_gate.T
-    g_tail_tokens += g_tail  # residual branch
-    return p.w_in @ g_u0, p.w_in @ g_v + s_tail @ g_tail_tokens
+    grads["slow.w_out"] = g_w_out
+    grads["slow.w_gate"] = g_w_gate
+    return p.w_in @ g_u0, p.w_in @ g_v + g_w_a
 
 
 def _lstm_block_forward(tokens: np.ndarray, p: LstmParams):

@@ -44,8 +44,9 @@ def discretize_zoh(a, b, delta):
     a = np.asarray(a, dtype=DTYPE)
     b = np.asarray(b, dtype=DTYPE)
     delta = np.asarray(delta, dtype=DTYPE)
-    if np.any(delta <= 0.0):
-        raise DomainError(f"delta must be positive, got min {delta.min()!r}")
+    bad = ~(np.isfinite(delta) & (delta > 0.0))  # NaN fails both tests
+    if bad.any():
+        raise DomainError(f"delta must be finite and positive, got {float(delta[bad].flat[0])!r}")
     da = delta * a
     a_bar = np.exp(da)
     # (da)^-1 (exp(da) - 1) == expm1(da) / da; below ZOH_EPS the analytic

@@ -152,19 +152,25 @@ def test_ld_clamp(b_delta):
     assert float(cache["delta"].min()) * float(cache["a"].max()) > -1e-12
 
 
-def test_pre_gate_output_matches_reference_scan():
-    """The production block's y against ssm_scan on per-step (selective) parameters."""
+@pytest.mark.parametrize("chunk", [2, 6])
+def test_selective_branch_matches_reference_scan(chunk):
+    """The production block's output minus its residual, (y * gate) @ w_out on the last xi
+    tokens, against y from ssm_scan on per-step (selective) parameters; the readout streams
+    through the tail chunks, here also split with a ragged last one."""
     bundle = o1_bundle(9)
     p = bundle.slow
     xi, l = 5, 4
     history = Rng(10).normals(xi * l)
-    _, cache = slow_forward_cached(2, history, bundle, (xi,), chunk=6)
+    _, cache = slow_forward_cached(2, history, bundle, (xi,), chunk=chunk)
+    tail0 = xi * (l - 1) + 1
+    assert [e - s for s, e, _ in cache["walk"] if s >= tail0] == {2: [2, 2, 1], 6: [5]}[chunk]
     tokens = np.concatenate([bundle.lre[2][None], history[:, None] * bundle.w_a])
     u = tokens @ p.w_in
     b_t, c_t, delta_t = selective_terms(u, p)
     a_bar, b_bar = discretize_zoh(-np.exp(p.a_log), b_t[:, None, :], delta_t[:, :, None])
     y = ssm_scan(a_bar, b_bar, c_t, u)
-    assert rel_err(cache["y"], y[-xi:]) < TOL
+    gate = 1.0 / (1.0 + np.exp(-(tokens @ p.w_gate)))
+    assert rel_err(cache["sliced"] - tokens[-xi:], ((y * gate) @ p.w_out)[-xi:]) < TOL
 
 
 def paper_dims_bundle():
@@ -173,8 +179,10 @@ def paper_dims_bundle():
 
 
 def test_bytes_per_token_at_paper_dims():
-    """tracemalloc peak of slow fwd+bwd at xi = 4096, l = 6 (24577 tokens): at most 520 B a
-    token; the cache keeps the tokens as their (T,) scales."""
+    """tracemalloc peak of slow fwd+bwd at xi = 4096, l = 6 (24577 tokens): at most 200 B a
+    token.  The cache keeps the tokens as their (T,) scales and none of the readout's
+    (xi, d_inner) or (xi, N) terms, which the backward recomputes chunk by chunk; its own
+    arrays (views excluded) stay within 1.5 MiB."""
     bundle = paper_dims_bundle()
     xi, l = 4096, 6
     history = 1e-2 * Rng(12).normals(xi * l)
@@ -188,7 +196,10 @@ def test_bytes_per_token_at_paper_dims():
         tracemalloc.stop()
     tokens = xi * l + 1
     assert cache["tokens"].shape == (tokens,)
-    assert peak / tokens <= 520, f"{peak / tokens:.0f} B per token"
+    assert not {"y", "gate", "gated", "c_tail"} & cache.keys()
+    owned = sum(v.nbytes for v in cache.values() if isinstance(v, np.ndarray) and v.base is None)
+    assert owned <= 1.5 * 2**20, f"cache {owned / 2**20:.2f} MiB"
+    assert peak / tokens <= 200, f"{peak / tokens:.0f} B per token"
 
 
 def test_pre_tail_chunks_at_paper_dims():
@@ -271,7 +282,9 @@ def test_expansion_gemms_equal_broadcasts(clamp):
     terms = hypernet._ChunkTerms(history, delta, v, p, a, 16, float(delta.max()))
     s, e = 3, 19
     r = terms.scan(s, e, clamp)[3]
-    w = terms.ws[:, s:e].T @ terms.bb  # w_t = s_t B_t
+    ws = terms.weights(s, e)
+    assert np.array_equal(ws, [history[s:e] ** 2, history[s:e]])
+    w = ws.T @ terms.bb  # w_t = s_t B_t
     assert (w == 0.0).any() and (w < 0.0).any()
     if clamp:
         ref = v[:, None] * (w * delta[s:e, None])[:, None, :]

@@ -50,6 +50,12 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize_zoh(np.array(-1.0), np.array(1.0), np.array(0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_delta(self, bad):
+        # NaN compares False with 0 and an infinite delta makes b_bar 0 * inf: both would be NaN
+        with pytest.raises(DomainError, match="finite and positive"):
+            discretize_zoh(np.array(-1.0), np.array(1.0), np.array([0.1, bad]))
+
 
 class TestScan:
     def test_zero_input(self):

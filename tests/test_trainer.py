@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -431,3 +433,27 @@ class TestIntegration:
         for _ in range(3):
             rec = tr.train_epoch(blobs.x, blobs.y)
         assert np.isfinite(rec.loss)
+
+
+class TestStepMemory:
+    def test_slow_wide_step_peak(self):
+        """tracemalloc peak of one FSG step on the 64-wide stack at the paper's slow-net dims
+        (xi = 4096, l = 6, d 16, N 8, expand 2, batch 64), with a full history: at most 5 MiB.
+        A count, not a speed; the selective slow net keeps no (xi, d_inner) readout term."""
+        layers = ["dense:2:64", "bias:64", "tanh", "dense:64:64:bin", "tanh",
+                  "dense:64:2", "bias:2"]
+        cfg = toy_config(l=6, batch_size=64, fast_kind="mlp", slow_kind="selective-ssm",
+                         token_dim=16, state_dim=8, expand=2, fast_hidden=100,
+                         base_optimizer=OptimizerConfig(kind="adam", lr=3e-3))
+        data = gen_synthetic("spirals", 32, 0.15, Rng(21))
+        tr = FsgTrainer(Model.build(layers, Rng(1)), cfg)
+        for _ in range(cfg.l + 1):
+            tr.step(data.x, data.y)
+        assert tr.buffers[3].window().shape == (cfg.l * 64 * 64,)
+        tracemalloc.start()
+        try:
+            tr.step(data.x, data.y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
