@@ -134,10 +134,34 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(x, labels)
 
 
+def _as_bytes(what: str, values) -> np.ndarray:
+    """values as uint8; a value that is not a whole number in [0, 255] raises
+    ContractError (a plain uint8 cast would wrap 256 to 0 and cut 255.9 to 255)."""
+    values = np.asarray(values)
+    if values.dtype == np.uint8:
+        return values
+    if values.dtype.kind not in "buif":
+        raise ContractError(f"{what} must be numeric, got dtype {values.dtype}")
+    real = values.astype(DTYPE)
+    bad = ~((real >= 0.0) & (real <= 255.0) & (real == np.floor(real)))
+    if bad.any():
+        raise ContractError(f"{what} hold {values[bad].flat[0].item()!r}, "
+                            f"not a whole number in [0, 255]")
+    return values.astype(np.uint8)
+
+
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Inverse of load_idx for fixtures; expects uint8 images (B, H, W)."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
+    """Inverse of load_idx for fixtures: images (B, H, W) and labels (B,), whole
+    numbers in [0, 255].  Any other shape or value raises ContractError before
+    a file is opened."""
+    images = _as_bytes("images", images)
+    labels = _as_bytes("labels", labels)
+    if images.ndim != 3 or labels.ndim != 1:
+        raise ContractError(f"write_idx expects images (B, H, W) and labels (B,), got "
+                            f"{images.shape} and {labels.shape}")
+    if labels.shape[0] != images.shape[0]:
+        raise ContractError(f"image/label count mismatch: {images.shape[0]} images vs "
+                            f"{labels.shape[0]} labels")
     b, h, w = images.shape
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IMAGE_MAGIC, b, h, w))

@@ -15,7 +15,12 @@ vectorize across output elements, never along the contraction.  Blocking
 only groups several contraction indices into one numpy call: `matmul` forms
 a block's rank-1 products in one multiply and reduces them over their
 leading axis, which numpy does by adding the rows into the output one after
-another, in order.
+another, in order.  `conv2d_forward` drops the multiply where it is exact
+without it: a tap whose weight is +1 or -1 in every output channel, as in a
+1-bit binarized layer, is added to or subtracted from each channel's
+accumulator, which gives the same bits because (+-1) * v is exact and IEEE
+754 defines a - v as a + (-v).  `matmul` keeps its multiply: one add or
+subtract call per (row, k) costs more than the whole blocked product.
 
 Each scratch buffer of a kernel call holds at most `_SCRATCH` float64
 values and is reused from block to block; only a single output row
@@ -168,6 +173,13 @@ def conv2d_forward(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     w[:, tap] and that column is added into a (C_out, tile*H_out*W_out)
     accumulator, which is copied into the output once the tile's taps are
     done.
+
+    A tap whose weight is exactly +1 or -1 for every output channel (every
+    tap of a 1-bit binarized layer) skips the product: the column is added
+    to or subtracted from each output channel's accumulator row in one
+    pass.  That is the same rounding as the multiply-then-add: (+-1) * v is
+    exact, and IEEE 754 defines a - v as a + (-v), signed zeros included.
+    The output-sized product buffer exists only when some tap needs it.
     """
     x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
     batch, c_in, height, width = x.shape
@@ -175,25 +187,36 @@ def conv2d_forward(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     hw = h_out * w_out
     padded = (height + 2 * pad, width + 2 * pad)
     tile = _batch_tile(batch, c_in * padded[0] * padded[1], c_out * hw)
+    # one row per tap, in ascending (c_in, kh, kw) order; a tap whose row is
+    # all +-1 takes ops[tap * c_out : (tap + 1) * c_out], an add or subtract
+    # per output channel.  Bools, not floats or per-tap tuples: the memory
+    # Python keeps for its freed small objects would outlive the call.
+    taps = w.reshape(c_out, -1).T
+    unit = (np.abs(taps) == 1.0).all(axis=1).tolist()
+    ops = [np.add if positive else np.subtract for positive in (taps > 0.0).ravel().tolist()]
     xp = np.zeros((tile, c_in) + padded, dtype=DTYPE)
     col_buf = np.empty(tile * hw, dtype=DTYPE)
     acc_buf = np.empty(c_out * tile * hw, dtype=DTYPE)
-    prod_buf = np.empty_like(acc_buf)
+    prod_buf = None if all(unit) else np.empty_like(acc_buf)
     out = np.empty((batch, c_out, h_out, w_out), dtype=DTYPE)
     for b0 in range(0, batch, tile):
         n = min(tile, batch - b0)
         xp[:n, :, pad : pad + height, pad : pad + width] = x[b0 : b0 + n]
         col = col_buf[: n * hw]
         acc = acc_buf[: c_out * n * hw].reshape(c_out, n * hw)
-        prod = prod_buf[: c_out * n * hw].reshape(c_out, n * hw)
+        if prod_buf is not None:
+            prod = prod_buf[: c_out * n * hw].reshape(c_out, n * hw)
+        rows = list(acc)
         acc.fill(0.0)
-        for ci in range(c_in):
-            for i in range(kh):
-                for j in range(kw):
-                    np.copyto(col.reshape(n, h_out, w_out),
-                              _window(xp[:n, ci], i, j, stride, h_out, w_out))
-                    np.multiply(w[:, ci, i, j, None], col, out=prod)
-                    np.add(acc, prod, out=acc)
+        for tap, (ci, i, j) in enumerate(np.ndindex(c_in, kh, kw)):
+            np.copyto(col.reshape(n, h_out, w_out),
+                      _window(xp[:n, ci], i, j, stride, h_out, w_out))
+            if unit[tap]:
+                for row, op in zip(rows, ops[tap * c_out : (tap + 1) * c_out]):
+                    op(row, col, out=row)
+            else:
+                np.multiply(w[:, ci, i, j, None], col, out=prod)
+                np.add(acc, prod, out=acc)
         out[b0 : b0 + n] = acc.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
     return out
 

@@ -103,3 +103,26 @@ class TestIdx:
             img.write_bytes(bytes(mutated))
             with pytest.raises(FormatError):
                 load_idx(img, lab)
+
+    @pytest.mark.parametrize("images,labels,message", [
+        (np.full((1, 2, 2), 256), [0], "images hold 256,"),
+        (np.full((1, 2, 2), -1), [0], "images hold -1,"),
+        (np.full((1, 2, 2), 255.9), [0], "images hold 255.9,"),
+        (np.full((1, 2, 2), np.nan), [0], "images hold nan,"),
+        (np.zeros((1, 2, 2)), [300], "labels hold 300,"),
+        (np.zeros((2, 2, 2)), [0, 1, 0], "2 images vs 3 labels"),
+        (np.zeros((2, 4)), [0, 1], r"images \(B, H, W\)"),
+        (np.zeros((2, 2, 2)), [[0, 1]], r"labels \(B,\)"),
+    ], ids=["256", "minus-1", "fraction", "nan", "label-300", "count", "images-2d",
+            "labels-2d"])
+    def test_write_rejects_what_uint8_idx_cannot_hold(self, tmp_path, images, labels, message):
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        with pytest.raises(ContractError, match=message):
+            write_idx(img, lab, images, np.asarray(labels))
+        assert not img.exists() and not lab.exists()
+
+    def test_write_takes_whole_numbers_of_any_numeric_dtype(self, tmp_path):
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(img, lab, np.array([[[0.0, 255.0]]]), np.arange(1, dtype=np.int64))
+        data = load_idx(img, lab)
+        assert np.array_equal(data.x[0, 0], [[0.0, 1.0]]) and data.y.tolist() == [0]

@@ -451,6 +451,21 @@ class TestUfuncBufferScope:
             assert numpy_state() == before
 
 
+def conv_weights(rng, shape, kind):
+    """Conv weights of one kind: "general" wide normals, "unit" all +-1 (the
+    add/subtract branch), or "mixed": +-1 except one output channel's weight
+    at a middle tap, so one call runs both branches."""
+    w = wide_normals(rng, shape)
+    if kind == "general":
+        return w
+    signs = np.where(w < 0.0, -1.0, 1.0)
+    if kind == "mixed":
+        tap = (0, shape[1] // 2, shape[2] // 2, shape[3] // 2)
+        signs[tap] = w[tap]
+        assert abs(signs[tap]) != 1.0
+    return signs
+
+
 class TestConvTiling:
     # (x shape, w shape, stride, pad, scratch): the scratch size gives a batch
     # tile that does not divide the batch (or one image per tile).
@@ -462,21 +477,41 @@ class TestConvTiling:
         ((7, 1, 4, 6), (2, 1, 3, 3), 1, 1, None),   # whole batch in one tile
     ]
 
-    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
-    def test_forward_matches_naive_bits(self, monkeypatch, x_shape, w_shape, stride, pad,
-                                        scratch):
+    @staticmethod
+    def check_forward_bits(monkeypatch, x_shape, w_shape, stride, pad, scratch, kind):
         if scratch is not None:
             monkeypatch.setattr(tensor, "_SCRATCH", scratch)
         rng = Rng(sum(x_shape) * 13 + stride)
-        x, w = wide_normals(rng, x_shape), wide_normals(rng, w_shape)
+        x, w = wide_normals(rng, x_shape), conv_weights(rng, w_shape, kind)
         assert_same_bits(conv2d_forward(x, w, stride, pad), naive_conv2d(x, w, stride, pad))
 
-    def test_negative_zero_products_sum_to_positive_zero(self):
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    def test_forward_matches_naive_bits(self, monkeypatch, x_shape, w_shape, stride, pad,
+                                        scratch):
+        self.check_forward_bits(monkeypatch, x_shape, w_shape, stride, pad, scratch, "general")
+
+    @pytest.mark.parametrize("kind", ["unit", "mixed"])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    def test_unit_tap_forward_matches_naive_bits(self, monkeypatch, x_shape, w_shape, stride,
+                                                 pad, scratch, kind):
+        self.check_forward_bits(monkeypatch, x_shape, w_shape, stride, pad, scratch, kind)
+
+    @staticmethod
+    def check_negative_zero_sums(w):
         x = np.full((2, 2, 4, 5), -0.0)
-        w = np.ones((3, 2, 3, 3))
         out = conv2d_forward(x, w, 1, 1)
         assert not np.signbit(out).any()
         assert_same_bits(out, naive_conv2d(x, w, 1, 1))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        self.check_negative_zero_sums(np.ones((3, 2, 3, 3)))
+
+    @pytest.mark.parametrize("signs", ["minus", "alternating"])
+    def test_negative_zero_subtracted_sums_to_positive_zero(self, signs):
+        w = -np.ones((3, 2, 3, 3))
+        if signs == "alternating":
+            w.flat[::2] = 1.0
+        self.check_negative_zero_sums(w)
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
     def test_backward_matches_naive(self, monkeypatch, x_shape, w_shape, stride, pad,
@@ -539,9 +574,17 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+# The same forward with every weight +-1 (the binarized conv of conv-idx) adds
+# or subtracts each tap's column and allocates no product buffer: 2,439,592 B
+# with the (8, 25*16*16) product buffer (409,600 B), 2,036,801 B without it.
+CONV_IDX_UNIT_FORWARD_PEAK = 2_200_000
+
+
 def test_conv_peaks_at_conv_idx_shapes():
     rng = Rng(5)
     x, w = rng.normals((64, 8, 16, 16)), rng.normals((8, 8, 3, 3))
     g_out = rng.normals((64, 8, 16, 16))
     assert traced_peak(lambda: conv2d_forward(x, w, 1, 1)) <= CONV_IDX_FORWARD_PEAK
+    unit = np.where(w < 0.0, -1.0, 1.0)
+    assert traced_peak(lambda: conv2d_forward(x, unit, 1, 1)) <= CONV_IDX_UNIT_FORWARD_PEAK
     assert traced_peak(lambda: conv2d_backward(x, w, g_out, 1, 1)) <= CONV_IDX_BACKWARD_PEAK
