@@ -10,19 +10,23 @@ linear map standing in for the fast net (singular values inside a known
 zero-mean noise xi_k, honoring the zero-expected-error assumption on the
 generated momentum.  alpha is held at C / sqrt(T+1) for the whole horizon.
 
-Besides the averaged-iterate gap curve, every run records its realized
-update terms so the auxiliary-sequence recursion
+The iteration loop only records each run: its iterates and its realized
+update terms.  The rest is derived from that record afterwards: the
+averaged-iterate gap curve, the auxiliary-sequence recursion
 
     x_{k+1} + p_{k+1} = x_k + p_k - alpha/(1-beta) * Phi_f(G_k)
                         + beta/(1-beta) * xi_k,
     p_k = beta/(1-beta) * (x_k - x_{k-1}),  p_0 = 0
 
-can be verified as an algebraic identity, and measures the constants
-(G, delta, kappa, rho) needed to evaluate the theoretical bound
+checked as an algebraic identity, and the constants (G, delta, kappa, rho)
+of the theoretical bound
 
     gap(t) <= beta (f0 - f*) / ((1-beta)(t+1))
               + (1-beta) ||x0 - x*||^2 / (2 C omega kappa sqrt(t+1))
               + C theta rho (G^2 + delta^2) / (2 omega kappa (1-beta) sqrt(t+1)).
+
+On these quadratics grad f(x) = x - x*, so G = max ||grad f(x_k)|| is
+rho = max ||x_k - x*||.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ class ConvexProblem:
 def make_quadratic_problem(dim: int, n_components: int, noise: float,
                            rng: Rng) -> ConvexProblem:
     """Component quadratics with gradient-noise RMS ~= noise."""
+    if dim < 1 or n_components < 1:
+        raise ContractError(f"dim and n_components must be >= 1, got dim = {dim}, "
+                            f"n_components = {n_components}")
     centers = noise * rng.normals((n_components, dim)) / np.sqrt(dim)
     x_star = centers.mean(axis=0)
     f_star = 0.5 * float(np.mean(np.sum((centers - x_star) ** 2, axis=1)))
@@ -99,6 +106,9 @@ def make_phi(dim: int, omega: float, theta: float, rng: Rng) -> PhiMap:
     eigenvalues are also the singular values, so ||Phi x|| stays inside
     [omega ||x||, theta ||x||].
     """
+    if not 0.0 < omega <= theta:
+        raise ContractError(f"Phi bracket needs 0 < omega <= theta, got omega = {omega}, "
+                            f"theta = {theta}")
     q = orthogonal_init(dim, dim, rng)
     if dim == 1:
         eigs = np.array([0.5 * (omega + theta)], dtype=DTYPE)
@@ -149,72 +159,61 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
         raise ContractError(f"C must be positive, got {C}")
     if not 0.0 <= beta < 1.0:
         raise ContractError(f"beta must be in [0, 1), got {beta}")
+    if T < 1 or repeats < 1:
+        raise ContractError(f"T and repeats must be >= 1, got T = {T}, repeats = {repeats}")
     dim = problem.dim
     phi = phi or identity_phi(dim)
     x0 = np.full(dim, 1.0, dtype=DTYPE) if x0 is None else np.asarray(x0, dtype=DTYPE)
     log_ts = _log_spaced_ts(T)
     alpha = C / np.sqrt(T + 1.0)
 
-    gap_rows = np.zeros((repeats, log_ts.size), dtype=DTYPE)
     trace = IterateTrace(ts=log_ts, gaps=np.zeros(log_ts.size),
                          gap_stderr=np.zeros(log_ts.size),
                          alpha=float(alpha), beta=beta, C=C)
-    g_max = 0.0
-    dist_min = np.inf
-    dist_max = 0.0
+    gap_rows = []  # per finished repeat: its gaps at log_ts
+    dists = []  # ||x_k - x*|| over every repeat's iterates x_1 ..., the diverged row left out
 
     for rep in range(repeats):
         rrng = rng.derive(f"repeat-{rep}")
         xs = np.empty((T + 1, dim), dtype=DTYPE)
         phig = np.empty((T, dim), dtype=DTYPE)
-        xi = np.empty((T, dim), dtype=DTYPE)
+        xi = np.zeros((T, dim), dtype=DTYPE)
         xs[0] = x0
-        x_prev = x0.copy()
-        x = x0.copy()
-        running = x0.copy()
-        log_idx = 0
-        failed = False
+        x_prev = x = x0
+        steps = T  # iterations whose x_{k+1} stayed bounded
         for k in range(T):
-            g_stoch = problem.grad_component(x, rrng.integer(problem.n_components))
-            mapped = phi(g_stoch)
-            noise_k = (slow_noise * rrng.normals(dim) / np.sqrt(dim)
-                       if slow_noise else np.zeros(dim, dtype=DTYPE))
-            x_next = x - alpha * mapped + beta * ((x - x_prev) + noise_k)
-            phig[k] = mapped
-            xi[k] = noise_k
-            x_prev = x
-            x = x_next
+            phig[k] = phi(problem.grad_component(x, rrng.integer(problem.n_components)))
+            if slow_noise:
+                xi[k] = slow_noise * rrng.normals(dim) / np.sqrt(dim)
+            x_prev, x = x, x - alpha * phig[k] + beta * ((x - x_prev) + xi[k])
             xs[k + 1] = x
-            running += x
-            norm = np.linalg.norm(x)
-            if norm > DIVERGENCE_LIMIT:
-                failed = True
+            if np.linalg.norm(x) > DIVERGENCE_LIMIT:
                 trace.failed_repeats.append(rep)
+                steps = k
                 break
-            g_max = max(g_max, float(np.linalg.norm(problem.grad(x))))
-            dist = float(np.linalg.norm(x - problem.x_star))
-            dist_min = min(dist_min, dist)
-            dist_max = max(dist_max, dist)
-            if log_idx < log_ts.size and k + 1 == log_ts[log_idx]:
-                x_hat = running / (k + 2.0)
-                gap_rows[rep, log_idx] = problem.value(x_hat) - problem.f_star
-                log_idx += 1
-        trace.xs.append(xs if not failed else xs[: k + 2])
-        trace.phi_g.append(phig if not failed else phig[: k + 1])
-        trace.noise.append(xi if not failed else xi[: k + 1])
-        trace.x_hat.append(running / (T + 1.0) if not failed else None)
+        trace.xs.append(xs[: steps + 2])
+        trace.phi_g.append(phig[: steps + 1])
+        trace.noise.append(xi[: steps + 1])
+        dists += [float(np.linalg.norm(row - problem.x_star)) for row in xs[1 : steps + 1]]
+        if steps < T:
+            trace.x_hat.append(None)
+            continue
+        sums = np.cumsum(xs, axis=0)  # row t is x_0 + ... + x_t, added in order
+        gap_rows.append([problem.value(sums[t] / (t + 1.0)) - problem.f_star for t in log_ts])
+        trace.x_hat.append(sums[T] / (T + 1.0))
 
-    ok = [r for r in range(repeats) if r not in trace.failed_repeats]
-    if ok:
-        trace.gaps = gap_rows[ok].mean(axis=0)
-        trace.gap_stderr = (gap_rows[ok].std(axis=0, ddof=1) / np.sqrt(len(ok))
-                            if len(ok) > 1 else np.zeros(log_ts.size))
-    x0_dist = float(np.linalg.norm(x0 - problem.x_star))
+    if gap_rows:
+        gap_rows = np.array(gap_rows, dtype=DTYPE)
+        trace.gaps = gap_rows.mean(axis=0)
+        trace.gap_stderr = (gap_rows.std(axis=0, ddof=1) / np.sqrt(len(gap_rows))
+                            if len(gap_rows) > 1 else np.zeros(log_ts.size))
+    rho = max(dists, default=0.0)
     trace.constants = dict(
-        omega=phi.omega, theta=phi.theta, G=g_max,
-        kappa=float(dist_min), rho=float(dist_max),
+        omega=phi.omega, theta=phi.theta, G=rho,
+        kappa=min(dists, default=np.inf), rho=rho,
         delta_sq=2.0 * problem.f_star + slow_noise**2,
-        f0_gap=problem.value(x0) - problem.f_star, x0_dist=x0_dist,
+        f0_gap=problem.value(x0) - problem.f_star,
+        x0_dist=float(np.linalg.norm(x0 - problem.x_star)),
     )
     return trace
 

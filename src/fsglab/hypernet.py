@@ -36,7 +36,8 @@ runs inside the walk on each tail chunk's states, and the backward rebuilds
 it from the states it recomputes, so no (xi, d_inner) or (xi, N) array
 exists beyond one chunk's.  The oracle is the per-token reference in
 `tests/slow_reference.py`.  An LSTM of hidden size d can replace the whole
-block for ablations (no gate/projections around it); it builds all T tokens.
+block for ablations (no gate/projections around it); it steps through the
+same (T,) scales and forms each token s_t w_a as it reaches it.
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -261,10 +262,10 @@ def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_s
                         chunk: int = SCAN_CHUNK):
     """Forward pass returning (output, cache) for reuse by the backward.
 
-    `cache["tokens"]` has one entry per token: the (T,) scales [0, s_1, ...]
-    for the selective block (token 0 is the embedding row, token t >= 1 is
-    s_t w_a), the (T, d) tokens for the LSTM.  `cache["sliced"]` is the block
-    output on the last xi tokens, the head's input.
+    `cache["tokens"]` has one entry per token, for either block: the (T,)
+    scales [0, s_1, ...] (token 0 is the embedding row, token t >= 1 is
+    s_t w_a).  `cache["sliced"]` is the block output on the last xi tokens,
+    the head's input.
 
     For the selective block the cache holds, besides fixed-size vectors, (T,)
     sequences (the scales, delta and its pre-activation), the state entering
@@ -291,15 +292,9 @@ def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_s
         raise DimensionError(
             f"history length {history.size} is not a multiple of xi={xi}"
         )
-    emb = bundle.lre[layer_index]
-    if bundle.slow_kind == "selective-ssm":
-        tokens = np.concatenate(([0.0], history))  # token 0 is not scaled
-        sliced, cache = _ssm_stream_forward(emb, tokens, bundle.w_a, bundle.slow, chunk, xi)
-    else:
-        tokens = np.concatenate((emb[None], np.multiply.outer(history, bundle.w_a[0])))
-        out, cache = _lstm_block_forward(tokens, bundle.slow)
-        sliced = out[-xi:]
-        cache["history"] = history
+    block = _ssm_stream_forward if bundle.slow_kind == "selective-ssm" else _lstm_forward
+    tokens = np.concatenate(([0.0], history))  # token 0 is not scaled
+    sliced, cache = block(bundle.lre[layer_index], tokens, bundle.w_a, bundle.slow, chunk, xi)
     scalars = sliced @ bundle.w_head  # (xi, 1)
     cache.update(
         layer_index=layer_index, tokens=tokens, sliced=sliced, out_shape=tuple(out_shape),
@@ -326,14 +321,8 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
     gs = cot.reshape(xi, 1)
     grads = {"w_head": np.einsum("td,to->do", cache["sliced"], gs)}
     g_tail = gs @ bundle.w_head.T  # cotangent of the block output's last xi tokens
-    if bundle.slow_kind == "selective-ssm":
-        g_first, g_w_a = _ssm_stream_backward(g_tail, bundle.slow, bundle.w_a, cache, grads)
-    else:
-        g_block = np.zeros_like(cache["tokens"])
-        g_block[-xi:] = g_tail
-        g_tokens = _lstm_block_backward(g_block, bundle.slow, cache, grads)
-        g_first = g_tokens[0]
-        g_w_a = np.einsum("t,td->d", cache["history"], g_tokens[1:])
+    block = _ssm_stream_backward if bundle.slow_kind == "selective-ssm" else _lstm_backward
+    g_first, g_w_a = block(g_tail, bundle.slow, bundle.w_a, cache, grads)
     g_lre = np.zeros_like(bundle.lre)
     g_lre[cache["layer_index"]] = g_first
     grads["lre"] = g_lre
@@ -675,8 +664,14 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     return p.w_in @ g_u0, p.w_in @ g_v + g_w_a
 
 
-def _lstm_block_forward(tokens: np.ndarray, p: LstmParams):
-    total, d = tokens.shape
+def _lstm_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray, p: LstmParams,
+                  chunk: int, xi: int):
+    """Hidden states on the last xi tokens and the backward's cache, as `_ssm_stream_forward`.
+
+    Token 0 is emb and token t >= 1 is sc[t] w_a, formed when the step reaches
+    it.  The LSTM steps one token at a time, so chunk is unused.
+    """
+    total, d = sc.shape[0], emb.shape[0]
     gates_i = np.empty((total, d), dtype=DTYPE)
     gates_f = np.empty((total, d), dtype=DTYPE)
     gates_g = np.empty((total, d), dtype=DTYPE)
@@ -687,7 +682,8 @@ def _lstm_block_forward(tokens: np.ndarray, p: LstmParams):
     h = np.zeros(d, dtype=DTYPE)
     c = np.zeros(d, dtype=DTYPE)
     for t in range(total):
-        gsum = tokens[t] @ p.w_x + h @ p.w_h + p.b
+        token = sc[t] * w_a[0] if t else emb
+        gsum = token @ p.w_x + h @ p.w_h + p.b
         i = _sigmoid(gsum[:d])
         f = _sigmoid(gsum[d : 2 * d])
         g = np.tanh(gsum[2 * d : 3 * d])
@@ -697,24 +693,27 @@ def _lstm_block_forward(tokens: np.ndarray, p: LstmParams):
         h = o * tc
         gates_i[t], gates_f[t], gates_g[t], gates_o[t] = i, f, g, o
         cells[t], tanh_c[t], hidden[t] = c, tc, h
-    cache = dict(i=gates_i, f=gates_f, g=gates_g, o=gates_o, c=cells,
+    cache = dict(emb=emb, i=gates_i, f=gates_f, g=gates_g, o=gates_o, c=cells,
                  tanh_c=tanh_c, hidden=hidden)
-    return hidden, cache
+    return hidden[-xi:], cache
 
 
-def _lstm_block_backward(g_out: np.ndarray, p: LstmParams, cache, grads):
-    tokens = cache["tokens"]
-    total, d = tokens.shape
+def _lstm_backward(g_tail: np.ndarray, p: LstmParams, w_a: np.ndarray, cache, grads):
+    """Gradients of token 0 and of w_a from the cotangent of the last xi hidden states."""
+    sc, emb = cache["tokens"], cache["emb"]
+    total, d = sc.shape[0], emb.shape[0]
+    tail0 = total - g_tail.shape[0]
     i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
     c, tanh_c, hidden = cache["c"], cache["tanh_c"], cache["hidden"]
     g_w_x = np.zeros_like(p.w_x)
     g_w_h = np.zeros_like(p.w_h)
     g_b = np.zeros_like(p.b)
-    g_tokens = np.zeros_like(tokens)
+    g_tokens = np.empty((total, d), dtype=DTYPE)
     g_h = np.zeros(d, dtype=DTYPE)
     g_c = np.zeros(d, dtype=DTYPE)
     for t in range(total - 1, -1, -1):
-        g_h = g_h + g_out[t]
+        if t >= tail0:
+            g_h = g_h + g_tail[t - tail0]
         g_o = g_h * tanh_c[t]
         g_c = g_c + g_h * o[t] * (1.0 - tanh_c[t] ** 2)
         c_prev = c[t - 1] if t > 0 else np.zeros(d, dtype=DTYPE)
@@ -728,14 +727,14 @@ def _lstm_block_backward(g_out: np.ndarray, p: LstmParams, cache, grads):
             g_g * (1.0 - g[t] ** 2),
             g_o * o[t] * (1.0 - o[t]),
         ])
-        g_w_x += np.outer(tokens[t], pre)
+        g_w_x += np.outer(sc[t] * w_a[0] if t else emb, pre)
         h_prev = hidden[t - 1] if t > 0 else np.zeros(d, dtype=DTYPE)
         g_w_h += np.outer(h_prev, pre)
         g_b += pre
-        g_tokens[t] += pre @ p.w_x.T
+        g_tokens[t] = pre @ p.w_x.T
         g_h = pre @ p.w_h.T
     grads["slow.w_x"] = g_w_x
     grads["slow.w_h"] = g_w_h
     grads["slow.b"] = g_b
-    return g_tokens
+    return g_tokens[0], np.einsum("t,td->d", sc[1:], g_tokens[1:])
 

@@ -25,10 +25,13 @@ def test_same_tree_is_identical(capsys):
 
 
 def test_bench_entry_compares_its_two_output_files(capsys):
-    assert load_bitcheck().main([str(ROOT), str(ROOT), "--configs", "bench-convergence"]) == 0
+    names = ["bench-convergence", "bench-convergence-dim-10"]
+    assert load_bitcheck().main([str(ROOT), str(ROOT), "--configs", ",".join(names)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "bench-convergence: same" and out[1].split()[1:] == out[2].split()[1:]
-    assert out[1].split()[1::2] == ["bench_gap.csv", "bench_summary.json"]
+    for name, lines in zip(names, (out[0:3], out[3:6])):
+        assert lines[0] == f"{name}: same" and lines[1].split()[1:] == lines[2].split()[1:]
+        assert lines[1].split()[1::2] == ["bench_gap.csv", "bench_summary.json"]
+    assert out[1] != out[4]  # the two dims write different curves
 
 
 def test_a_tree_that_cannot_train_differs(tmp_path, capsys):

@@ -80,6 +80,19 @@ class TestRunConvex:
         with pytest.raises(ContractError):
             run_fsg_convex(prob, C=0.0, beta=0.5, T=10, repeats=1, rng=Rng(0))
 
+    @pytest.mark.parametrize("T,repeats,named", [(0, 1, "T = 0"), (-3, 1, "T = -3"),
+                                                 (10, 0, "repeats = 0")])
+    def test_sizes_below_one_rejected(self, T, repeats, named):
+        prob = make_quadratic_problem(2, 4, 0.1, Rng(13))
+        with pytest.raises(ContractError, match=named):
+            run_fsg_convex(prob, C=1.0, beta=0.5, T=T, repeats=repeats, rng=Rng(0))
+
+    @pytest.mark.parametrize("dim,n_components,named", [(0, 4, "dim = 0"),
+                                                        (2, 0, "n_components = 0")])
+    def test_problem_sizes_below_one_rejected(self, dim, n_components, named):
+        with pytest.raises(ContractError, match=named):
+            make_quadratic_problem(dim, n_components, 0.1, Rng(13))
+
 
 def _pk_residual_loop(trace, beta):
     """The recursion residual one iteration at a time: the oracle of the array form."""
@@ -159,6 +172,25 @@ class TestBookkeepingAndBound:
         recomputed = xs.mean(axis=0)
         assert np.max(np.abs(recomputed - trace.x_hat[0])) < 1e-12
 
+    @pytest.mark.parametrize("c", [1.0, 1e3], ids=["finished", "diverged"])
+    def test_record_and_distance_constants(self, c):
+        """One Phi(G_k) per step; kappa and rho span ||x_k - x*|| over the kept iterates x_1 ...,
+        a diverged repeat's last row left out; on f = 0.5 ||x - x*||^2 + f*, G = rho."""
+        prob = make_quadratic_problem(3, 16, 0.2, Rng(18))
+        trace = run_fsg_convex(prob, C=c, beta=0.9, T=300, repeats=2, rng=Rng(19),
+                               slow_noise=0.1)
+        assert trace.failed_repeats == ([0, 1] if c > 1 else [])
+        for xs, phig in zip(trace.xs, trace.phi_g):
+            assert len(xs) == len(phig) + 1
+            assert (len(xs) < 301) if trace.failed else (len(xs) == 301)
+        kept = np.concatenate([xs[1:-1] if trace.failed else xs[1:] for xs in trace.xs])
+        assert len(kept) > 0
+        dists = np.linalg.norm(kept - prob.x_star, axis=1)
+        consts = trace.constants
+        assert consts["kappa"] == pytest.approx(dists.min(), rel=1e-14)
+        assert consts["rho"] == pytest.approx(dists.max(), rel=1e-14)
+        assert consts["G"] == consts["rho"]
+
     def test_bound_upper_bounds_measured_gap(self):
         rng = Rng(20)
         prob = make_quadratic_problem(10, 64, 0.1, rng.derive("p"))
@@ -167,6 +199,11 @@ class TestBookkeepingAndBound:
                                rng=rng.derive("r"), phi=phi, slow_noise=0.5)
         bound = theorem_bound(trace, trace.ts)
         assert np.all(trace.gaps <= bound)
+
+    @pytest.mark.parametrize("omega,theta", [(1.5, 1.0), (-1.0, 1.0), (0.0, 1.0)])
+    def test_phi_bracket_rejected(self, omega, theta):
+        with pytest.raises(ContractError, match=f"omega = {omega}, theta = {theta}"):
+            make_phi(4, omega, theta, Rng(21))
 
     def test_phi_singular_bracket(self):
         phi = make_phi(6, 0.8, 1.25, Rng(21))

@@ -1,5 +1,5 @@
 """Byte-identity check of two source trees over 20 small training configs and
-one convex-rate bench.
+two convex-rate benches.
 
     python tools/bitcheck.py <src_a> <src_b> [--configs NAME,NAME,...]
 
@@ -11,9 +11,11 @@ parameters and of the final hypernetwork parameters ("-" for the
 straight-through trainer, which has none).  The child computes both parameter
 digests itself, over the name and bytes of each (name, array) of
 `model.named_params()` and `bundle.named_params()`, so two trees are compared
-on one definition.  The `bench-convergence` entry runs that command instead
-and prints the sha256 of bench_gap.csv and of bench_summary.json; its
-manifest holds a timestamp and is not compared.  It exits 1 if any digest
+on one definition.  The two `bench-convergence` entries, at bench.dim 4 and
+10, run that command instead and print the sha256 of bench_gap.csv and of
+bench_summary.json; its manifest holds a timestamp and is not compared.  At
+dim 4 each gap sums fewer squares than numpy's 8 pairwise-summation lanes,
+so only the dim-10 entry shows a changed order of that sum.  It exits 1 if any digest
 differs.  Each child also saves its parameter arrays, and where a `model` or
 `bundle` digest differs the script prints every array whose bytes differ,
 with max |a - b| / max |a| over its entries.
@@ -107,9 +109,11 @@ CONFIGS = {
     "wide-full-batch": _override(WIDE, "batch_size = 400", "dataset.n_per_class = 200") + ADAM,
     "conv-head-2048": CONV16 + ADAM,
     "bench-convergence": BENCH,
+    # criterion 8's and the default dimension: each gap sums 10 > 8 squares
+    "bench-convergence-dim-10": _override(BENCH, "bench.dim = 10"),
 }
-# the files (or parameter sets) each command's digests cover; a config named after a
-# command other than train runs that command
+# the files (or parameter sets) each command's digests cover; a config whose name starts
+# with a command other than train runs that command
 DIGESTS = {"train": ("metrics.csv", "model", "bundle"),
            "bench-convergence": ("bench_gap.csv", "bench_summary.json")}
 
@@ -219,7 +223,7 @@ def main(argv=None) -> int:
         for name in names:
             cfg_path = tmp / f"{name}.cfg"
             cfg_path.write_text("\n".join(CONFIGS[name]).format(**paths) + "\n")
-            command = name if name in DIGESTS else "train"
+            command = next((c for c in DIGESTS if name.startswith(c)), "train")
             runs = {label: tmp / f"{name}-{label}" for label in trees}
             got = {label: _run(src, command, cfg_path, runs[label])
                    for label, src in trees.items()}
