@@ -155,15 +155,19 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
                    repeats: int, rng: Rng, phi: PhiMap | None = None,
                    slow_noise: float = 0.0, x0=None) -> IterateTrace:
     """Run the fast/slow iteration `repeats` times and log the gap curve."""
-    if C <= 0:
+    if not C > 0:  # also a NaN C
         raise ContractError(f"C must be positive, got {C}")
     if not 0.0 <= beta < 1.0:
         raise ContractError(f"beta must be in [0, 1), got {beta}")
     if T < 1 or repeats < 1:
         raise ContractError(f"T and repeats must be >= 1, got T = {T}, repeats = {repeats}")
+    if not np.isfinite(slow_noise):
+        raise ContractError(f"slow_noise must be finite, got {slow_noise}")
     dim = problem.dim
     phi = phi or identity_phi(dim)
     x0 = np.full(dim, 1.0, dtype=DTYPE) if x0 is None else np.asarray(x0, dtype=DTYPE)
+    if x0.shape != (dim,) or not np.isfinite(x0).all():
+        raise ContractError(f"x0 must be a finite ({dim},) vector, got {x0!r}")
     log_ts = _log_spaced_ts(T)
     alpha = C / np.sqrt(T + 1.0)
 
@@ -187,7 +191,7 @@ def run_fsg_convex(problem: ConvexProblem, C: float, beta: float, T: int,
                 xi[k] = slow_noise * rrng.normals(dim) / np.sqrt(dim)
             x_prev, x = x, x - alpha * phig[k] + beta * ((x - x_prev) + xi[k])
             xs[k + 1] = x
-            if np.linalg.norm(x) > DIVERGENCE_LIMIT:
+            if not np.linalg.norm(x) <= DIVERGENCE_LIMIT:  # also a NaN iterate
                 trace.failed_repeats.append(rep)
                 steps = k
                 break

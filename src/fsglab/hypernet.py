@@ -34,7 +34,13 @@ one nonzero term.  No (T, d) token array is built: the block keeps the
 (T,) scales s_t.  The readout (C_t, y, gate, out-projection and residual)
 runs inside the walk on each tail chunk's states, and the backward rebuilds
 it from the states it recomputes, so no (xi, d_inner) or (xi, N) array
-exists beyond one chunk's.  The oracle is the per-token reference in
+exists beyond one chunk's.  Each walk, forward and backward, runs in one
+`tensor._small_ufunc_buffer` scope when d_inner * N is at least
+`tensor._UFUNC_BUFFER` (`_walk_buffer`): numpy buffers a broadcast whose
+contiguous inner run is shorter than its ufunc buffer, and the walk's
+(c, 1, 1) x (d_inner, N) broadcasts have runs of d_inner * N values.  The
+scope chunks the same elementwise operations differently, so it changes no
+bits.  The oracle is the per-token reference in
 `tests/slow_reference.py`.  An LSTM of hidden size d can replace the whole
 block for ablations (no gate/projections around it); it steps through the
 same (T,) scales and forms each token s_t w_a as it reaches it.
@@ -45,6 +51,7 @@ maps, with the token inputs treated as constants.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -52,7 +59,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, EmptyHistoryError
 from .rng import Rng
 from .ssm import _scan, chunk_plan, linear_recurrence, linear_recurrence_backward
-from .tensor import DTYPE, orthogonal_init
+from .tensor import _UFUNC_BUFFER, DTYPE, _small_ufunc_buffer, orthogonal_init
 
 SCAN_CHUNK = 128  # default tokens per chunk of the selective slow net's streaming kernel
 _LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
@@ -387,6 +394,12 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # they are w @ E instead, with E the fixed (N, d_inner N) block expansion of
 # M or v.  Each column of E has one nonzero entry, so every output is one
 # product plus exact zeros, bit-identical to the broadcast.
+#
+# Each walk, forward and backward, runs inside one `_walk_buffer` scope (the
+# module docstring says why).  It is entered once per walk, not per op, since
+# an entry costs 3.6 us, more than a small chunk's broadcast saves (one Xeon
+# core); the horizon, softplus, the T-long sigmoids and token 0 run at the
+# caller's buffer.
 # The oracle, `tests/slow_reference.py`, steps the scan token by token.
 
 
@@ -405,6 +418,13 @@ def _horizon(delta, a_top: float, tail0: int) -> int:
     ld_top = np.minimum(delta[1:tail0] * a_top, -_LD_CLAMP)
     reach = np.cumsum(ld_top[::-1])[::-1]  # reach[t] = R_t, t = 0 .. tail0-2
     return int(np.count_nonzero(reach < _LOG_UNDERFLOW))
+
+
+def _walk_buffer(a):
+    """`tensor._small_ufunc_buffer` for a walk whose inner run d_inner * N reaches
+    `_UFUNC_BUFFER`, else the caller's buffer: below that size numpy buffers the
+    walk's broadcasts at either buffer, and the smaller one only adds refills."""
+    return _small_ufunc_buffer() if a.size >= _UFUNC_BUFFER else nullcontext()
 
 
 def _first_token(u0, b0, delta0, a):
@@ -520,19 +540,20 @@ def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
         h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
     else:  # the horizon passed token 0
         h = np.zeros(a.shape, dtype=DTYPE)
-    for k, (s, e, clamp) in enumerate(walk):
-        bounds[k] = h
-        _, decay, _, _, inp = terms.scan(s, e, clamp)
-        hs = states[: e - s + 1]
-        hs[0] = h
-        linear_recurrence(decay, inp, hs)
-        h = hs[-1].copy()
-        if s >= tail0:
-            _, y, tail, gate = _readout(sc[s:e], hs[1:], v, w_a, p)
-            y *= gate
-            rows = out[s - tail0 : e - tail0]
-            np.matmul(y, p.w_out, out=rows)
-            rows += tail  # residual
+    with _walk_buffer(a):
+        for k, (s, e, clamp) in enumerate(walk):
+            bounds[k] = h
+            _, decay, _, _, inp = terms.scan(s, e, clamp)
+            hs = states[: e - s + 1]
+            hs[0] = h
+            linear_recurrence(decay, inp, hs)
+            h = hs[-1].copy()
+            if s >= tail0:
+                _, y, tail, gate = _readout(sc[s:e], hs[1:], v, w_a, p)
+                y *= gate
+                rows = out[s - tail0 : e - tail0]
+                np.matmul(y, p.w_out, out=rows)
+                rows += tail  # residual
     cache = dict(emb=emb, u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk, d_top=d_top,
                  walk=walk, bounds=bounds)
     return out, cache
@@ -568,60 +589,61 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_bc = np.zeros(a.shape[1], dtype=DTYPE)  # sum_t dL/dC_t
     g_w_a = np.zeros(w_a.shape[1], dtype=DTYPE)  # through the tail tokens s_t w_a
     carry = np.zeros(a.shape, dtype=DTYPE)
-    for k in range(len(walk) - 1, -1, -1):
-        s, e, clamp = walk[k]
-        c = e - s
-        dl, ws = delta[s:e], terms.weights(s, e)
-        ld, decay, f, r, inp = terms.scan(s, e, clamp)
-        hs = states[: c + 1]
-        hs[0] = bounds[k]
-        linear_recurrence(decay, inp, hs)
-        lam = lam_buf[:c]
-        if s >= tail0:
-            c_t, y, tail, gate = _readout(sc[s:e], hs[1:], v, w_a, p)
-            g = g_tail[s - tail0 : e - tail0]
-            g_y = g @ p.w_out.T  # the gradient into y * gate
-            g_z = g_y * y
-            g_z *= gate
-            g_z *= 1.0 - gate
-            g_w_gate += tail.T @ g_z
-            g_tokens = g_z @ p.w_gate.T
-            g_tokens += g  # residual branch
-            g_w_a += sc[s:e] @ g_tokens
-            y *= gate
-            g_w_out += y.T @ g
-            g_y *= gate
-            g_c = np.matmul(g_y[:, None, :], hs[1:])[:, 0]
-            g_cv += sc[s:e] @ g_c
-            g_bc += g_c.sum(axis=0)
-            np.einsum("tc,tn->tcn", g_y, c_t, out=lam)  # g_h
-        else:  # g_h = 0 before the tail
-            lam[...] = 0.0
-        linear_recurrence_backward(decay, lam, carry)
-        eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
-        carry = eld[0] * lam[0]
-        g_ld = inp
-        if clamp:  # phi'(ld) = (exp(ld) - phi) / ld
-            np.subtract(eld, f, out=g_ld)
-            g_ld /= ld
-            g_ld *= r
-            np.multiply(eld, hs[:c], out=ld)
-            g_ld += ld
-        else:
-            np.add(hs[:c], r, out=g_ld)
-            g_ld *= eld
-        g_ld *= lam
-        g2 = g_ld.reshape(c, -1)
-        g_delta[s:e] = g2 @ a_flat
-        g_a += (dl @ g2).reshape(a.shape)
-        lf = np.multiply(lam, f, out=lam).reshape(c, -1)  # lambda_t F_t, the gradient into r_t
-        fixed, g_fixed = terms.m, g_m  # r_t = M (x) w_t
-        if clamp:  # r_t = delta_t v (x) w_t, with delta_t's own gradient
-            g_delta[s:e] += np.einsum("jk,kj->j", lf @ terms.vb, ws)
-            ws, fixed, g_fixed = ws * dl, v[:, None], g_vn
-        pw = ws @ lf
-        g_fixed += terms.w_sums(pw)
-        g_w += (pw.reshape((2,) + a.shape) * fixed).sum(axis=1)
+    with _walk_buffer(a):
+        for k in range(len(walk) - 1, -1, -1):
+            s, e, clamp = walk[k]
+            c = e - s
+            dl, ws = delta[s:e], terms.weights(s, e)
+            ld, decay, f, r, inp = terms.scan(s, e, clamp)
+            hs = states[: c + 1]
+            hs[0] = bounds[k]
+            linear_recurrence(decay, inp, hs)
+            lam = lam_buf[:c]
+            if s >= tail0:
+                c_t, y, tail, gate = _readout(sc[s:e], hs[1:], v, w_a, p)
+                g = g_tail[s - tail0 : e - tail0]
+                g_y = g @ p.w_out.T  # the gradient into y * gate
+                g_z = g_y * y
+                g_z *= gate
+                g_z *= 1.0 - gate
+                g_w_gate += tail.T @ g_z
+                g_tokens = g_z @ p.w_gate.T
+                g_tokens += g  # residual branch
+                g_w_a += sc[s:e] @ g_tokens
+                y *= gate
+                g_w_out += y.T @ g
+                g_y *= gate
+                g_c = np.matmul(g_y[:, None, :], hs[1:])[:, 0]
+                g_cv += sc[s:e] @ g_c
+                g_bc += g_c.sum(axis=0)
+                np.einsum("tc,tn->tcn", g_y, c_t, out=lam)  # g_h
+            else:  # g_h = 0 before the tail
+                lam[...] = 0.0
+            linear_recurrence_backward(decay, lam, carry)
+            eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
+            carry = eld[0] * lam[0]
+            g_ld = inp
+            if clamp:  # phi'(ld) = (exp(ld) - phi) / ld
+                np.subtract(eld, f, out=g_ld)
+                g_ld /= ld
+                g_ld *= r
+                np.multiply(eld, hs[:c], out=ld)
+                g_ld += ld
+            else:
+                np.add(hs[:c], r, out=g_ld)
+                g_ld *= eld
+            g_ld *= lam
+            g2 = g_ld.reshape(c, -1)
+            g_delta[s:e] = g2 @ a_flat
+            g_a += (dl @ g2).reshape(a.shape)
+            lf = np.multiply(lam, f, out=lam).reshape(c, -1)  # lambda_t F_t, the gradient into r_t
+            fixed, g_fixed = terms.m, g_m  # r_t = M (x) w_t
+            if clamp:  # r_t = delta_t v (x) w_t, with delta_t's own gradient
+                g_delta[s:e] += np.einsum("jk,kj->j", lf @ terms.vb, ws)
+                ws, fixed, g_fixed = ws * dl, v[:, None], g_vn
+            pw = ws @ lf
+            g_fixed += terms.w_sums(pw)
+            g_w += (pw.reshape((2,) + a.shape) * fixed).sum(axis=1)
 
     # token 0 receives lambda_0 = carry (0 past the horizon) and has no decay term (h_{-1} = 0)
     if t0:

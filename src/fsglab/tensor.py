@@ -35,7 +35,11 @@ elements on its slow buffered path, and every rank-1 product block and
 window add of these kernels has such runs.  Their operands are aligned
 float64 and never need a buffer, so the scope changes the speed only: the
 same operations run in the same order, and the caller's buffer size and
-error settings are restored on return.
+error settings are restored on return.  The selective slow net
+(`hypernet._walk_buffer`) enters the scope once around each chunk walk
+whose contiguous inner run d_inner * N is at least `_UFUNC_BUFFER`: numpy
+buffers a broadcast whose inner run is shorter than the buffer, so a
+smaller buffer helps only runs that reach it and adds refills below that.
 
 `finite_diff` is the package's one central-difference loop: every gradient
 claim, in the acceptance checks and the tests, is checked against it.
@@ -56,14 +60,19 @@ DTYPE = np.float64
 # A tile of that size stays in a 2 MiB L2 cache.
 _SCRATCH = 1 << 16
 
-# numpy's ufunc buffer size (in elements) inside `matmul` and
-# `conv2d_backward`.  At the default, 8192, a broadcast (R, 1) x (1, C)
-# multiply takes numpy's buffered path while C is below a few thousand:
-# 1.33 ns per product at C = 800 against 0.34 ns at this size, and 0.3 ns
-# either way from C = 4096 (numpy 2.4, one Xeon core).  In interleaved runs
-# at the benchmark's shapes 128 was fastest or tied for both kernels: 16 and
-# 64 slow the window adds of `conv2d_backward`, 256 the 2048-deep head
-# product, and 1024 and up bring the slow path back in `matmul`.
+# numpy's ufunc buffer size (in elements) inside `matmul`, `conv2d_backward`
+# and the selective slow net's chunk walks.  At the default, 8192, a
+# broadcast (R, 1) x (1, C) multiply takes numpy's buffered path while C is
+# below a few thousand: 1.33 ns per product at C = 800 against 0.34 ns at
+# this size, and 0.3 ns either way from C = 4096 (numpy 2.4, one Xeon core).
+# In interleaved runs at the benchmark's shapes 128 was fastest or tied for
+# both kernels: 16 and 64 slow the window adds of `conv2d_backward`, 256 the
+# 2048-deep head product, and 1024 and up bring the slow path back in
+# `matmul`.  A run shorter than this size is buffered at either size, so the
+# slow net scopes a walk only when its inner run d_inner * N reaches it:
+# a (108, 32, 8) chunk's ld = delta A broadcast takes 29.9 us at the default
+# and 9.1 us here (same core), while at d_inner * N = 24 a scope around the
+# walk made slow fwd+bwd 5-15% slower in interleaved runs.
 _UFUNC_BUFFER = 128
 
 # Contraction indices per `matmul` block when the output is too large for

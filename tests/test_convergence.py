@@ -80,6 +80,37 @@ class TestRunConvex:
         with pytest.raises(ContractError):
             run_fsg_convex(prob, C=0.0, beta=0.5, T=10, repeats=1, rng=Rng(0))
 
+    def test_nan_c_rejected(self):
+        prob = make_quadratic_problem(2, 4, 0.1, Rng(13))
+        with pytest.raises(ContractError, match="C must be positive, got nan"):
+            run_fsg_convex(prob, C=float("nan"), beta=0.5, T=10, repeats=1, rng=Rng(0))
+
+    def test_nan_iterate_marks_run_failed(self):
+        """C = inf at x* of a one-component problem: alpha * grad = inf * 0 makes x_1 NaN,
+        whose norm is no number above the divergence limit."""
+        prob = make_quadratic_problem(2, 1, 0.0, Rng(7))
+        with np.errstate(invalid="ignore"):
+            trace = run_fsg_convex(prob, C=np.inf, beta=0.5, T=20, repeats=2, rng=Rng(2),
+                                   x0=prob.x_star)
+        assert np.isnan(trace.xs[0][-1]).all()
+        assert trace.failed_repeats == [0, 1]
+        assert trace.x_hat == [None, None]
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_slow_noise_rejected(self, noise):
+        prob = make_quadratic_problem(2, 4, 0.1, Rng(13))
+        with pytest.raises(ContractError, match="slow_noise must be finite"):
+            run_fsg_convex(prob, C=1.0, beta=0.5, T=10, repeats=1, rng=Rng(0),
+                           slow_noise=noise)
+
+    @pytest.mark.parametrize("x0", [1.0, np.ones(3), np.ones((1, 2)), [np.nan, 1.0],
+                                    [1.0, -np.inf]],
+                             ids=["scalar", "length-3", "shape-1x2", "nan", "inf"])
+    def test_bad_x0_rejected(self, x0):
+        prob = make_quadratic_problem(2, 4, 0.1, Rng(13))
+        with pytest.raises(ContractError, match=r"x0 must be a finite \(2,\) vector"):
+            run_fsg_convex(prob, C=1.0, beta=0.5, T=10, repeats=1, rng=Rng(0), x0=x0)
+
     @pytest.mark.parametrize("T,repeats,named", [(0, 1, "T = 0"), (-3, 1, "T = -3"),
                                                  (10, 0, "repeats = 0")])
     def test_sizes_below_one_rejected(self, T, repeats, named):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fsglab import hypernet, ssm
+from fsglab import hypernet, ssm, tensor
 from fsglab.errors import DomainError
 from fsglab.hypernet import HyperNetBundle, slow_backward, slow_forward_cached
 from fsglab.rng import Rng
@@ -410,3 +410,73 @@ def test_nonfinite_history_names_layer_and_position(bad):
     history[pos] = bad
     with pytest.raises(DomainError, match=f"layer 1: non-finite gradient history at position {pos} "):
         slow_forward_cached(1, history, bundle, (12,))
+
+
+# Both chunk walks run inside one `hypernet._walk_buffer` scope: numpy's ufunc buffer
+# at `tensor._UFUNC_BUFFER` values when a chunk's inner run d_inner * N reaches it
+# (token_dim 16, expand 2, state_dim 8: 256), the caller's buffer below it
+# (token_dim 4, expand 2, state_dim 3: 24).  The reference checks above run both.
+WALK_DIMS = pytest.mark.parametrize("dims,scoped", [((16, 8, 2), True), ((4, 3, 2), False)],
+                                    ids=["inner-256", "inner-24"])
+CALLER_BUFFER = 4096
+
+
+def walk_case(dims):
+    """Pre-tail and tail chunks of 5 tokens, xi = 12, l = 5."""
+    return o1_bundle(43, *dims), Rng(44).normals(60), Rng(45).normals((12,))
+
+
+def numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+@WALK_DIMS
+def test_walk_keeps_the_callers_numpy_state(dims, scoped, monkeypatch):
+    """Inside the walks the buffer is `_UFUNC_BUFFER` or the caller's; after slow fwd and
+    bwd return, or raise from inside a walk, the caller's buffer and error settings hold."""
+    bundle, history, cot = walk_case(dims)
+    seen = []
+    for name in ("linear_recurrence", "linear_recurrence_backward"):
+        def recorded(*args, _f=getattr(hypernet, name)):
+            seen.append(np.getbufsize())
+            return _f(*args)
+        monkeypatch.setattr(hypernet, name, recorded)
+    with np.errstate(all="ignore"):
+        np.setbufsize(CALLER_BUFFER)
+        before = numpy_state()
+        _, cache = slow_forward_cached(1, history, bundle, (12,), chunk=5)
+        assert numpy_state() == before
+        slow_backward(1, None, bundle, (12,), cot, cache=cache)
+        assert numpy_state() == before
+        assert len(cache["walk"]) > 3 and len(seen) == 3 * len(cache["walk"])
+        assert set(seen) == {tensor._UFUNC_BUFFER if scoped else CALLER_BUFFER}
+
+        def fails(*args):
+            raise RuntimeError("inside the walk")
+        monkeypatch.setattr(hypernet, "linear_recurrence", fails)
+        with pytest.raises(RuntimeError, match="inside the walk"):
+            slow_forward_cached(1, history, bundle, (12,), chunk=5)
+        assert numpy_state() == before
+        with pytest.raises(RuntimeError, match="inside the walk"):
+            slow_backward(1, None, bundle, (12,), cot, cache=cache)
+        assert numpy_state() == before
+
+
+@WALK_DIMS
+def test_walk_bits_do_not_depend_on_the_callers_buffer(dims, scoped):
+    """The output and every gradient, bit for bit, under caller buffers of 8192 (numpy's
+    default), `_UFUNC_BUFFER` and 1 << 16 values."""
+    bundle, history, cot = walk_case(dims)
+    assert (bundle.slow.a_log.size >= tensor._UFUNC_BUFFER) == scoped
+    runs = []
+    for size in (8192, tensor._UFUNC_BUFFER, 1 << 16):
+        with np.errstate():
+            np.setbufsize(size)
+            out, cache = slow_forward_cached(1, history, bundle, (12,), chunk=5)
+            runs.append((out, slow_backward(1, None, bundle, (12,), cot, cache=cache)))
+    out, grads = runs[0]
+    for other_out, other_grads in runs[1:]:
+        assert np.array_equal(other_out, out)
+        assert other_grads.keys() == grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(other_grads[name], g), name

@@ -37,7 +37,11 @@ same metrics.csv bytes as slow_kind = off, so they run with hyper_lr = 0.1,
 where their bytes depend on the slow net.  The selective-SSM configs write
 slow_kind = off's metrics bytes at either rate, because the selective slow
 net is numerically inert at these dims, so only their bundle digest
-compares the slow net.
+compares the slow net.  That digest covers both branches of the slow net's
+ufunc-buffer scope (`hypernet._walk_buffer`): the `wide-*` entries run the
+default dims, d_inner * N = 32 * 8 = 256, so their chunk walks run inside
+the scope, and the `SMALL` and `CONV` entries, at d_inner * N = 24 and 12,
+run their walks at the caller's buffer.
 """
 
 from __future__ import annotations
