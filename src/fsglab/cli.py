@@ -40,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .config import RunConfig, config_hash, load_config, parse_value, save_config
+from .config import (RunConfig, config_hash, idx_path_error, load_config, parse_value,
+                     save_config)
 from .convergence import (
     FIT_WINDOW,
     make_phi,
@@ -85,6 +86,8 @@ def resolve_outdir(cfg: RunConfig, override=None) -> Path:
 def build_datasets(cfg: RunConfig):
     kind = cfg["dataset.kind"]
     if kind == "idx":
+        if not cfg["dataset.images_path"]:  # a config may leave the pair out; a run reads it
+            raise idx_path_error("dataset.images_path")
         train = load_idx(cfg["dataset.images_path"], cfg["dataset.labels_path"])
         test = None
         if cfg["dataset.test_images_path"]:

@@ -65,6 +65,9 @@ _ENUMS = {
     "method": ("fsg", "ste"),
     "dataset.kind": ("blobs", "spirals", "idx"),
 }
+# the (images, labels) pairs of an idx run's training and test splits
+_IDX_PATHS = (("dataset.images_path", "dataset.labels_path"),
+              ("dataset.test_images_path", "dataset.test_labels_path"))
 # run-level sizes; TrainConfig.validate checks the train settings' own
 _AT_LEAST_ONE = ("dataset.classes", "dataset.n_per_class", "bench.dim", "bench.t",
                  "bench.repeats", "bench.seeds", "bench.components")
@@ -141,8 +144,17 @@ def loads_config(text: str) -> RunConfig:
     if kind != "blobs" and classes != 2:
         raise ConfigError(f"field 'dataset.classes': only blobs read it, {kind} keeps 2, "
                           f"got {classes}")
+    if kind == "idx":  # each pair is given whole or not at all
+        for pair in _IDX_PATHS:
+            missing = [key for key in pair if not cfg[key]]
+            if len(missing) == 1:
+                raise idx_path_error(missing[0])
     cfg.to_train_config().validate()
     return cfg
+
+
+def idx_path_error(key: str) -> ConfigError:
+    return ConfigError(f"field {key!r}: idx data needs both its images and labels paths, got ''")
 
 
 def load_config(path) -> RunConfig:

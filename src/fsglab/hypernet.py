@@ -43,7 +43,10 @@ scope chunks the same elementwise operations differently, so it changes no
 bits.  The oracle is the per-token reference in
 `tests/slow_reference.py`.  An LSTM of hidden size d can replace the whole
 block for ablations (no gate/projections around it); it steps through the
-same (T,) scales and forms each token s_t w_a as it reaches it.
+same (T,) scales and forms each token s_t w_a as it reaches it.  Its cache
+keeps the activated gates (i, f, g, o) as one (T, 4d) array, and the cell
+and hidden states as (T + 1, d) arrays whose row t holds step t's input
+state, row 0 the zero start state.
 
 All backward rules here are exact reverse-mode gradients of the forward
 maps, with the token inputs treated as constants.
@@ -694,30 +697,20 @@ def _lstm_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray, p: LstmParam
     it.  The LSTM steps one token at a time, so chunk is unused.
     """
     total, d = sc.shape[0], emb.shape[0]
-    gates_i = np.empty((total, d), dtype=DTYPE)
-    gates_f = np.empty((total, d), dtype=DTYPE)
-    gates_g = np.empty((total, d), dtype=DTYPE)
-    gates_o = np.empty((total, d), dtype=DTYPE)
-    cells = np.empty((total, d), dtype=DTYPE)
+    gates = np.empty((total, 4 * d), dtype=DTYPE)
     tanh_c = np.empty((total, d), dtype=DTYPE)
-    hidden = np.empty((total, d), dtype=DTYPE)
-    h = np.zeros(d, dtype=DTYPE)
-    c = np.zeros(d, dtype=DTYPE)
+    cells = np.zeros((total + 1, d), dtype=DTYPE)
+    hidden = np.zeros((total + 1, d), dtype=DTYPE)
     for t in range(total):
         token = sc[t] * w_a[0] if t else emb
-        gsum = token @ p.w_x + h @ p.w_h + p.b
-        i = _sigmoid(gsum[:d])
-        f = _sigmoid(gsum[d : 2 * d])
-        g = np.tanh(gsum[2 * d : 3 * d])
-        o = _sigmoid(gsum[3 * d :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates_i[t], gates_f[t], gates_g[t], gates_o[t] = i, f, g, o
-        cells[t], tanh_c[t], hidden[t] = c, tc, h
-    cache = dict(emb=emb, i=gates_i, f=gates_f, g=gates_g, o=gates_o, c=cells,
-                 tanh_c=tanh_c, hidden=hidden)
-    return hidden[-xi:], cache
+        gsum = token @ p.w_x + hidden[t] @ p.w_h + p.b
+        gates[t] = _sigmoid(gsum)
+        gates[t, 2 * d : 3 * d] = np.tanh(gsum[2 * d : 3 * d])
+        i, f, g, o = gates[t].reshape(4, d)
+        cells[t + 1] = f * cells[t] + i * g
+        tanh_c[t] = np.tanh(cells[t + 1])
+        hidden[t + 1] = o * tanh_c[t]
+    return hidden[-xi:], dict(emb=emb, gates=gates, c=cells, tanh_c=tanh_c, hidden=hidden)
 
 
 def _lstm_backward(g_tail: np.ndarray, p: LstmParams, w_a: np.ndarray, cache, grads):
@@ -725,38 +718,27 @@ def _lstm_backward(g_tail: np.ndarray, p: LstmParams, w_a: np.ndarray, cache, gr
     sc, emb = cache["tokens"], cache["emb"]
     total, d = sc.shape[0], emb.shape[0]
     tail0 = total - g_tail.shape[0]
-    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
-    c, tanh_c, hidden = cache["c"], cache["tanh_c"], cache["hidden"]
-    g_w_x = np.zeros_like(p.w_x)
-    g_w_h = np.zeros_like(p.w_h)
-    g_b = np.zeros_like(p.b)
+    gates, c, tanh_c, hidden = cache["gates"], cache["c"], cache["tanh_c"], cache["hidden"]
+    g_w_x, g_w_h, g_b = (np.zeros_like(a) for a in (p.w_x, p.w_h, p.b))
     g_tokens = np.empty((total, d), dtype=DTYPE)
-    g_h = np.zeros(d, dtype=DTYPE)
-    g_c = np.zeros(d, dtype=DTYPE)
+    g_h = g_c = np.zeros(d, dtype=DTYPE)  # rebound, never written in place
+    pre = np.empty(4 * d, dtype=DTYPE)  # the gate pre-activations' gradient, (i, f, g, o)
+    pre_i, pre_f, pre_g, pre_o = pre.reshape(4, d)
     for t in range(total - 1, -1, -1):
         if t >= tail0:
             g_h = g_h + g_tail[t - tail0]
-        g_o = g_h * tanh_c[t]
-        g_c = g_c + g_h * o[t] * (1.0 - tanh_c[t] ** 2)
-        c_prev = c[t - 1] if t > 0 else np.zeros(d, dtype=DTYPE)
-        g_f = g_c * c_prev
-        g_i = g_c * g[t]
-        g_g = g_c * i[t]
-        g_c = g_c * f[t]
-        pre = np.concatenate([
-            g_i * i[t] * (1.0 - i[t]),
-            g_f * f[t] * (1.0 - f[t]),
-            g_g * (1.0 - g[t] ** 2),
-            g_o * o[t] * (1.0 - o[t]),
-        ])
+        i, f, g, o = gates[t].reshape(4, d)
+        pre_o[:] = g_h * tanh_c[t] * o * (1.0 - o)
+        g_c = g_c + g_h * o * (1.0 - tanh_c[t] ** 2)
+        pre_i[:] = g_c * g * i * (1.0 - i)
+        pre_f[:] = g_c * c[t] * f * (1.0 - f)
+        pre_g[:] = g_c * i * (1.0 - g ** 2)
+        g_c = g_c * f
         g_w_x += np.outer(sc[t] * w_a[0] if t else emb, pre)
-        h_prev = hidden[t - 1] if t > 0 else np.zeros(d, dtype=DTYPE)
-        g_w_h += np.outer(h_prev, pre)
+        g_w_h += np.outer(hidden[t], pre)
         g_b += pre
         g_tokens[t] = pre @ p.w_x.T
         g_h = pre @ p.w_h.T
-    grads["slow.w_x"] = g_w_x
-    grads["slow.w_h"] = g_w_h
-    grads["slow.b"] = g_b
+    grads.update({"slow.w_x": g_w_x, "slow.w_h": g_w_h, "slow.b": g_b})
     return g_tokens[0], np.einsum("t,td->d", sc[1:], g_tokens[1:])
 

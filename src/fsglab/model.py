@@ -16,6 +16,9 @@ Layer descriptors (config `model.layers`):
     conv2d:CIN:COUT:K[:stride=S][:pad=P][:bin]
     bias:N
     relu | tanh | flatten
+
+Any other field, a `bin` on a kind that never binarizes included, raises
+ContractError naming the descriptor.
 """
 
 from __future__ import annotations
@@ -35,12 +38,20 @@ from .tensor import (
 
 LAYER_KINDS = ("dense", "conv2d", "bias", "relu", "tanh", "flatten")
 
-# The parameter array of each kind that has one, by attribute name.
-PARAM_OF_KIND = {"dense": "w", "conv2d": "w", "bias": "b"}
+
+class Layer:
+    """Defaults a kind overrides: no parameter array, never binarized, nothing to initialise."""
+
+    param = None  # attribute name of the kind's parameter array
+    binarize = False
+
+    def init_params(self, rng: Rng) -> None:
+        pass
 
 
-class DenseLayer:
+class DenseLayer(Layer):
     kind = "dense"
+    param = "w"
 
     def __init__(self, in_dim: int, out_dim: int, binarize: bool = False):
         self.in_dim = in_dim
@@ -62,8 +73,9 @@ class DenseLayer:
         return g_x, {"w": g_w}
 
 
-class Conv2dLayer:
+class Conv2dLayer(Layer):
     kind = "conv2d"
+    param = "w"
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, pad: int = 0,
                  binarize: bool = False):
@@ -89,16 +101,13 @@ class Conv2dLayer:
         return g_x, {"w": g_w}
 
 
-class BiasLayer:
+class BiasLayer(Layer):
     kind = "bias"
-    binarize = False
+    param = "b"  # starts at zero
 
     def __init__(self, dim: int):
         self.dim = dim
         self.b = np.zeros(dim, dtype=DTYPE)
-
-    def init_params(self, rng: Rng) -> None:
-        pass  # biases start at zero
 
     def forward(self, x, w=None):
         if x.ndim == 2:
@@ -117,12 +126,8 @@ class BiasLayer:
         return g_out, {"b": g_out.sum(axis=axes)}
 
 
-class ReluLayer:
+class ReluLayer(Layer):
     kind = "relu"
-    binarize = False
-
-    def init_params(self, rng: Rng) -> None:
-        pass
 
     def forward(self, x, w=None):
         return relu_forward(x), x
@@ -131,12 +136,8 @@ class ReluLayer:
         return relu_backward(cache, g_out), {}
 
 
-class TanhLayer:
+class TanhLayer(Layer):
     kind = "tanh"
-    binarize = False
-
-    def init_params(self, rng: Rng) -> None:
-        pass
 
     def forward(self, x, w=None):
         out = np.tanh(x)
@@ -146,12 +147,8 @@ class TanhLayer:
         return g_out * (1.0 - cache * cache), {}
 
 
-class FlattenLayer:
+class FlattenLayer(Layer):
     kind = "flatten"
-    binarize = False
-
-    def init_params(self, rng: Rng) -> None:
-        pass
 
     def forward(self, x, w=None):
         return x.reshape(x.shape[0], -1), x.shape
@@ -171,12 +168,15 @@ def _integer(text: str, descriptor: str, minimum=None) -> int:
     return value
 
 
+# the kinds whose descriptor is the kind alone
+_FIELDLESS = {"relu": ReluLayer, "tanh": TanhLayer, "flatten": FlattenLayer}
+
+
 def parse_layer(descriptor: str):
     parts = [p.strip() for p in descriptor.strip().split(":") if p.strip()]
     if not parts:
         raise ContractError("empty layer descriptor")
-    kind = parts[0]
-    flags = parts[1:]
+    kind, *flags = parts
     binarize = "bin" in flags
     flags = [f for f in flags if f != "bin"]
     if kind == "dense":
@@ -198,15 +198,13 @@ def parse_layer(descriptor: str):
             raise ContractError(f"conv2d needs CIN:COUT:K, got {descriptor!r}")
         return Conv2dLayer(dims[0], dims[1], dims[2], opts["stride"], opts["pad"], binarize)
     if kind == "bias":
-        if len(flags) != 1:
-            raise ContractError(f"bias needs a width, got {descriptor!r}")
+        if len(parts) != 2 or binarize:
+            raise ContractError(f"bias needs one field, its width N, got {descriptor!r}")
         return BiasLayer(_integer(flags[0], descriptor, 1))
-    if kind == "relu":
-        return ReluLayer()
-    if kind == "tanh":
-        return TanhLayer()
-    if kind == "flatten":
-        return FlattenLayer()
+    if kind in _FIELDLESS:
+        if len(parts) != 1:
+            raise ContractError(f"{kind} takes no fields, got {descriptor!r}")
+        return _FIELDLESS[kind]()
     raise ContractError(f"unknown layer kind {kind!r} (known: {LAYER_KINDS})")
 
 
@@ -225,11 +223,11 @@ class Model:
         return model
 
     def binarized_indices(self):
-        return [i for i, l in enumerate(self.layers) if getattr(l, "binarize", False)]
+        return [i for i, l in enumerate(self.layers) if l.binarize]
 
     def named_params(self):
-        return [(f"layer{i}.{PARAM_OF_KIND[l.kind]}", getattr(l, PARAM_OF_KIND[l.kind]))
-                for i, l in enumerate(self.layers) if l.kind in PARAM_OF_KIND]
+        return [(f"layer{i}.{l.param}", getattr(l, l.param))
+                for i, l in enumerate(self.layers) if l.param]
 
     def forward(self, x, overrides=None):
         """Returns (output, caches); overrides maps layer index -> weight array.
@@ -256,8 +254,7 @@ class Model:
         reads the gradient w.r.t. the model input, so the walk ends at the
         lowest layer with parameters and skips that layer's input gradient.
         """
-        lowest = next((i for i, layer in enumerate(self.layers)
-                       if layer.kind in PARAM_OF_KIND), len(self.layers))
+        lowest = next((i for i, l in enumerate(self.layers) if l.param), len(self.layers))
         grads = {}
         g = g_out
         for i in range(len(self.layers) - 1, lowest - 1, -1):

@@ -80,18 +80,16 @@ class Rng:
     # -- array helpers ----------------------------------------------------
 
     def normals(self, shape) -> np.ndarray:
-        size = int(np.prod(shape)) if shape else 1
-        out = np.empty(size, dtype=np.float64)
-        for i in range(size):
-            out[i] = self.normal()
-        return out.reshape(shape)
+        return self._fill(self.normal, shape)
 
     def uniforms(self, shape) -> np.ndarray:
+        return self._fill(self.uniform, shape)
+
+    @staticmethod
+    def _fill(draw, shape) -> np.ndarray:
+        """An array of `shape` filled in C order by successive draw() calls."""
         size = int(np.prod(shape)) if shape else 1
-        out = np.empty(size, dtype=np.float64)
-        for i in range(size):
-            out[i] = self.uniform()
-        return out.reshape(shape)
+        return np.fromiter((draw() for _ in range(size)), np.float64, size).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""

@@ -142,6 +142,9 @@ class TrainConfig:
                                   f"got {get(key)}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"field 'beta': beta must be in [0, 1], got {self.beta}")
+        if self.lr_decay.every < 0:
+            raise ConfigError(f"field 'lr_decay.every': every must be >= 0 (0 never decays), "
+                              f"got {self.lr_decay.every}")
 
 
 @dataclass

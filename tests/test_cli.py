@@ -47,6 +47,21 @@ class TestTrainCommand:
         assert len(manifest["config_hash"]) == 64
         assert (out / "config.txt").exists()
 
+    def test_train_idx_with_test_split_writes_test_rows(self, tmp_path):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(images, labels, (np.arange(64).reshape(4, 4, 4) * 4).astype(np.uint8),
+                  np.arange(4) % 2)
+        cfg = write_cfg(tmp_path, "\n".join([
+            "method = ste", "epochs = 2", "batch_size = 4", "dataset.kind = idx",
+            f"dataset.images_path = {images}", f"dataset.labels_path = {labels}",
+            f"dataset.test_images_path = {images}", f"dataset.test_labels_path = {labels}",
+            "model.layers = flatten, dense:16:2:bin, bias:2"]))
+        out = tmp_path / "out"
+        assert main(["train", str(cfg), "--out", str(out)]) == 0
+        records = read_metrics(out / "metrics.csv")
+        assert [(r.epoch, r.split) for r in records] == [
+            (1, "train"), (1, "test"), (2, "train"), (2, "test")]
+
     def test_train_twice_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_TRAIN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -244,6 +259,26 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
          "bench-convergence"),
     _row("ConfigError-eps", ["base_optimizer.eps = 0"], 2,
          "config error: field 'base_optimizer.eps': eps must be > 0, got 0.0"),
+    _row("ConfigError-decay-every", ["lr_decay.every = -3"], 2,
+         "config error: field 'lr_decay.every': every must be >= 0 (0 never decays), got -3"),
+    _row("ConfigError-idx-no-paths", ["dataset.kind = idx"], 2,
+         "config error: field 'dataset.images_path': idx data needs both its images and "
+         "labels paths, got ''"),
+    _row("ConfigError-idx-no-paths-ablate", ["dataset.kind = idx"], 2,
+         "config error: field 'dataset.images_path': idx data needs both its images and "
+         "labels paths, got ''", "ablate --sweep beta=0.1"),
+    _row("ConfigError-idx-no-images", ["dataset.kind = idx", "dataset.labels_path = {labels}"],
+         2, "config error: field 'dataset.images_path': idx data needs both its images and "
+         "labels paths, got ''"),
+    _row("ConfigError-idx-no-labels", ["dataset.kind = idx", "dataset.images_path = {images}"],
+         2, "config error: field 'dataset.labels_path': idx data needs both its images and "
+         "labels paths, got ''"),
+    _row("ConfigError-idx-test-labels-only", IDX_DATA + ["dataset.test_labels_path = {labels}"],
+         2, "config error: field 'dataset.test_images_path': idx data needs both its images "
+         "and labels paths, got ''"),
+    _row("ConfigError-idx-test-images-only", IDX_DATA + ["dataset.test_images_path = {images}"],
+         2, "config error: field 'dataset.test_labels_path': idx data needs both its images "
+         "and labels paths, got ''"),
     _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",
          raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0")),
          mid_run=True),

@@ -96,6 +96,12 @@ class TestRunConvex:
         assert trace.failed_repeats == [0, 1]
         assert trace.x_hat == [None, None]
 
+    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5, np.nan])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        prob = make_quadratic_problem(2, 4, 0.1, Rng(13))
+        with pytest.raises(ContractError, match=rf"beta must be in \[0, 1\), got {beta}"):
+            run_fsg_convex(prob, C=1.0, beta=beta, T=10, repeats=1, rng=Rng(0))
+
     @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
     def test_nonfinite_slow_noise_rejected(self, noise):
         prob = make_quadratic_problem(2, 4, 0.1, Rng(13))
@@ -235,6 +241,11 @@ class TestBookkeepingAndBound:
     def test_phi_bracket_rejected(self, omega, theta):
         with pytest.raises(ContractError, match=f"omega = {omega}, theta = {theta}"):
             make_phi(4, omega, theta, Rng(21))
+
+    def test_phi_one_dimensional_is_the_bracket_midpoint(self):
+        phi = make_phi(1, 0.8, 1.25, Rng(21))
+        assert np.array_equal(phi.matrix, [[0.5 * (0.8 + 1.25)]])
+        assert (phi.omega, phi.theta) == (0.8, 1.25)
 
     def test_phi_singular_bracket(self):
         phi = make_phi(6, 0.8, 1.25, Rng(21))

@@ -10,7 +10,35 @@ from fsglab.rng import Rng
 from fsglab.trainer import SteTrainer, TrainConfig, OptimizerConfig, LrDecay
 
 
+def _point_loop(kind, n_per_class, noise, rng, classes):
+    """One point and one pair of draws at a time: the oracle of gen_synthetic's array form."""
+    xs, ys = [], []
+    for c in range(classes if kind == "blobs" else 2):
+        for i in range(n_per_class):
+            if kind == "blobs":
+                angle = 2.0 * np.pi * c / classes
+                mean = (2.0 * np.cos(angle), 2.0 * np.sin(angle))
+            else:
+                t = (i + 0.5) / n_per_class
+                angle = 3.0 * np.pi * t + np.pi * c
+                mean = ((0.3 + 2.7 * t) * np.cos(angle), (0.3 + 2.7 * t) * np.sin(angle))
+            xs.append([mean[0] + noise * rng.normal(), mean[1] + noise * rng.normal()])
+            ys.append(c)
+    return np.array(xs), np.array(ys, dtype=np.int64)
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("kind,classes", [("blobs", 2), ("blobs", 3), ("blobs", 10),
+                                              ("spirals", 2)])
+    @pytest.mark.parametrize("n_per_class,noise", [(1, 0.15), (7, 0.3), (24, 0.0), (100, 0.15)])
+    def test_array_form_equals_point_loop(self, kind, classes, n_per_class, noise):
+        rng, ref_rng = Rng(5), Rng(5)
+        data = gen_synthetic(kind, n_per_class, noise, rng, classes=classes)
+        x, y = _point_loop(kind, n_per_class, noise, ref_rng, classes)
+        assert data.x.tobytes() == x.tobytes() and data.x.shape == x.shape
+        assert data.y.tobytes() == y.tobytes()
+        assert rng.normal() == ref_rng.normal()  # both took the same draws
+
     def test_blobs_zero_noise_at_centers(self):
         data = gen_synthetic("blobs", 5, 0.0, Rng(1), classes=3)
         for c in range(3):

@@ -30,6 +30,14 @@ def test_parse_layer_errors():
     ("conv2d:1:2:1.5", "'1.5' is not an integer in 'conv2d:1:2:1.5'"),
     ("conv2d:1:2:3:stride=q", "'q' is not an integer in 'conv2d:1:2:3:stride=q'"),
     ("conv2d:1:2:3:pad=", "'' is not an integer in 'conv2d:1:2:3:pad='"),
+    # a field the kind does not read, a bin flag included, is an error, not dropped
+    ("relu:bin", "relu takes no fields, got 'relu:bin'"),
+    ("tanh:64", "tanh takes no fields, got 'tanh:64'"),
+    ("flatten:2:3", "flatten takes no fields, got 'flatten:2:3'"),
+    ("bias:4:bin", "bias needs one field, its width N, got 'bias:4:bin'"),
+    ("bias:bin", "bias needs one field, its width N, got 'bias:bin'"),
+    ("bias:4:5", "bias needs one field, its width N, got 'bias:4:5'"),
+    ("bias", "bias needs one field, its width N, got 'bias'"),
 ])
 def test_parse_layer_rejects_bad_sizes(descriptor, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):

@@ -70,6 +70,16 @@ class TestComposeGradient:
         with pytest.raises(DimensionError):
             compose_gradient(np.zeros((2, 2)), None, np.zeros((3, 3)), 1.0, 0.3)
 
+    def test_fast_off_step_composes_minus_beta_slow(self, blobs):
+        """With fast_kind = off an FSG step's G is exactly -beta * g_slow."""
+        cfg = toy_config(fast_kind="off", slow_kind="lstm")
+        tr = FsgTrainer(Model.build(TOY_LAYERS, Rng(5)), cfg)
+        tr.step(blobs.x[:16], blobs.y[:16])
+        _, info = tr.step(blobs.x[16:32], blobs.y[16:32])
+        s = info["layers"][3]
+        assert s.g_fast is None and np.abs(s.g_slow).max() > 0
+        assert np.array_equal(s.g_fsg, -cfg.beta * s.g_slow)
+
 
 class TestFirstIteration:
     @pytest.mark.parametrize("opt", [
@@ -381,6 +391,21 @@ class TestIntegration:
         rec_other = other.train_epoch(blobs.x, blobs.y)
         # resumed trainer reproduces the original's next epoch exactly
         assert repr(rec_other) == repr(rec_next)
+
+    def test_ste_checkpoint_save_load_round_trip(self, blobs, tmp_path):
+        cfg = toy_config(base_optimizer=OptimizerConfig(kind="adam", lr=1e-3))
+        tr = SteTrainer(Model.build(TOY_LAYERS, Rng(8)), cfg)
+        for _ in range(2):
+            tr.train_epoch(blobs.x, blobs.y)
+        path = tmp_path / "state.npz"
+        tr.save_checkpoint(path)
+        rec_next = tr.train_epoch(blobs.x, blobs.y)
+
+        other = SteTrainer(Model.build(TOY_LAYERS, Rng(8)), cfg)
+        other.load_checkpoint(path)
+        assert other.iteration == tr.iteration - 5
+        assert repr(other.train_epoch(blobs.x, blobs.y)) == repr(rec_next)
+        assert other.params_checksum() == tr.params_checksum()
 
     @pytest.mark.parametrize("corrupt", ["cut_lre", "drop_w_in", "cut_hyper_slots",
                                          "cut_base_slot", "narrow_history",

@@ -1,4 +1,4 @@
-"""Byte-identity check of two source trees over 20 small training configs and
+"""Byte-identity check of two source trees over 21 small training configs and
 two convex-rate benches.
 
     python tools/bitcheck.py <src_a> <src_b> [--configs NAME,NAME,...]
@@ -21,12 +21,13 @@ differs.  Each child also saves its parameter arrays, and where a `model` or
 with max |a - b| / max |a| over its entries.
 
 The configs cover both trainers, every optimizer, the fast and slow net
-kinds, beta = 1, the composed history, 2-bit weights, a conv net on IDX
-images and two 64x64 binarized layers at the paper's slow-net dims.  Two
-run `tensor.matmul` at the benchmark's shapes: `wide-full-batch` puts a
-400-sample batch through the 64-wide stack (the transposed kernel on rows
-of 400), and `conv-head-2048` a `flatten, dense:2048:10` head on 16x16 IDX
-images (contractions 2048 long).  `fsg-conv-bit-width-2` runs both branches
+kinds, beta = 1, the composed history, 2-bit weights, both synthetic
+generators (`fsg-blobs-3` draws three blobs classes and a test split), a
+conv net on IDX images and two 64x64 binarized layers at the paper's
+slow-net dims.  Two run `tensor.matmul` at the benchmark's shapes:
+`wide-full-batch` puts a 400-sample batch through the 64-wide stack (the
+transposed kernel on rows of 400), and `conv-head-2048` a
+`flatten, dense:2048:10` head on 16x16 IDX images (contractions 2048 long).  `fsg-conv-bit-width-2` runs both branches
 of `conv2d_forward` in one call: on the 2-bit grid {-1, -1/3, 1/3, 1} some
 taps of its one-channel binarized conv are +-1 (added or subtracted) and
 the others are multiplied.  With four output channels, as in the other
@@ -102,6 +103,10 @@ CONFIGS = {
     "fsg-slow-off": SMALL + ADAM + ["slow_kind = off"],
     "fsg-composed": SMALL + ADAM + ["history_source = composed", "hyper_lr = 0.1"],
     "fsg-bit-width-2": SMALL + ADAM + ["bit_width = 2"],
+    "fsg-blobs-3": _override(SMALL, "dataset.kind = blobs", "dataset.classes = 3",
+                             "dataset.test_per_class = 8",
+                             "model.layers = dense:2:8, bias:8, relu, dense:8:8:bin, relu, "
+                             "dense:8:3:bin, bias:3") + ADAM,
     "ste-adam": SMALL + ADAM + ["method = ste"],
     "ste-sgd-momentum": SMALL + MOMENTUM + ["method = ste"],
     "fsg-conv-adam": CONV + ADAM,
