@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, load_config, loads_config, save_config  # noqa: F401
+from .config import RunConfig, TrainConfig, load_config, loads_config, save_config  # noqa: F401
 from .data import Dataset, gen_synthetic, load_idx  # noqa: F401
 from .history import GradientHistoryBuffer  # noqa: F401
 from .hypernet import (  # noqa: F401
@@ -22,6 +22,5 @@ from .trainer import (  # noqa: F401
     FsgTrainer,
     MetricsRecord,
     SteTrainer,
-    TrainConfig,
     compose_gradient,
 )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import LrDecay, OptimizerConfig, TrainConfig
 from .convergence import make_quadratic_problem, pk_recursion_check, run_fsg_convex
 from .data import gen_synthetic
 from .history import GradientHistoryBuffer
@@ -29,7 +30,7 @@ from .rng import Rng
 from .ssm import discretize_zoh, ssm_conv, ssm_scan
 from .tensor import (conv2d_backward, conv2d_forward, finite_diff, finite_diff_check,
                      finite_grad, matmul)
-from .trainer import FsgTrainer, LrDecay, OptimizerConfig, SteTrainer, TrainConfig
+from .trainer import FsgTrainer, SteTrainer
 
 
 def _o1_slow_bundle(seed, slow_kind, d=3, n_state=2, expand=2):

@@ -11,22 +11,23 @@ Every output-producing run writes a manifest.json (config hash, seed, start
 time, version) next to its outputs.  The FSGLAB_OUTPUT_ROOT environment
 variable re-roots relative output directories.
 
-Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config
-error (ConfigError), including a malformed sweep spec, a model whose layer
-shapes do not fit the data or each other (DimensionError, naming the layer),
-a label not below the model's output width (DimensionError), a malformed
-layer spec (ContractError) or a value outside its domain (DomainError), an
-empty dataset or gradient history (ContractError, EmptyHistoryError), a rate
-fit on invalid gaps (FitError) or an input file that cannot be read, such as
-a missing config, IDX file or metrics CSV (OSError, naming the path); 3 an
-input file does not match its format, such as a malformed metrics CSV row
-(FormatError); 4 training or the convex bench diverged (DivergenceError,
-naming the iteration, and the layer for non-finite weights) or a numeric
-evaluation was non-finite (EvaluationError).  Errors print one line to
-stderr (`_EXIT_CODES`).  Input errors leave no out directory behind: the
-config, the data and the models are read and built, and each trainer is
-evaluated on the first batch of training samples (`check_run`), before the
-directory is made.
+Exit codes: 0 success; 1 a `check` criterion failed; 2 usage or config error
+(ConfigError), including a malformed sweep spec and an IDX path key set for
+a dataset kind that does not read it, a model whose layer shapes do not fit
+the data or each other (DimensionError, naming the layer), a label not below
+the model's output width (DimensionError), a malformed layer spec, a
+repeated `bin` included (ContractError) or a value outside its domain
+(DomainError), an empty dataset or gradient history (ContractError,
+EmptyHistoryError), a rate fit on invalid gaps (FitError) or an input file
+that cannot be read, such as a missing config, IDX file or metrics CSV
+(OSError, naming the path); 3 an input file does not match its format, such
+as a malformed metrics CSV row (FormatError); 4 training or the convex bench
+diverged (DivergenceError, naming the iteration, and the layer for
+non-finite weights) or a numeric evaluation was non-finite
+(EvaluationError). Errors print one line to stderr (`_EXIT_CODES`). Input
+errors leave no out directory behind: the config, the data and the models
+are read and built, and each trainer is evaluated on the first batch of
+training samples (`check_run`), before the directory is made.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .config import (RunConfig, config_hash, idx_path_error, load_config, parse_value,
-                     save_config)
+from .config import (BENCH_RULES, DATA_RULES, RunConfig, check, config_hash, load_config,
+                     parse_value, save_config)
 from .convergence import (
-    FIT_WINDOW,
     make_phi,
     make_quadratic_problem,
     pk_recursion_check,
@@ -84,10 +84,9 @@ def resolve_outdir(cfg: RunConfig, override=None) -> Path:
 
 
 def build_datasets(cfg: RunConfig):
+    check(DATA_RULES, cfg.__getitem__)
     kind = cfg["dataset.kind"]
     if kind == "idx":
-        if not cfg["dataset.images_path"]:  # a config may leave the pair out; a run reads it
-            raise idx_path_error("dataset.images_path")
         train = load_idx(cfg["dataset.images_path"], cfg["dataset.labels_path"])
         test = None
         if cfg["dataset.test_images_path"]:
@@ -265,20 +264,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "bench-convergence":
             cfg = load_config(args.config)
-            # the domain of `run_fsg_convex`, which a train config need not meet
-            if not cfg["bench.c"] > 0:
-                raise ConfigError(f"field 'bench.c': C must be positive, got {cfg['bench.c']}")
-            if not cfg["bench.omega"] > 0:
-                raise ConfigError(f"field 'bench.omega': omega must be positive, "
-                                  f"got {cfg['bench.omega']}")
-            if not cfg["bench.theta"] >= cfg["bench.omega"]:
-                raise ConfigError(f"field 'bench.theta': theta must be >= omega = "
-                                  f"{cfg['bench.omega']}, got {cfg['bench.theta']}")
-            if not cfg["beta"] < 1:
-                raise ConfigError(f"field 'beta': the bench needs beta < 1, got {cfg['beta']}")
-            if cfg["bench.t"] < FIT_WINDOW[0]:
-                raise ConfigError(f"field 'bench.t': the rate fit starts at t = "
-                                  f"{FIT_WINDOW[0]}, got {cfg['bench.t']}")
+            check(BENCH_RULES, cfg.__getitem__)
             outdir = resolve_outdir(cfg, args.out)
             write_manifest(outdir / "manifest.json", config_hash(cfg), cfg["seed"],
                            {"command": "bench-convergence"})

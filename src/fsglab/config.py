@@ -7,10 +7,15 @@ keys, shortest round-tripping float repr), so load -> save -> load is the
 identity and the canonical bytes are stable enough to hash.
 
 An empty file is a valid config: every field has a default.  The train
-settings, their defaults, types and checks are those of `TrainConfig`; its
-nested dataclasses give the dotted `base_optimizer.*` and `lr_decay.*` keys.
-Only the run-level keys (method, dataset, model, output, bench) are listed
-here.
+settings are the fields of `TrainConfig` (nested: `base_optimizer.*`,
+`lr_decay.*`); `_SCHEMA` adds the run-level keys (method, dataset, model,
+output, bench).
+
+Each rule a value must meet is one `(key, test(value, get), message)` entry,
+and `check` raises `ConfigError("field '<key>': <message>, got <value!r>")`
+at the first that fails.  TRAIN_RULES hold for every TrainConfig a trainer
+is built from, LOAD_RULES (the run-level keys) on every load before them,
+BENCH_RULES for `bench-convergence`, DATA_RULES for runs that read data.
 """
 
 from __future__ import annotations
@@ -18,17 +23,129 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
+from .convergence import FIT_WINDOW
 from .errors import ConfigError
-from .hypernet import field_leaves
-from .trainer import TrainConfig, check_fields
+from .hypernet import SCAN_CHUNK, field_leaves
 
-_DEFAULT_LAYERS = [
-    "dense:2:32", "bias:32", "relu",
-    "dense:32:32:bin", "relu",
-    "dense:32:2", "bias:2",
+
+@dataclass
+class OptimizerConfig:
+    kind: str = "adam"
+    lr: float = 1e-3
+    momentum: float = 0.0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+
+@dataclass
+class LrDecay:
+    every: int = 30  # epochs
+    factor: float = 0.1
+
+
+@dataclass
+class TrainConfig:
+    """Every train setting; each leaf field is a config key (nested ones dotted).
+    Defaults follow the experiment-setup table this lab is derived from."""
+
+    alpha: float = 1.0
+    beta: float = 0.3
+    l: int = 6
+    base_optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    hyper_lr: float = 1e-3
+    epochs: int = 100
+    batch_size: int = 64
+    lr_decay: LrDecay = field(default_factory=LrDecay)
+    seed: int = 0
+    slow_kind: str = "selective-ssm"
+    fast_kind: str = "mlp"
+    bit_width: int = 1
+    fast_hidden: int = 100
+    token_dim: int = 16
+    state_dim: int = 8
+    expand: int = 2
+    scan_chunk: int = SCAN_CHUNK
+    history_source: str = "raw"
+    record_timing: bool = False
+
+    def validate(self) -> None:
+        """The one check of the train settings, `TRAIN_RULES`."""
+        check(TRAIN_RULES, lambda key: operator.attrgetter(key)(self))
+
+
+def check(rules, get) -> None:
+    """ConfigError naming the key of the first rule whose test(get(key), get) fails; a
+    message that quotes another key is a function of get."""
+    for key, test, message in rules:
+        value = get(key)
+        if not test(value, get):
+            message = message(get) if callable(message) else message
+            raise ConfigError(f"field {key!r}: {message}, got {value!r}")
+
+
+def _sizes(*keys):
+    return [(key, lambda v, get: v >= 1, f"{key} must be >= 1") for key in keys]
+
+
+def _enums(*table):
+    return [(key, lambda v, get, allowed=allowed: v in allowed, f"{key} must be one of {allowed}")
+            for key, allowed in table]
+
+
+TRAIN_RULES = [
+    *_sizes("l", "epochs", "batch_size", "bit_width", "fast_hidden", "token_dim", "state_dim",
+            "expand", "scan_chunk"),
+    *_enums(("slow_kind", ("selective-ssm", "lstm", "off")),
+            ("fast_kind", ("mlp", "identity", "off")),
+            ("history_source", ("raw", "composed")),
+            ("base_optimizer.kind", ("sgd", "adam"))),
+    *((key, lambda v, get: v > 0, f"{key.split('.')[-1]} must be > 0")
+      for key in ("base_optimizer.lr", "base_optimizer.eps", "hyper_lr", "lr_decay.factor")),
+    # Adam divides by 1 - beta**t; momentum >= 1 makes SGD's velocity grow without bound
+    *((key, lambda v, get: 0.0 <= v < 1.0, f"{key.split('.')[-1]} must be in [0, 1)")
+      for key in ("base_optimizer.beta1", "base_optimizer.beta2", "base_optimizer.momentum")),
+    ("beta", lambda v, get: 0.0 <= v <= 1.0, "beta must be in [0, 1]"),
+    ("lr_decay.every", lambda v, get: v >= 0, "every must be >= 0 (0 never decays)"),
 ]
+
+# the (images, labels) pairs of an idx run's training and test splits
+_IDX_PAIRS = (("dataset.images_path", "dataset.labels_path"),
+              ("dataset.test_images_path", "dataset.test_labels_path"))
+_IDX_PAIR = "idx data needs both its images and labels paths"
+
+LOAD_RULES = [
+    *_sizes("dataset.classes", "dataset.n_per_class", "bench.dim", "bench.t", "bench.repeats",
+            "bench.seeds", "bench.components"),
+    *_enums(("method", ("fsg", "ste")), ("dataset.kind", ("blobs", "spirals", "idx"))),
+    ("dataset.classes", lambda v, get: v == 2 or get("dataset.kind") == "blobs",
+     lambda get: f"only blobs read it, {get('dataset.kind')} keeps 2"),
+    *((key, lambda v, get: not v or get("dataset.kind") == "idx",
+       lambda get: f"only idx reads it, {get('dataset.kind')} keeps ''")
+      for pair in _IDX_PAIRS for key in pair),
+    # each pair is given whole or not at all
+    *((key, lambda v, get, other=other: v or not get(other), _IDX_PAIR)
+      for pair in _IDX_PAIRS for key, other in (pair, pair[::-1])),
+]
+
+# the domain of `run_fsg_convex`, which a train config need not meet
+BENCH_RULES = [
+    ("bench.c", lambda v, get: v > 0, "C must be positive"),
+    ("bench.omega", lambda v, get: v > 0, "omega must be positive"),
+    ("bench.theta", lambda v, get: v >= get("bench.omega"),
+     lambda get: f"theta must be >= omega = {get('bench.omega')}"),
+    ("beta", lambda v, get: v < 1, "the bench needs beta < 1"),
+    ("bench.t", lambda v, get: v >= FIT_WINDOW[0], f"the rate fit starts at t = {FIT_WINDOW[0]}"),
+]
+
+# a config may leave the idx pair out; a run reads it
+DATA_RULES = [("dataset.images_path", lambda v, get: v or get("dataset.kind") != "idx", _IDX_PAIR)]
+
+_DEFAULT_LAYERS = ["dense:2:32", "bias:32", "relu", "dense:32:32:bin", "relu", "dense:32:2",
+                   "bias:2"]
 
 _TAGS = {int: "int", float: "float", str: "str", bool: "bool"}
 
@@ -61,26 +178,13 @@ _SCHEMA.update({
     "bench.components": ("int", 64),
 })
 
-_ENUMS = {
-    "method": ("fsg", "ste"),
-    "dataset.kind": ("blobs", "spirals", "idx"),
-}
-# the (images, labels) pairs of an idx run's training and test splits
-_IDX_PATHS = (("dataset.images_path", "dataset.labels_path"),
-              ("dataset.test_images_path", "dataset.test_labels_path"))
-# run-level sizes; TrainConfig.validate checks the train settings' own
-_AT_LEAST_ONE = ("dataset.classes", "dataset.n_per_class", "bench.dim", "bench.t",
-                 "bench.repeats", "bench.seeds", "bench.components")
-
 
 @dataclass
 class RunConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = {k: v for k, (_, v) in _SCHEMA.items()}
-        merged.update(self.values)
-        self.values = merged
+        self.values = {**{k: v for k, (_, v) in _SCHEMA.items()}, **self.values}
 
     def __getitem__(self, key):
         return self.values[key]
@@ -139,22 +243,9 @@ def loads_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = parse_value(key, raw, f"line {lineno}, col {line.index('=') + 2}")
     cfg = RunConfig(values)
-    check_fields(cfg.__getitem__, _AT_LEAST_ONE, _ENUMS)
-    kind, classes = cfg["dataset.kind"], cfg["dataset.classes"]
-    if kind != "blobs" and classes != 2:
-        raise ConfigError(f"field 'dataset.classes': only blobs read it, {kind} keeps 2, "
-                          f"got {classes}")
-    if kind == "idx":  # each pair is given whole or not at all
-        for pair in _IDX_PATHS:
-            missing = [key for key in pair if not cfg[key]]
-            if len(missing) == 1:
-                raise idx_path_error(missing[0])
+    check(LOAD_RULES, cfg.__getitem__)
     cfg.to_train_config().validate()
     return cfg
-
-
-def idx_path_error(key: str) -> ConfigError:
-    return ConfigError(f"field {key!r}: idx data needs both its images and labels paths, got ''")
 
 
 def load_config(path) -> RunConfig:

@@ -7,13 +7,16 @@ Synthetic kinds:
             Gaussian coordinate noise.
 
 IDX files are parsed per the classic layout: 32-bit big-endian magic
-(0x00000803 for images, 0x00000801 for labels), big-endian dimension sizes,
-then raw unsigned bytes.  Pixels are scaled by 1/255 into [0, 1] and images
-come back as (B, 1, H, W) float64.
+(0x00000803 for images, 0x00000801 for labels), then as many 32-bit
+big-endian sizes as the magic's low byte says (3 and 1), then raw unsigned
+bytes, exactly as many as the sizes' product.  One reader (`_read_idx`)
+parses either file and `write_idx` writes both the same way.  Pixels are
+scaled by 1/255 into [0, 1] and images come back as (B, 1, H, W) float64.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -70,54 +73,36 @@ def _spiral_arms(n_per_class: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_be32(buf: bytes, offset: int, path) -> int:
-    if offset + 4 > len(buf):
+def _read_idx(path, magic: int, buf: bytes):
+    """(sizes, payload) of the IDX file `buf` read from path: the magic, then
+    magic & 0xff big-endian sizes, then exactly their product of bytes."""
+    what, unit = {IMAGE_MAGIC: ("image", "bytes"), LABEL_MAGIC: ("label", "labels")}[magic]
+    header = 4 + 4 * (magic & 0xFF)
+    found = int.from_bytes(buf[:4], "big")
+    if len(buf) >= 4 and found != magic:
+        raise FormatError(f"{path}: bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
+    if len(buf) < header:
         raise FormatError(f"{path}: truncated header")
-    return struct.unpack_from(">I", buf, offset)[0]
+    sizes = struct.unpack_from(f">{magic & 0xFF}I", buf, 4)
+    payload = buf[header:]
+    if len(payload) != math.prod(sizes):
+        raise FormatError(f"{path}: payload holds {len(payload)} {unit}, header promises "
+                          f"{math.prod(sizes)}")
+    return sizes, payload
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    with open(images_path, "rb") as fh:
-        img_buf = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab_buf = fh.read()
-
-    magic = _read_be32(img_buf, 0, images_path)
-    if magic != IMAGE_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}"
-        )
-    count = _read_be32(img_buf, 4, images_path)
-    rows = _read_be32(img_buf, 8, images_path)
-    cols = _read_be32(img_buf, 12, images_path)
-    payload = img_buf[16:]
-    if len(payload) != count * rows * cols:
-        raise FormatError(
-            f"{images_path}: payload holds {len(payload)} bytes, header promises "
-            f"{count * rows * cols}"
-        )
-
-    lab_magic = _read_be32(lab_buf, 0, labels_path)
-    if lab_magic != LABEL_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad label magic 0x{lab_magic:08x}, expected 0x{LABEL_MAGIC:08x}"
-        )
-    lab_count = _read_be32(lab_buf, 4, labels_path)
-    lab_payload = lab_buf[8:]
-    if len(lab_payload) != lab_count:
-        raise FormatError(
-            f"{labels_path}: payload holds {len(lab_payload)} labels, header promises "
-            f"{lab_count}"
-        )
+    bufs = []
+    for path in (images_path, labels_path):  # both are read before either is parsed
+        with open(path, "rb") as fh:
+            bufs.append(fh.read())
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGE_MAGIC, bufs[0])
+    (lab_count,), labels = _read_idx(labels_path, LABEL_MAGIC, bufs[1])
     if lab_count != count:
-        raise FormatError(
-            f"image/label count mismatch: {count} images vs {lab_count} labels"
-        )
-
-    images = np.frombuffer(payload, dtype=np.uint8).astype(DTYPE) / 255.0
-    labels = np.frombuffer(lab_payload, dtype=np.uint8).astype(np.int64)
-    x = images.reshape(count, 1, rows, cols)
-    return Dataset(x, labels)
+        raise FormatError(f"image/label count mismatch: {count} images vs {lab_count} labels")
+    images = np.frombuffer(pixels, dtype=np.uint8).astype(DTYPE) / 255.0
+    return Dataset(images.reshape(count, 1, rows, cols),
+                   np.frombuffer(labels, dtype=np.uint8).astype(np.int64))
 
 
 def _as_bytes(what: str, values) -> np.ndarray:
@@ -148,10 +133,8 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
     if labels.shape[0] != images.shape[0]:
         raise ContractError(f"image/label count mismatch: {images.shape[0]} images vs "
                             f"{labels.shape[0]} labels")
-    b, h, w = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, b, h, w))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
+    for path, magic, values in ((images_path, IMAGE_MAGIC, images),
+                                (labels_path, LABEL_MAGIC, labels)):
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(f">{values.ndim + 1}I", magic, *values.shape))
+            fh.write(values.tobytes())

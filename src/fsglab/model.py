@@ -17,8 +17,8 @@ Layer descriptors (config `model.layers`):
     bias:N
     relu | tanh | flatten
 
-Any other field, a `bin` on a kind that never binarizes included, raises
-ContractError naming the descriptor.
+Any other field, a `bin` on a kind that never binarizes or a repeated `bin`
+included, raises ContractError naming the descriptor.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ def parse_layer(descriptor: str):
     if not parts:
         raise ContractError("empty layer descriptor")
     kind, *flags = parts
+    if flags.count("bin") > 1:
+        raise ContractError(f"bin given more than once in {descriptor!r}")
     binarize = "bin" in flags
     flags = [f for f in flags if f != "bin"]
     if kind == "dense":

@@ -88,7 +88,7 @@ class Rng:
     @staticmethod
     def _fill(draw, shape) -> np.ndarray:
         """An array of `shape` filled in C order by successive draw() calls."""
-        size = int(np.prod(shape)) if shape else 1
+        size = int(np.prod(shape))  # 1 for shape (), 0 for an empty one
         return np.fromiter((draw() for _ in range(size)), np.float64, size).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -35,22 +35,23 @@ The fast net consumes the previous iteration's gradient with respect to the
 binarized weights (the quantizer-output gradient); the history buffer stores
 the previous chain-rule weight gradients (quantizer-output gradient times
 dA/dW), or the composed G when cfg.history_source == "composed".
+
+A trainer runs on a `TrainConfig`, which `config` defines with every rule of
+its settings; it and its nested dataclasses are re-exported here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, DimensionError, DivergenceError,
-                     EvaluationError, FormatError)
+from .config import LrDecay, OptimizerConfig, TrainConfig  # noqa: F401 (re-exported)
+from .errors import ContractError, DimensionError, DivergenceError, EvaluationError, FormatError
 from .history import GradientHistoryBuffer
 from .hypernet import (
-    SCAN_CHUNK,
     HyperNetBundle,
     fast_backward,
     fast_forward,
@@ -62,89 +63,6 @@ from .optim import OptimizerState, adam_step, sgd_momentum_step, sgd_step
 from .quantize import preprocess, quantize, ste_backward
 from .rng import Rng
 from .tensor import DTYPE, softmax_cross_entropy
-
-
-_AT_LEAST_ONE = ("l", "epochs", "batch_size", "bit_width", "fast_hidden",
-                 "token_dim", "state_dim", "expand", "scan_chunk")
-_ENUMS = {
-    "slow_kind": ("selective-ssm", "lstm", "off"),
-    "fast_kind": ("mlp", "identity", "off"),
-    "history_source": ("raw", "composed"),
-    "base_optimizer.kind": ("sgd", "adam"),
-}
-_POSITIVE = ("base_optimizer.lr", "base_optimizer.eps", "hyper_lr", "lr_decay.factor")
-# Adam divides by 1 - beta**t; momentum >= 1 makes SGD's velocity grow without bound
-_BELOW_ONE = ("base_optimizer.beta1", "base_optimizer.beta2", "base_optimizer.momentum")
-
-
-def check_fields(get, at_least_one, enums) -> None:
-    """ConfigError `field '<key>': ...` unless get(key) is >= 1 or in enums[key], as listed."""
-    for key in at_least_one:
-        if get(key) < 1:
-            raise ConfigError(f"field {key!r}: {key} must be >= 1, got {get(key)}")
-    for key, allowed in enums.items():
-        if get(key) not in allowed:
-            raise ConfigError(f"field {key!r}: {key} must be one of {allowed}, got {get(key)!r}")
-
-
-@dataclass
-class OptimizerConfig:
-    kind: str = "adam"
-    lr: float = 1e-3
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass
-class LrDecay:
-    every: int = 30  # epochs
-    factor: float = 0.1
-
-
-@dataclass
-class TrainConfig:
-    """Every train setting; each leaf field is a config key (nested ones dotted).
-    Defaults follow the experiment-setup table this lab is derived from."""
-
-    alpha: float = 1.0
-    beta: float = 0.3
-    l: int = 6
-    base_optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    hyper_lr: float = 1e-3
-    epochs: int = 100
-    batch_size: int = 64
-    lr_decay: LrDecay = field(default_factory=LrDecay)
-    seed: int = 0
-    slow_kind: str = "selective-ssm"
-    fast_kind: str = "mlp"
-    bit_width: int = 1
-    fast_hidden: int = 100
-    token_dim: int = 16
-    state_dim: int = 8
-    expand: int = 2
-    scan_chunk: int = SCAN_CHUNK
-    history_source: str = "raw"
-    record_timing: bool = False
-
-    def validate(self) -> None:
-        """The one check of the train settings; raises ConfigError naming the field."""
-        get = lambda key: operator.attrgetter(key)(self)
-        check_fields(get, _AT_LEAST_ONE, _ENUMS)
-        for key in _POSITIVE:
-            if not get(key) > 0:
-                raise ConfigError(f"field {key!r}: {key.split('.')[-1]} must be > 0, "
-                                  f"got {get(key)}")
-        for key in _BELOW_ONE:
-            if not 0.0 <= get(key) < 1.0:
-                raise ConfigError(f"field {key!r}: {key.split('.')[-1]} must be in [0, 1), "
-                                  f"got {get(key)}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"field 'beta': beta must be in [0, 1], got {self.beta}")
-        if self.lr_decay.every < 0:
-            raise ConfigError(f"field 'lr_decay.every': every must be >= 0 (0 never decays), "
-                              f"got {self.lr_decay.every}")
 
 
 @dataclass

@@ -279,6 +279,13 @@ DIVERGING_BENCH = ["bench.c = 1000000.0", "bench.t = 2000", "bench.seeds = 1",
     _row("ConfigError-idx-test-images-only", IDX_DATA + ["dataset.test_images_path = {images}"],
          2, "config error: field 'dataset.test_labels_path': idx data needs both its images "
          "and labels paths, got ''"),
+    _row("ConfigError-path-not-idx", ["dataset.kind = blobs", "dataset.test_images_path = /nope"],
+         2, "config error: field 'dataset.test_images_path': only idx reads it, blobs keeps '', "
+         "got '/nope'"),
+    _row("ConfigError-path-not-idx-ablate",
+         ["dataset.kind = blobs", "dataset.test_images_path = /nope"], 2,
+         "config error: field 'dataset.test_images_path': only idx reads it, blobs keeps '', "
+         "got '/nope'", "ablate --sweep beta=0.1"),
     _row("EvaluationError", [], 4, "error: f non-finite at perturbed coordinate 0",
          raised=("run_train", EvaluationError("f non-finite at perturbed coordinate 0")),
          mid_run=True),

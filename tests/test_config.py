@@ -1,7 +1,11 @@
+import functools
+
 import pytest
 
 from fsglab.config import (
+    TRAIN_RULES,
     RunConfig,
+    TrainConfig,
     config_hash,
     dumps_config,
     load_config,
@@ -121,6 +125,48 @@ def test_classes_the_dataset_kind_does_not_take(text):
                                   "dataset.kind = idx\ndataset.classes = 2"])
 def test_classes_the_dataset_kind_takes(text):
     loads_config(text)
+
+
+@pytest.mark.parametrize("kind", ["blobs", "spirals"])
+@pytest.mark.parametrize("key", ["dataset.images_path", "dataset.labels_path",
+                                 "dataset.test_images_path", "dataset.test_labels_path"])
+def test_idx_path_the_dataset_kind_does_not_read(kind, key):
+    with pytest.raises(ConfigError, match=f"^field '{key}': only idx reads it, {kind} keeps '', "
+                                          f"got '/nope'$"):
+        loads_config(f"dataset.kind = {kind}\n{key} = /nope\n")
+
+
+@pytest.mark.parametrize("kind", ["blobs", "spirals", "idx"])
+def test_saved_config_of_every_kind_reloads(kind):
+    cfg = loads_config(f"dataset.kind = {kind}\n")
+    assert dumps_config(loads_config(dumps_config(cfg))) == dumps_config(cfg)
+
+
+# one rejected value per key of TRAIN_RULES
+TRAIN_REJECTS = [("l", 0), ("epochs", 0), ("batch_size", 0), ("bit_width", 0),
+                 ("fast_hidden", 0), ("token_dim", 0), ("state_dim", 0), ("expand", 0),
+                 ("scan_chunk", -2), ("slow_kind", "gru"), ("fast_kind", "rnn"),
+                 ("history_source", "mixed"), ("base_optimizer.kind", "rmsprop"),
+                 ("base_optimizer.lr", 0.0), ("base_optimizer.eps", -1e-08), ("hyper_lr", 0.0),
+                 ("lr_decay.factor", -0.5), ("base_optimizer.beta1", 1.0),
+                 ("base_optimizer.beta2", -0.1), ("base_optimizer.momentum", 1.5),
+                 ("beta", 1.5), ("lr_decay.every", -1)]
+
+
+def test_every_train_rule_has_a_rejected_value():
+    assert [key for key, _ in TRAIN_REJECTS] == [key for key, _, _ in TRAIN_RULES]
+
+
+@pytest.mark.parametrize("key,value", TRAIN_REJECTS, ids=[key for key, _ in TRAIN_REJECTS])
+def test_train_rule_says_the_same_built_or_loaded(key, value):
+    tc = TrainConfig()
+    *path, name = key.split(".")
+    setattr(functools.reduce(getattr, path, tc), name, value)
+    with pytest.raises(ConfigError, match=f"^field '{key}': .*, got {value!r}$") as built:
+        tc.validate()
+    with pytest.raises(ConfigError) as loaded:
+        loads_config(f"{key} = {value}\n")
+    assert str(built.value) == str(loaded.value)
 
 
 def test_enum_validation():

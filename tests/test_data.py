@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -106,6 +107,28 @@ class TestIdx:
         img.write_bytes(raw[:-3])
         with pytest.raises(FormatError, match="payload"):
             load_idx(img, lab)
+
+    @pytest.mark.parametrize("which,keep", [("img", 6), ("img", 14), ("lab", 6)])
+    def test_truncated_header(self, tmp_path, which, keep):
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(img, lab, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+        cut = tmp_path / f"{which}.idx"
+        cut.write_bytes(cut.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(cut))}: truncated header$"):
+            load_idx(img, lab)
+
+    def test_short_label_payload(self, tmp_path):
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(img, lab, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+        lab.write_bytes(lab.read_bytes()[:-1])
+        with pytest.raises(FormatError, match="payload holds 2 labels, header promises 3$"):
+            load_idx(img, lab)
+
+    def test_missing_labels_file_wins_over_bad_image_header(self, tmp_path):
+        img = tmp_path / "img.idx"
+        img.write_bytes(b"\x00\x00\x08")  # not even a whole magic
+        with pytest.raises(FileNotFoundError, match="missing.idx"):
+            load_idx(img, tmp_path / "missing.idx")
 
     def test_count_mismatch(self, tmp_path):
         img = tmp_path / "img.idx"

@@ -38,6 +38,8 @@ def test_parse_layer_errors():
     ("bias:bin", "bias needs one field, its width N, got 'bias:bin'"),
     ("bias:4:5", "bias needs one field, its width N, got 'bias:4:5'"),
     ("bias", "bias needs one field, its width N, got 'bias'"),
+    ("dense:2:3:bin:bin", "bin given more than once in 'dense:2:3:bin:bin'"),
+    ("conv2d:1:2:3:bin:pad=1:bin", "bin given more than once in 'conv2d:1:2:3:bin:pad=1:bin'"),
 ])
 def test_parse_layer_rejects_bad_sizes(descriptor, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):

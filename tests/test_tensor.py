@@ -260,12 +260,15 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
     def test_array_draws_are_the_scalar_stream(self):
-        for draws, draw in (("normals", "normal"), ("uniforms", "uniform")):
-            rng, ref = Rng(31), Rng(31)
-            got = getattr(rng, draws)((3, 5))
-            want = [getattr(ref, draw)() for _ in range(15)]
-            assert got.shape == (3, 5) and got.tobytes() == np.array(want).tobytes()
-            assert rng.normal() == ref.normal()  # a cached Box-Muller spare included
+        # shape 0 is empty and takes no draw, shape () takes one
+        for shape, size in (((3, 5), 15), (0, 0), ((), 1)):
+            for draws, draw in (("normals", "normal"), ("uniforms", "uniform")):
+                rng, ref = Rng(31), Rng(31)
+                got = getattr(rng, draws)(shape)
+                want = [getattr(ref, draw)() for _ in range(size)]
+                assert got.shape == np.empty(shape).shape
+                assert got.tobytes() == np.array(want).tobytes() and rng.state == ref.state
+                assert rng.normal() == ref.normal()  # a cached Box-Muller spare included
 
     def test_orthogonal_bit_identical(self):
         assert np.array_equal(orthogonal_init(20, 10, Rng(5)),
