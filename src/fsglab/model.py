@@ -186,19 +186,21 @@ def parse_layer(descriptor: str):
             raise ContractError(f"dense needs IN:OUT, got {descriptor!r}")
         return DenseLayer(*(_integer(f, descriptor, 1) for f in flags), binarize)
     if kind == "conv2d":
-        opts = {"stride": 1, "pad": 0}
+        opts = {}
         dims = []
         for f in flags:
             if "=" in f:
                 key, val = f.split("=", 1)
-                if key not in opts:
+                if key not in ("stride", "pad"):
                     raise ContractError(f"unknown conv2d option {key!r}")
+                if key in opts:
+                    raise ContractError(f"{key} given more than once in {descriptor!r}")
                 opts[key] = _integer(val, descriptor)  # ranges: tensor._conv_geometry
             else:
                 dims.append(_integer(f, descriptor, 1))
         if len(dims) != 3:
             raise ContractError(f"conv2d needs CIN:COUT:K, got {descriptor!r}")
-        return Conv2dLayer(dims[0], dims[1], dims[2], opts["stride"], opts["pad"], binarize)
+        return Conv2dLayer(*dims, opts.get("stride", 1), opts.get("pad", 0), binarize)
     if kind == "bias":
         if len(parts) != 2 or binarize:
             raise ContractError(f"bias needs one field, its width N, got {descriptor!r}")

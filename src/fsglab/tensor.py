@@ -15,18 +15,20 @@ vectorize across output elements, never along the contraction.  Blocking
 only groups several contraction indices into one numpy call: `matmul` forms
 a block's rank-1 products in one multiply and reduces them over their
 leading axis, which numpy does by adding the rows into the output one after
-another, in order.  `conv2d_forward` drops the multiply where it is exact
-without it: a tap whose weight is +1 or -1 in every output channel, as in a
-1-bit binarized layer, is added to or subtracted from each channel's
-accumulator, which gives the same bits because (+-1) * v is exact and IEEE
-754 defines a - v as a + (-v).  `matmul` keeps its multiply: one add or
-subtract call per (row, k) costs more than the whole blocked product.
+another, in order.  `conv2d_forward` takes one output channel at a time
+and adds its taps into one row, each tap a shifted view of the input laid
+out as flat zero-padded planes, one per stride phase, so it copies no
+windows.  It drops the multiply where it is exact without it: a weight of
++1 or -1, as in a 1-bit binarized layer, adds or subtracts the view, which
+gives the same bits because (+-1) * v is exact and IEEE 754 defines a - v
+as a + (-v).  `matmul` keeps its multiply: one add or subtract call per
+(row, k) costs more than the whole blocked product.
 
 Each scratch buffer of a kernel call holds at most `_SCRATCH` float64
 values and is reused from block to block; only a single output row
 (`matmul`) or a single image (convolutions) that is larger by itself raises
-that.  There is no full im2col: the convolutions copy one tap's
-strided window at a time.
+that.  There is no full im2col: `conv2d_backward` copies one kernel
+offset's strided windows at a time, and `conv2d_forward` none.
 
 `matmul` and `conv2d_backward` run with numpy's ufunc buffer scoped down to
 `_UFUNC_BUFFER` values (`_small_ufunc_buffer`).  At the default size numpy
@@ -177,56 +179,81 @@ def conv2d_forward(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of x[B,C_in,H,W] with w[C_out,C_in,K,K].
 
     Accumulates contributions in ascending (c_in, kh, kw) order, matching a
-    naive 7-loop evaluation bit-for-bit.  Per batch tile, each tap's strided
-    window is copied into one contiguous column, and the outer product of
-    w[:, tap] and that column is added into a (C_out, tile*H_out*W_out)
-    accumulator, which is copied into the output once the tile's taps are
-    done.
+    naive 7-loop evaluation bit-for-bit.  Per batch tile, each input channel
+    lays its zero-padded images end to end in flat rows, one row per stride
+    phase: phase (a, b) holds the padded pixels (stride * u + a,
+    stride * v + b), at u * pitch + v of an image's `plane`.  At stride 1
+    there is one phase, the image itself, with rows W + pad apart.  Output
+    (b, r, c) is position b * plane + r * pitch + c of an accumulator row,
+    and tap (ci, i, j) is the contiguous view of phase (i % stride,
+    j % stride) shifted by (i // stride) * pitch + j // stride, so no window
+    is copied.
 
-    A tap whose weight is exactly +1 or -1 for every output channel (every
-    tap of a 1-bit binarized layer) skips the product: the column is added
-    to or subtracted from each output channel's accumulator row in one
-    pass.  That is the same rounding as the multiply-then-add: (+-1) * v is
-    exact, and IEEE 754 defines a - v as a + (-v), signed zeros included.
-    The output-sized product buffer exists only when some tap needs it.
+    Each output channel sums its taps into one row in ascending tap order.
+    A weight of +1 adds the view and -1 subtracts it, which rounds like the
+    multiply-then-add: (+-1) * v is exact, and IEEE 754 defines a - v as
+    a + (-v), signed zeros included.  Any other weight multiplies the view
+    into a scratch row, which is then added.  Positions past W_out in a row
+    and past an image's last output row are computed and dropped (they may
+    overflow without reaching the output); the valid grid is copied into
+    out[:, c].
     """
     x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
     batch, c_in, height, width = x.shape
     c_out, _, kh, kw = w.shape
-    hw = h_out * w_out
-    padded = (height + 2 * pad, width + 2 * pad)
-    tile = _batch_tile(batch, c_in * padded[0] * padded[1], c_out * hw)
-    # one row per tap, in ascending (c_in, kh, kw) order; a tap whose row is
-    # all +-1 takes ops[tap * c_out : (tap + 1) * c_out], an add or subtract
-    # per output channel.  Bools, not floats or per-tap tuples: the memory
-    # Python keeps for its freed small objects would outlive the call.
-    taps = w.reshape(c_out, -1).T
-    unit = (np.abs(taps) == 1.0).all(axis=1).tolist()
-    ops = [np.add if positive else np.subtract for positive in (taps > 0.0).ravel().tolist()]
-    xp = np.zeros((tile, c_in) + padded, dtype=DTYPE)
-    col_buf = np.empty(tile * hw, dtype=DTYPE)
-    acc_buf = np.empty(c_out * tile * hw, dtype=DTYPE)
-    prod_buf = None if all(unit) else np.empty_like(acc_buf)
+    # The pitch is ceil((W + pad) / stride), so a phase row's right pad is
+    # the next row's left pad (or W_out, where a pad of at least the kernel
+    # width makes that wider, so a row of outputs fits).  The plane is at
+    # least ceil((H + pad) / stride) rows, so an image's bottom pad rows are
+    # the next image's top ones, and at least H_out rows, so an image's
+    # output positions end before the next image's begin.
+    pitch = max(-(-(width + pad) // stride), w_out)
+    plane = max(-(-(height + pad) // stride), h_out) * pitch
+    # per phase (a, b): the plane position `lead` of its first pixel of x, x[r0, c0]
+    phases = []
+    for a, b in np.ndindex(stride, stride):
+        u0, v0 = -(-max(pad - a, 0) // stride), -(-max(pad - b, 0) // stride)
+        phases.append((a, b, u0 * pitch + v0, stride * u0 + a - pad, stride * v0 + b - pad))
+    # how far past a tile's planes phase (0, 0)'s pixels and the last tap reach
+    reach = max(phases[0][2], (kh - 1) // stride * pitch + (kw - 1) // stride)
+    # the c_in * stride**2 rows of a tile hold at most _SCRATCH values, unless
+    # one image does, and the tiles split the batch evenly
+    most = (_SCRATCH // max(c_in * stride * stride, 1) - reach) // plane
+    tiles = max(1, -(-batch // max(1, most)))
+    tile = max(1, -(-batch // tiles))
+    # per output channel, the taps in ascending (c_in, kh, kw) order: 1 for a
+    # weight of +1, -1 for -1 and 0 for any other.  Small ints, not floats:
+    # the memory Python keeps for its freed small objects would outlive the call.
+    taps = w.reshape(c_out, c_in * kh * kw)
+    units = ((taps == 1.0).astype(np.int8) - (taps == -1.0)).tolist()
+    xp = np.zeros((c_in, stride, stride, tile * plane + reach), dtype=DTYPE)
+    acc_row = np.empty(tile * plane, dtype=DTYPE)
+    prod_row = np.empty_like(acc_row)
     out = np.empty((batch, c_out, h_out, w_out), dtype=DTYPE)
     for b0 in range(0, batch, tile):
         n = min(tile, batch - b0)
-        xp[:n, :, pad : pad + height, pad : pad + width] = x[b0 : b0 + n]
-        col = col_buf[: n * hw]
-        acc = acc_buf[: c_out * n * hw].reshape(c_out, n * hw)
-        if prod_buf is not None:
-            prod = prod_buf[: c_out * n * hw].reshape(c_out, n * hw)
-        rows = list(acc)
-        acc.fill(0.0)
-        for tap, (ci, i, j) in enumerate(np.ndindex(c_in, kh, kw)):
-            np.copyto(col.reshape(n, h_out, w_out),
-                      _window(xp[:n, ci], i, j, stride, h_out, w_out))
-            if unit[tap]:
-                for row, op in zip(rows, ops[tap * c_out : (tap + 1) * c_out]):
-                    op(row, col, out=row)
-            else:
-                np.multiply(w[:, ci, i, j, None], col, out=prod)
-                np.add(acc, prod, out=acc)
-        out[b0 : b0 + n] = acc.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+        for a, b, lead, r0, c0 in phases:
+            data = x[b0 : b0 + n, :, r0::stride, c0::stride].transpose(1, 0, 2, 3)
+            images = xp[:, a, b, lead : lead + n * plane].reshape(c_in, n, plane)
+            images = images[:, :, : data.shape[2] * pitch].reshape(data.shape[:3] + (pitch,))
+            images[..., : data.shape[3]] = data
+        size = n * plane
+        acc, prod = acc_row[:size], prod_row[:size]
+        views = [xp[ci, i % stride, j % stride, i // stride * pitch + j // stride :][:size]
+                 for ci, i, j in np.ndindex(c_in, kh, kw)]
+        grid = acc.reshape(n, plane)[:, : h_out * pitch]
+        grid = grid.reshape(n, h_out, pitch)[..., :w_out]
+        for c in range(c_out):
+            acc.fill(0.0)
+            for tap, (view, unit) in enumerate(zip(views, units[c])):
+                if unit == 1:
+                    np.add(acc, view, acc)
+                elif unit == -1:
+                    np.subtract(acc, view, acc)
+                else:
+                    np.multiply(view, taps[c, tap], prod)
+                    np.add(acc, prod, acc)
+            out[b0 : b0 + n, c] = grid
     return out
 
 

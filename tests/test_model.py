@@ -40,6 +40,9 @@ def test_parse_layer_errors():
     ("bias", "bias needs one field, its width N, got 'bias'"),
     ("dense:2:3:bin:bin", "bin given more than once in 'dense:2:3:bin:bin'"),
     ("conv2d:1:2:3:bin:pad=1:bin", "bin given more than once in 'conv2d:1:2:3:bin:pad=1:bin'"),
+    ("conv2d:1:2:3:stride=2:stride=1",
+     "stride given more than once in 'conv2d:1:2:3:stride=2:stride=1'"),
+    ("conv2d:1:2:3:pad=1:bin:pad=1", "pad given more than once in 'conv2d:1:2:3:pad=1:bin:pad=1'"),
 ])
 def test_parse_layer_rejects_bad_sizes(descriptor, message):
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):

@@ -507,6 +507,36 @@ class TestConvTiling:
                                                  pad, scratch, kind):
         self.check_forward_bits(monkeypatch, x_shape, w_shape, stride, pad, scratch, kind)
 
+    # the flat-plane layout's corners, in the CASES format
+    GEOMETRY = [
+        ((3, 2, 7, 8), (2, 2, 2, 2), 3, 1, 350),    # stride 3 > kernel 2; tiles 2 + 1
+        # stride 2, pad 2, H != W, (H + pad)(W + pad) = 63 odd: the stride phases
+        # hold 3 or 2 of x's rows and 4 or 3 of its columns
+        ((3, 2, 5, 7), (3, 2, 4, 4), 2, 2, 300),
+        ((3, 2, 4, 4), (2, 2, 6, 6), 1, 1, None),   # kernel spans the padded input: 1 x 1
+        ((4, 3, 6, 5), (1, 3, 3, 3), 1, 1, 200),    # one output channel
+        ((2, 1, 4, 4), (2, 1, 2, 2), 1, 3, None),   # pad 3 >= kernel: W_out 9 > W + pad
+    ]
+
+    @pytest.mark.parametrize("kind", ["general", "unit", "mixed"])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", GEOMETRY)
+    def test_plane_geometry_matches_naive_bits(self, monkeypatch, x_shape, w_shape, stride,
+                                               pad, scratch, kind):
+        self.check_forward_bits(monkeypatch, x_shape, w_shape, stride, pad, scratch, kind)
+
+    def test_one_channel_mixing_every_kind_of_weight_matches_naive_bits(self):
+        rng = Rng(23)
+        x = wide_normals(rng, (3, 2, 5, 6))
+        x[0, 0, :2] = -0.0
+        w = wide_normals(rng, (1, 2, 3, 3))
+        w.flat[:6] = [1.0, -1.0, 0.0, -0.0, 1.0, -1.0]
+        for stride, pad in ((1, 1), (2, 0), (2, 1)):
+            assert_same_bits(conv2d_forward(x, w, stride, pad), naive_conv2d(x, w, stride, pad))
+
+    def test_no_output_channels_gives_an_empty_output(self):
+        out = conv2d_forward(np.ones((3, 2, 5, 6)), np.ones((0, 2, 3, 3)), 2, 1)
+        assert out.shape == (3, 0, 3, 3)
+
     @staticmethod
     def check_negative_zero_sums(w):
         x = np.full((2, 2, 4, 5), -0.0)
@@ -585,9 +615,10 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-# The same forward with every weight +-1 (the binarized conv of conv-idx) adds
-# or subtracts each tap's column and allocates no product buffer: 2,439,592 B
-# with the (8, 25*16*16) product buffer (409,600 B), 2,036,801 B without it.
+# The same forward with every weight +-1 (the binarized conv of conv-idx).
+# The kernel that copied each tap's window and skipped its (8, 25*16*16)
+# product buffer here peaked at 2,036,801 B; the flat-plane kernel, whose
+# product row is a c_in-th of its input planes, at 1,584,616 B.
 CONV_IDX_UNIT_FORWARD_PEAK = 2_200_000
 
 
@@ -599,3 +630,19 @@ def test_conv_peaks_at_conv_idx_shapes():
     unit = np.where(w < 0.0, -1.0, 1.0)
     assert traced_peak(lambda: conv2d_forward(x, unit, 1, 1)) <= CONV_IDX_UNIT_FORWARD_PEAK
     assert traced_peak(lambda: conv2d_backward(x, w, g_out, 1, 1)) <= CONV_IDX_BACKWARD_PEAK
+
+
+# The binarized forward at conv-idx's evaluation shape, x (256, 8, 16, 16):
+# the output (4,194,304 B), one tile's input planes (8 rows of 26 images at
+# 17 * 17 values and the last tap's reach of 36, 483,200 B) and its
+# accumulator and product rows (60,112 B each), plus about 25 KB of views
+# and numpy bookkeeping: 4,823,216 B (numpy 2.4).  The kernel that copied
+# each tap's window peaked at 5,183,097 B.
+CONV_IDX_EVAL_UNIT_FORWARD_PEAK = 5_000_000
+
+
+def test_binarized_conv_peak_at_the_eval_shape():
+    rng = Rng(5)
+    x = rng.normals((256, 8, 16, 16))
+    w = np.where(rng.normals((8, 8, 3, 3)) < 0.0, -1.0, 1.0)
+    assert traced_peak(lambda: conv2d_forward(x, w, 1, 1)) <= CONV_IDX_EVAL_UNIT_FORWARD_PEAK

@@ -1,4 +1,4 @@
-"""Byte-identity check of two source trees over 21 small training configs and
+"""Byte-identity check of two source trees over 22 small training configs and
 two convex-rate benches.
 
     python tools/bitcheck.py <src_a> <src_b> [--configs NAME,NAME,...]
@@ -27,11 +27,13 @@ conv net on IDX images and two 64x64 binarized layers at the paper's
 slow-net dims.  Two run `tensor.matmul` at the benchmark's shapes:
 `wide-full-batch` puts a 400-sample batch through the 64-wide stack (the
 transposed kernel on rows of 400), and `conv-head-2048` a
-`flatten, dense:2048:10` head on 16x16 IDX images (contractions 2048 long).  `fsg-conv-bit-width-2` runs both branches
-of `conv2d_forward` in one call: on the 2-bit grid {-1, -1/3, 1/3, 1} some
-taps of its one-channel binarized conv are +-1 (added or subtracted) and
-the others are multiplied.  With four output channels, as in the other
-conv configs, no tap held four +-1 weights in a whole run.
+`flatten, dense:2048:10` head on 16x16 IDX images (contractions 2048 long).
+`conv2d_forward` picks its operation per weight: +-1 adds or subtracts a
+tap's view, any other weight is multiplied first.  `fsg-conv-bit-width-2`
+runs both in one call: on the 2-bit grid {-1, -1/3, 1/3, 1} some weights of
+its one-channel binarized conv are +-1 and the others are not.
+`fsg-conv-stride-2` runs a padded stride-2 binarized conv, whose taps read
+the four stride phases of its input planes.
 
 At the default hyper_lr the LSTM and composed-history configs write the
 same metrics.csv bytes as slow_kind = off, so they run with hyper_lr = 0.1,
@@ -88,9 +90,12 @@ def _override(lines, *changes):
 CONV16 = _override(CONV, "batch_size = 16", "dataset.images_path = {images16}",
                    "model.layers = conv2d:1:8:3:pad=1, relu, conv2d:8:8:3:pad=1:bin, relu, "
                    "flatten, dense:2048:10")
-# one output channel, so a 2-bit tap is +-1 whenever its one weight is (see above)
+# one output channel whose 2-bit weights are in part +-1 (see above)
 CONV_ONE_CHANNEL = _override(CONV, "model.layers = conv2d:1:3:3:pad=1, relu, "
                              "conv2d:3:1:3:pad=1:bin, relu, flatten, dense:36:2")
+# 6x6 images to 3x3 outputs
+CONV_STRIDE_2 = _override(CONV, "model.layers = conv2d:1:3:3:pad=1, relu, "
+                          "conv2d:3:4:3:stride=2:pad=1:bin, relu, flatten, dense:36:2")
 
 CONFIGS = {
     "fsg-adam": SMALL + ADAM + ["dataset.test_per_class = 8"],
@@ -113,6 +118,7 @@ CONFIGS = {
     "fsg-conv-sgd": CONV + SGD,
     "ste-conv": CONV + ADAM + ["method = ste"],
     "fsg-conv-bit-width-2": CONV_ONE_CHANNEL + ADAM + ["bit_width = 2"],
+    "fsg-conv-stride-2": CONV_STRIDE_2 + ADAM,
     "wide-adam": WIDE + ["base_optimizer.kind = adam", "base_optimizer.lr = 0.001"],
     "wide-sgd": WIDE + SGD,
     "wide-full-batch": _override(WIDE, "batch_size = 400", "dataset.n_per_class = 200") + ADAM,
