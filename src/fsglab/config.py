@@ -116,6 +116,8 @@ TRAIN_RULES = [
 _IDX_PAIRS = (("dataset.images_path", "dataset.labels_path"),
               ("dataset.test_images_path", "dataset.test_labels_path"))
 _IDX_PAIR = "idx data needs both its images and labels paths"
+# the keys only the synthetic generators (blobs, spirals) read
+_SYNTHETIC = ("dataset.n_per_class", "dataset.test_per_class", "dataset.noise", "dataset.seed")
 
 LOAD_RULES = [
     *_sizes("dataset.classes", "dataset.n_per_class", "bench.dim", "bench.t", "bench.repeats",
@@ -129,6 +131,11 @@ LOAD_RULES = [
     # each pair is given whole or not at all
     *((key, lambda v, get, other=other: v or not get(other), _IDX_PAIR)
       for pair in _IDX_PAIRS for key, other in (pair, pair[::-1])),
+    ("dataset.test_per_class", lambda v, get: v >= 0,
+     "dataset.test_per_class must be >= 0 (0 draws no test split)"),
+    *((key, lambda v, get, key=key: v == _SCHEMA[key][1] or get("dataset.kind") != "idx",
+       lambda get, key=key: f"only blobs and spirals read it, idx keeps {_SCHEMA[key][1]!r}")
+      for key in _SYNTHETIC),
 ]
 
 # the domain of `run_fsg_convex`, which a train config need not meet

@@ -17,31 +17,38 @@ a block's rank-1 products in one multiply and reduces them over their
 leading axis, which numpy does by adding the rows into the output one after
 another, in order.  `conv2d_forward` takes one output channel at a time
 and adds its taps into one row, each tap a shifted view of the input laid
-out as flat zero-padded planes, one per stride phase, so it copies no
-windows.  It drops the multiply where it is exact without it: a weight of
-+1 or -1, as in a 1-bit binarized layer, adds or subtracts the view, which
-gives the same bits because (+-1) * v is exact and IEEE 754 defines a - v
-as a + (-v).  `matmul` keeps its multiply: one add or subtract call per
-(row, k) costs more than the whole blocked product.
+out as flat zero-padded planes, one per stride phase (`_conv_planes`), so it
+copies no windows.  It drops the multiply where it is exact without it: a
+weight of +1 or -1, as in a 1-bit binarized layer, adds or subtracts the
+view, which gives the same bits because (+-1) * v is exact and IEEE 754
+defines a - v as a + (-v).  `matmul` keeps its multiply: one add or subtract
+call per (row, k) costs more than the whole blocked product.
+`conv2d_backward` works on the same planes, with one BLAS product per
+kernel offset and direction; its sums run in BLAS order.
 
 Each scratch buffer of a kernel call holds at most `_SCRATCH` float64
 values and is reused from block to block; only a single output row
 (`matmul`) or a single image (convolutions) that is larger by itself raises
-that.  There is no full im2col: `conv2d_backward` copies one kernel
-offset's strided windows at a time, and `conv2d_forward` none.
+that.  There is no im2col, full or per kernel offset: both conv directions
+read each tap as a view of the planes, and neither copies a window.
 
 `matmul` and `conv2d_backward` run with numpy's ufunc buffer scoped down to
 `_UFUNC_BUFFER` values (`_small_ufunc_buffer`).  At the default size numpy
 runs a broadcast ufunc whose inner runs are shorter than a few thousand
-elements on its slow buffered path, and every rank-1 product block and
-window add of these kernels has such runs.  Their operands are aligned
-float64 and never need a buffer, so the scope changes the speed only: the
-same operations run in the same order, and the caller's buffer size and
-error settings are restored on return.  The selective slow net
-(`hypernet._walk_buffer`) enters the scope once around each chunk walk
-whose contiguous inner run d_inner * N is at least `_UFUNC_BUFFER`: numpy
-buffers a broadcast whose inner run is shorter than the buffer, so a
-smaller buffer helps only runs that reach it and adds refills below that.
+elements on its slow buffered path.  Every rank-1 product block of `matmul`
+has such runs, and so do the grid copies of `conv2d_backward`, which move a
+tile's pixels and cotangent between the arrays and the planes in runs of one
+image row.  In interleaved calls (numpy 2.4, one Xeon core) the scope took
+a stride-2 8 -> 8 backward at x (64, 8, 16, 16) to 0.81-0.88 of its
+unscoped time, and it was neutral at the stride-1 shapes of the benchmark.
+Their operands are aligned float64 and never need a buffer, so the scope
+changes the speed only: the same operations run in the same order, and the
+caller's buffer size and error settings are restored on return.  The
+selective slow net (`hypernet._walk_buffer`) enters the scope once around
+each chunk walk whose contiguous inner run d_inner * N is at least
+`_UFUNC_BUFFER`: numpy buffers a broadcast whose inner run is shorter than
+the buffer, so a smaller buffer helps only runs that reach it and adds
+refills below that.
 
 `finite_diff` is the package's one central-difference loop: every gradient
 claim, in the acceptance checks and the tests, is checked against it.
@@ -68,13 +75,14 @@ _SCRATCH = 1 << 16
 # below a few thousand: 1.33 ns per product at C = 800 against 0.34 ns at
 # this size, and 0.3 ns either way from C = 4096 (numpy 2.4, one Xeon core).
 # In interleaved runs at the benchmark's shapes 128 was fastest or tied for
-# both kernels: 16 and 64 slow the window adds of `conv2d_backward`, 256 the
-# 2048-deep head product, and 1024 and up bring the slow path back in
-# `matmul`.  A run shorter than this size is buffered at either size, so the
-# slow net scopes a walk only when its inner run d_inner * N reaches it:
-# a (108, 32, 8) chunk's ld = delta A broadcast takes 29.9 us at the default
-# and 9.1 us here (same core), while at d_inner * N = 24 a scope around the
-# walk made slow fwd+bwd 5-15% slower in interleaved runs.
+# both kernels: 16 to 1024 tie in `conv2d_backward` and 8192 slows its
+# stride-2 grid copies, 256 slows the 2048-deep head product, and 1024 and
+# up bring the slow path back in `matmul`.  A run shorter than this size is
+# buffered at either size, so the slow net scopes a walk only when its inner
+# run d_inner * N reaches it: a (108, 32, 8) chunk's ld = delta A broadcast
+# takes 29.9 us at the default and 9.1 us here (same core), while at
+# d_inner * N = 24 a scope around the walk made slow fwd+bwd 5-15% slower in
+# interleaved runs.
 _UFUNC_BUFFER = 128
 
 # Contraction indices per `matmul` block when the output is too large for
@@ -165,112 +173,154 @@ def _conv_geometry(x, w, stride: int, pad: int):
     return x, w, _conv_out_size(height, kh, stride, pad), _conv_out_size(width, kw, stride, pad)
 
 
-def _batch_tile(batch: int, *per_image: int) -> int:
-    """Images per batch tile: buffers needing per_image[i] values an image fit in _SCRATCH."""
-    return max(1, min(batch, _SCRATCH // max(*per_image, 1)))
+def _conv_planes(x, w, stride: int, pad: int, rows: int):
+    """The flat zero-padded planes both conv directions work on, and their batch tile.
 
+    Per batch tile, each input channel lays its zero-padded images end to
+    end in flat rows, one row per stride phase: phase (a, b) holds the
+    padded pixels (stride * u + a, stride * v + b), at u * pitch + v of an
+    image's `plane`.  At stride 1 there is one phase, the image itself, with
+    rows W + pad apart.  Output (b, r, c) is position b * plane + r * pitch
+    + c of a row of tile * plane values (`_grid`), and tap (i, j) of a
+    channel is the contiguous view of its phase (i % stride, j % stride)
+    shifted by (i // stride) * pitch + j // stride, so no window is copied.
+    Positions past W_out in a row and past an image's last output row are
+    dropped positions: they belong to no output.
 
-def _window(xp, i: int, j: int, stride: int, h_out: int, w_out: int):
-    """View of xp[..., i + stride*r, j + stride*c] over output positions (r, c)."""
-    return xp[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-
-
-def conv2d_forward(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlation of x[B,C_in,H,W] with w[C_out,C_in,K,K].
-
-    Accumulates contributions in ascending (c_in, kh, kw) order, matching a
-    naive 7-loop evaluation bit-for-bit.  Per batch tile, each input channel
-    lays its zero-padded images end to end in flat rows, one row per stride
-    phase: phase (a, b) holds the padded pixels (stride * u + a,
-    stride * v + b), at u * pitch + v of an image's `plane`.  At stride 1
-    there is one phase, the image itself, with rows W + pad apart.  Output
-    (b, r, c) is position b * plane + r * pitch + c of an accumulator row,
-    and tap (ci, i, j) is the contiguous view of phase (i % stride,
-    j % stride) shifted by (i // stride) * pitch + j // stride, so no window
-    is copied.
-
-    Each output channel sums its taps into one row in ascending tap order.
-    A weight of +1 adds the view and -1 subtracts it, which rounds like the
-    multiply-then-add: (+-1) * v is exact, and IEEE 754 defines a - v as
-    a + (-v), signed zeros included.  Any other weight multiplies the view
-    into a scratch row, which is then added.  Positions past W_out in a row
-    and past an image's last output row are computed and dropped (they may
-    overflow without reaching the output); the valid grid is copied into
-    out[:, c].
+    Returns the zeroed planes (C_in, stride, stride, tile * plane + reach),
+    `tile`, `plane`, `pitch`, per phase (a, b, lead, r0, c0), where `lead` is
+    the plane position of its first pixel of x, x[r0, c0], and per tap
+    (i, j) in ascending order (a, b, shift).  The tile's `rows` rows of
+    planes hold at most `_SCRATCH` values, unless one image does, and the
+    tiles split the batch evenly.
     """
-    x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
     batch, c_in, height, width = x.shape
-    c_out, _, kh, kw = w.shape
+    kh, kw = w.shape[2:]
     # The pitch is ceil((W + pad) / stride), so a phase row's right pad is
     # the next row's left pad (or W_out, where a pad of at least the kernel
     # width makes that wider, so a row of outputs fits).  The plane is at
     # least ceil((H + pad) / stride) rows, so an image's bottom pad rows are
     # the next image's top ones, and at least H_out rows, so an image's
     # output positions end before the next image's begin.
-    pitch = max(-(-(width + pad) // stride), w_out)
-    plane = max(-(-(height + pad) // stride), h_out) * pitch
-    # per phase (a, b): the plane position `lead` of its first pixel of x, x[r0, c0]
+    pitch = max(-(-(width + pad) // stride), _conv_out_size(width, kw, stride, pad))
+    plane = max(-(-(height + pad) // stride), _conv_out_size(height, kh, stride, pad)) * pitch
     phases = []
     for a, b in np.ndindex(stride, stride):
         u0, v0 = -(-max(pad - a, 0) // stride), -(-max(pad - b, 0) // stride)
         phases.append((a, b, u0 * pitch + v0, stride * u0 + a - pad, stride * v0 + b - pad))
+    shifts = [(i % stride, j % stride, i // stride * pitch + j // stride)
+              for i, j in np.ndindex(kh, kw)]
     # how far past a tile's planes phase (0, 0)'s pixels and the last tap reach
-    reach = max(phases[0][2], (kh - 1) // stride * pitch + (kw - 1) // stride)
-    # the c_in * stride**2 rows of a tile hold at most _SCRATCH values, unless
-    # one image does, and the tiles split the batch evenly
-    most = (_SCRATCH // max(c_in * stride * stride, 1) - reach) // plane
+    reach = max(phases[0][2], shifts[-1][2])
+    most = (_SCRATCH // max(rows, 1) - reach) // plane
     tiles = max(1, -(-batch // max(1, most)))
     tile = max(1, -(-batch // tiles))
+    planes = np.zeros((c_in, stride, stride, tile * plane + reach), dtype=DTYPE)
+    return planes, tile, plane, pitch, phases, shifts
+
+
+def _grid(rows, n: int, plane: int, pitch: int, height: int, width: int):
+    """View of positions b * plane + r * pitch + c (b < n, r < height,
+    c < width) along the last axis of rows, as (..., n, height, width)."""
+    lead = rows.shape[:-1]
+    grid = rows[..., : n * plane].reshape(lead + (n, plane))[..., : height * pitch]
+    return grid.reshape(lead + (n, height, pitch))[..., :width]
+
+
+def _pixels(images, planes, phases, stride: int, plane: int, pitch: int):
+    """Per stride phase of `_conv_planes`, its pixels of images (n, C, H, W)
+    as a (C, n, rows, cols) view, and the view of the same pixels in planes."""
+    for a, b, lead, r0, c0 in phases:
+        pixels = images[:, :, r0::stride, c0::stride].transpose(1, 0, 2, 3)
+        yield pixels, _grid(planes[:, a, b, lead:], len(images), plane, pitch, *pixels.shape[2:])
+
+
+def _sum_taps(acc, prod, views, units, weights) -> None:
+    """acc = the views times their weights, summed in order from +0.0: a
+    unit of 1 adds a view and -1 subtracts it; any other weight multiplies
+    the view into prod, which is then added."""
+    acc.fill(0.0)
+    for tap, (view, unit) in enumerate(zip(views, units)):
+        if unit == 1:
+            np.add(acc, view, acc)
+        elif unit == -1:
+            np.subtract(acc, view, acc)
+        else:
+            np.multiply(view, weights[tap], prod)
+            np.add(acc, prod, acc)
+
+
+def conv2d_forward(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Cross-correlation of x[B,C_in,H,W] with w[C_out,C_in,K,K].
+
+    Accumulates contributions in ascending (c_in, kh, kw) order, matching a
+    naive 7-loop evaluation bit-for-bit.  It works on the flat planes of
+    `_conv_planes`: each output channel sums its taps, shifted views of the
+    planes, into one row in ascending tap order, and the valid grid of the
+    row is copied into out[:, c].
+
+    A weight of +1 adds the view and -1 subtracts it, which rounds like the
+    multiply-then-add: (+-1) * v is exact, and IEEE 754 defines a - v as
+    a + (-v), signed zeros included.  Any other weight multiplies the view
+    into a scratch row, which is then added.  The dropped positions of the
+    row are computed too, and may overflow without reaching the output: the
+    taps are summed with numpy's floating-point errors caught, and a channel
+    that caught one is summed again on its valid grid alone, so the
+    caller's error settings see the errors of the outputs only.
+    """
+    x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
+    batch, c_in = x.shape[:2]
+    c_out, _, kh, kw = w.shape
+    xp, tile, plane, pitch, phases, shifts = _conv_planes(x, w, stride, pad,
+                                                          c_in * stride * stride)
     # per output channel, the taps in ascending (c_in, kh, kw) order: 1 for a
     # weight of +1, -1 for -1 and 0 for any other.  Small ints, not floats:
     # the memory Python keeps for its freed small objects would outlive the call.
     taps = w.reshape(c_out, c_in * kh * kw)
     units = ((taps == 1.0).astype(np.int8) - (taps == -1.0)).tolist()
-    xp = np.zeros((c_in, stride, stride, tile * plane + reach), dtype=DTYPE)
     acc_row = np.empty(tile * plane, dtype=DTYPE)
     prod_row = np.empty_like(acc_row)
     out = np.empty((batch, c_out, h_out, w_out), dtype=DTYPE)
-    for b0 in range(0, batch, tile):
-        n = min(tile, batch - b0)
-        for a, b, lead, r0, c0 in phases:
-            data = x[b0 : b0 + n, :, r0::stride, c0::stride].transpose(1, 0, 2, 3)
-            images = xp[:, a, b, lead : lead + n * plane].reshape(c_in, n, plane)
-            images = images[:, :, : data.shape[2] * pitch].reshape(data.shape[:3] + (pitch,))
-            images[..., : data.shape[3]] = data
-        size = n * plane
-        acc, prod = acc_row[:size], prod_row[:size]
-        views = [xp[ci, i % stride, j % stride, i // stride * pitch + j // stride :][:size]
-                 for ci, i, j in np.ndindex(c_in, kh, kw)]
-        grid = acc.reshape(n, plane)[:, : h_out * pitch]
-        grid = grid.reshape(n, h_out, pitch)[..., :w_out]
-        for c in range(c_out):
-            acc.fill(0.0)
-            for tap, (view, unit) in enumerate(zip(views, units[c])):
-                if unit == 1:
-                    np.add(acc, view, acc)
-                elif unit == -1:
-                    np.subtract(acc, view, acc)
-                else:
-                    np.multiply(view, taps[c, tap], prod)
-                    np.add(acc, prod, acc)
-            out[b0 : b0 + n, c] = grid
+    caller = dict(np.geterr(), call=np.geterrcall())
+    caught = []
+    with np.errstate(all="call", call=lambda *error: caught.append(error)):
+        for b0 in range(0, batch, tile):
+            n = min(tile, batch - b0)
+            for pixels, view in _pixels(x[b0 : b0 + n], xp, phases, stride, plane, pitch):
+                view[...] = pixels
+            size = n * plane
+            acc, prod = acc_row[:size], prod_row[:size]
+            views = [xp[ci, a, b, shift:][:size] for ci in range(c_in) for a, b, shift in shifts]
+            grid = _grid(acc, n, plane, pitch, h_out, w_out)
+            for c in range(c_out):
+                _sum_taps(acc, prod, views, units[c], taps[c])
+                if caught:
+                    caught.clear()
+                    with np.errstate(**caller):
+                        _sum_taps(grid, _grid(prod, n, plane, pitch, h_out, w_out),
+                                  [_grid(v, n, plane, pitch, h_out, w_out) for v in views],
+                                  units[c], taps[c])
+                out[b0 : b0 + n, c] = grid
     return out
 
 
 def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0, input_grad: bool = True):
     """Gradients of sum(g_out * conv2d_forward(x, w)) w.r.t. x and w.
 
-    Per batch tile and kernel offset (kh, kw), the windows of every input
-    channel are copied into a (C_in, tile*H_out*W_out) column block, and two
-    `np.matmul` contractions with the tile's cotangent give that offset's
-    weight gradient and the input-gradient columns, which are added back
-    into the padded input's window.  Sums run in BLAS order, not in a fixed
-    one.  With input_grad=False the input gradient is not computed and
-    comes back as None.
+    Works on the forward's flat planes (`_conv_planes`).  Per batch tile the
+    cotangent is laid on the output grid of C_out rows, with zeros at the
+    dropped positions.  For kernel offset (i, j), one `np.matmul` of those
+    rows with the offset's (C_in, tile * plane) view of the input planes
+    gives its weight gradient, and w[:, :, i, j].T times the rows is added
+    into the same view of a set of gradient planes, which are read back into
+    the input gradient one stride phase at a time.  Sums run in BLAS order,
+    not in a fixed one; while x and w are finite, the terms of the dropped
+    positions are exact zeros.  With input_grad=False the input gradient is
+    not computed and comes back as None.
     """
     x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
     g_out = np.asarray(g_out, dtype=DTYPE)
-    batch, c_in, height, width = x.shape
+    batch, c_in = x.shape[:2]
     c_out, _, kh, kw = w.shape
     if g_out.shape != (batch, c_out, h_out, w_out):
         raise DimensionError(
@@ -278,37 +328,28 @@ def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0, input_grad: bool
             f"{(batch, c_out, h_out, w_out)}"
         )
     with _small_ufunc_buffer():
-        hw = h_out * w_out
-        padded = (height + 2 * pad, width + 2 * pad)
-        tile = _batch_tile(batch, c_in * padded[0] * padded[1], c_out * hw, c_in * hw)
-        xp = np.zeros((tile, c_in) + padded, dtype=DTYPE)
+        xp, tile, plane, pitch, phases, shifts = _conv_planes(
+            x, w, stride, pad, max(c_in * stride * stride, c_out))
+        g_rows = np.zeros((c_out, tile * plane), dtype=DTYPE)
         g_xp = np.empty_like(xp) if input_grad else None
-        g_buf = np.empty(c_out * tile * hw, dtype=DTYPE)
-        col_buf = np.empty(c_in * tile * hw, dtype=DTYPE)
         g_x = np.empty_like(x) if input_grad else None
         g_w = np.zeros_like(w)
         for b0 in range(0, batch, tile):
             n = min(tile, batch - b0)
-            xp[:n, :, pad : pad + height, pad : pad + width] = x[b0 : b0 + n]
-            g = g_buf[: c_out * n * hw].reshape(c_out, n, hw)
-            np.copyto(g, g_out[b0 : b0 + n].reshape(n, c_out, hw).transpose(1, 0, 2))
-            g = g.reshape(c_out, n * hw)
-            cols = col_buf[: c_in * n * hw].reshape(c_in, n, h_out, w_out)
-            flat = cols.reshape(c_in, n * hw)
+            for pixels, view in _pixels(x[b0 : b0 + n], xp, phases, stride, plane, pitch):
+                view[...] = pixels
+            size = n * plane
+            rows = g_rows[:, :size]
+            grid = _grid(rows, n, plane, pitch, h_out, w_out)
+            grid[...] = g_out[b0 : b0 + n].transpose(1, 0, 2, 3)
+            for (i, j), (a, b, shift) in zip(np.ndindex(kh, kw), shifts):
+                g_w[:, :, i, j] += np.matmul(rows, xp[:, a, b, shift : shift + size].T)
             if input_grad:
-                gxp = g_xp[:n]
-                gxp.fill(0.0)
-            for i in range(kh):
-                for j in range(kw):
-                    np.copyto(cols, _window(xp[:n], i, j, stride, h_out, w_out)
-                              .transpose(1, 0, 2, 3))
-                    g_w[:, :, i, j] += np.matmul(g, flat.T)
-                    if input_grad:
-                        np.matmul(w[:, :, i, j].T, g, out=flat)  # the columns' gradient
-                        window = _window(gxp, i, j, stride, h_out, w_out)
-                        window += cols.transpose(1, 0, 2, 3)
-            if input_grad:
-                g_x[b0 : b0 + n] = gxp[:, :, pad : pad + height, pad : pad + width]
+                g_xp.fill(0.0)
+                for (i, j), (a, b, shift) in zip(np.ndindex(kh, kw), shifts):
+                    g_xp[:, a, b, shift : shift + size] += np.matmul(w[:, :, i, j].T, rows)
+                for pixels, view in _pixels(g_x[b0 : b0 + n], g_xp, phases, stride, plane, pitch):
+                    pixels[...] = view
         return g_x, g_w
 
 

@@ -58,3 +58,25 @@ def test_a_changed_kernel_names_its_differing_arrays(tmp_path, capsys):
     for line in diffs:
         assert 0.0 < float(line.split(" = ")[1]) < 1e-12, line
     assert out[-1] == "0 of 1 configs identical"
+
+
+def test_a_rounding_change_prints_how_far_the_losses_moved(tmp_path, capsys):
+    # the conv weight gradient summed in the reverse order: the metrics.csv losses move by
+    # rounding, and the script quotes the final train loss of both trees and the largest move
+    shutil.copytree(ROOT / "src" / "fsglab", tmp_path / "fsglab")
+    kernel = tmp_path / "fsglab" / "tensor.py"
+    text = kernel.read_text()
+    product = "np.matmul(rows, xp[:, a, b, shift : shift + size].T)"
+    assert product in text
+    kernel.write_text(text.replace(
+        product, "np.matmul(rows[:, ::-1], xp[:, a, b, shift : shift + size][:, ::-1].T)"))
+    assert load_bitcheck().main([str(ROOT), str(tmp_path), "--configs", "fsg-conv-sgd"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "fsg-conv-sgd: DIFFERENT"
+    assert out[1].split()[2] != out[2].split()[2]  # the metrics.csv digests
+    final = out[3].split()
+    assert final[:5] == ["metrics.csv", "final", "train", "loss", "a"] and final[6] == "b"
+    assert abs(float(final[5]) - float(final[7])) <= 1e-12 * float(final[5])
+    assert out[4].startswith("    metrics.csv max |loss a - loss b| / |loss a| = ")
+    assert 0.0 < float(out[4].split(" = ")[1]) < 1e-12
+    assert all(line.startswith(("    model ", "    bundle ")) for line in out[5:-1])

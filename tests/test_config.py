@@ -102,6 +102,7 @@ def test_duplicate_key_rejected():
                                "dataset.classes", "dataset.n_per_class")),
     "scan_chunk = -5",
     "bench.t = -1",
+    "dataset.test_per_class = -3",
 ])
 def test_nonpositive_size_names_field(text):
     key = text.split(" =")[0]
@@ -134,6 +135,18 @@ def test_idx_path_the_dataset_kind_does_not_read(kind, key):
     with pytest.raises(ConfigError, match=f"^field '{key}': only idx reads it, {kind} keeps '', "
                                           f"got '/nope'$"):
         loads_config(f"dataset.kind = {kind}\n{key} = /nope\n")
+
+
+@pytest.mark.parametrize("key,value,default", [("dataset.n_per_class", "50", "200"),
+                                               ("dataset.test_per_class", "5", "0"),
+                                               ("dataset.noise", "0.3", "0.15"),
+                                               ("dataset.seed", "2", "1")])
+def test_synthetic_key_idx_does_not_read(key, value, default):
+    with pytest.raises(ConfigError, match=f"^field '{key}': only blobs and spirals read it, "
+                                          f"idx keeps {default}, got {value}$"):
+        loads_config(f"dataset.kind = idx\n{key} = {value}\n")
+    loads_config(f"dataset.kind = idx\n{key} = {default}\n")
+    loads_config(f"dataset.kind = blobs\n{key} = {value}\n")
 
 
 @pytest.mark.parametrize("kind", ["blobs", "spirals", "idx"])

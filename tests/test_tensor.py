@@ -516,6 +516,9 @@ class TestConvTiling:
         ((3, 2, 4, 4), (2, 2, 6, 6), 1, 1, None),   # kernel spans the padded input: 1 x 1
         ((4, 3, 6, 5), (1, 3, 3, 3), 1, 1, 200),    # one output channel
         ((2, 1, 4, 4), (2, 1, 2, 2), 1, 3, None),   # pad 3 >= kernel: W_out 9 > W + pad
+        # C_out 6 > C_in * stride**2 = 4 sizes the backward's tile: 2 + 2 + 1
+        # images, where the forward takes 3 + 2
+        ((5, 1, 7, 6), (6, 1, 3, 3), 2, 1, 240),
     ]
 
     @pytest.mark.parametrize("kind", ["general", "unit", "mixed"])
@@ -554,7 +557,7 @@ class TestConvTiling:
             w.flat[::2] = 1.0
         self.check_negative_zero_sums(w)
 
-    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES + GEOMETRY)
     def test_backward_matches_naive(self, monkeypatch, x_shape, w_shape, stride, pad,
                                     scratch):
         if scratch is not None:
@@ -567,7 +570,7 @@ class TestConvTiling:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES)
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad,scratch", CASES + GEOMETRY)
     def test_backward_without_input_gradient_keeps_weight_gradient_bits(
             self, monkeypatch, x_shape, w_shape, stride, pad, scratch):
         if scratch is not None:
@@ -578,6 +581,35 @@ class TestConvTiling:
         g_x, g_w = conv2d_backward(x, w, g_out, stride, pad, input_grad=False)
         assert g_x is None
         assert_same_bits(g_w, conv2d_backward(x, w, g_out, stride, pad)[1])
+
+    def test_dropped_positions_raise_no_floating_point_error(self):
+        # the plane position after x[0, 0, 0, 2] is dropped: it adds 1e308 + 1e308
+        x = np.zeros((1, 1, 2, 3))
+        x[0, 0, 0, 2] = x[0, 0, 1, 0] = 1e308
+        w = np.ones((1, 1, 1, 2))
+        with np.errstate(all="raise"):
+            before = numpy_state()
+            out = conv2d_forward(x, w, 1, 0)
+            assert numpy_state() == before
+        assert_same_bits(out, naive_conv2d(x, w, 1, 0))
+        assert_same_bits(out, np.array([[[[0.0, 1e308], [1e308, 0.0]]]]))
+
+    def test_an_output_that_overflows_raises_like_naive(self):
+        x = np.zeros((2, 1, 2, 3))
+        x[1, 0, 1, 1:] = 1e308
+        w = np.ones((1, 1, 1, 2))
+        with np.errstate(over="raise"):
+            before = numpy_state()
+            with pytest.raises(FloatingPointError, match="overflow"):
+                naive_conv2d(x, w, 1, 0)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                conv2d_forward(x, w, 1, 0)
+            assert numpy_state() == before
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = conv2d_forward(x, w, 1, 0)
+        with np.errstate(over="ignore"):
+            assert_same_bits(out, naive_conv2d(x, w, 1, 0))
+        assert out[1, 0, 1, 1] == np.inf and np.isfinite(out).sum() == out.size - 1
 
     def test_backward_checks_geometry_like_forward(self):
         x, w = np.zeros((2, 3, 5, 5)), np.zeros((4, 3, 3, 3))

@@ -18,7 +18,9 @@ dim 4 each gap sums fewer squares than numpy's 8 pairwise-summation lanes,
 so only the dim-10 entry shows a changed order of that sum.  It exits 1 if any digest
 differs.  Each child also saves its parameter arrays, and where a `model` or
 `bundle` digest differs the script prints every array whose bytes differ,
-with max |a - b| / max |a| over its entries.
+with max |a - b| / max |a| over its entries.  Where a train run's
+metrics.csv differs, it prints the loss of the last train row from both
+trees and the largest |loss a - loss b| / |loss a| over the rows.
 
 The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, both synthetic
@@ -50,6 +52,7 @@ run their walks at the caller's buffer.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import struct
 import subprocess
@@ -215,6 +218,22 @@ def _array_diffs(run_a: Path, run_b: Path, what: str) -> list:
     return [f"    {what} {line}" for line in lines]
 
 
+def _loss_diffs(run_a: Path, run_b: Path) -> list:
+    """Lines on how far the losses of two train runs' metrics.csv rows are apart."""
+    rows = []
+    for run in (run_a, run_b):
+        with open(run / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows.append([(row["split"], float(row["loss"])) for row in csv.DictReader(fh)])
+    final = [[loss for split, loss in run if split == "train"][-1] for run in rows]
+    rel = [abs(a - b) / abs(a) if a else (np.inf if b else 0.0)
+           for (_, a), (_, b) in zip(*rows)]
+    lines = [f"final train loss a {final[0]!r}  b {final[1]!r}"]
+    if len(rows[0]) != len(rows[1]):
+        lines.append(f"rows {len(rows[0])} vs {len(rows[1])}")
+    lines.append(f"max |loss a - loss b| / |loss a| = {max(rel, default=0.0):.1e}")
+    return [f"    metrics.csv {line}" for line in lines]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a")
@@ -250,6 +269,8 @@ def main(argv=None) -> int:
                 print(f"  {label} " + "  ".join(
                     f"{what} {digest}" for what, digest in zip(DIGESTS[command], digests)))
             if command == "train" and not failed:
+                if got["a"][0] != got["b"][0]:
+                    print("\n".join(_loss_diffs(runs["a"], runs["b"])))
                 for i in (1, 2):  # the model and bundle digests
                     if got["a"][i] != got["b"][i]:
                         print("\n".join(_array_diffs(runs["a"], runs["b"], DIGESTS["train"][i])))
