@@ -23,7 +23,7 @@ from .data import gen_synthetic
 from .history import GradientHistoryBuffer
 from .hypernet import (FastNetParams, HyperNetBundle, fast_backward, fast_forward, named_leaves,
                        slow_backward, slow_forward)
-from .model import Model
+from .model import DenseLayer, Model
 from .optim import momentum_expand
 from .quantize import preprocess, quantize
 from .rng import Rng
@@ -69,9 +69,11 @@ def criterion_1_gradients():
         x = rng.normals((3, 4))
         w = rng.normals((4, 2))
         cot = rng.normals((3, 2))
-        g_w = np.einsum("bi,bo->io", x, cot)
+        g_x, grads = DenseLayer(4, 2).backward((x, w), cot)
         errs["plain"].append(
-            finite_diff_check(lambda p: float(np.sum(cot * matmul(x, p))), w, g_w))
+            finite_diff_check(lambda p: float(np.sum(cot * matmul(p, w))), x, g_x))
+        errs["plain"].append(
+            finite_diff_check(lambda p: float(np.sum(cot * matmul(x, p))), w, grads["w"]))
     for k in range(20):  # conv2d
         x = rng.normals((1, 2, 4, 4))
         w = rng.normals((2, 2, 2, 2))

@@ -6,7 +6,11 @@ flattens as nested (C_out, C_in, K, K)).  There is no autograd graph: each
 operation exposes its own backward rule so a backward can be swapped out at
 one point without touching the rest of the chain.
 
-Reference mode is 64-bit and single-threaded.  `matmul` and `conv2d_forward`
+Reference mode is 64-bit and single-threaded.  Forward contractions run in
+a fixed ascending order, bit-identical to the naive loop; every backward
+contraction, dense (`model.DenseLayer`, on `np.matmul`) or conv
+(`conv2d_backward`), runs in BLAS order and agrees with a naive loop to
+1e-12 relative.  The forward kernels, `matmul` and `conv2d_forward`,
 accumulate in ascending contraction order, which makes them bit-identical to
 the naive nested-loop evaluation of the same product: every output element
 starts at +0.0 and takes its terms one at a time, in ascending contraction
@@ -24,7 +28,7 @@ view, which gives the same bits because (+-1) * v is exact and IEEE 754
 defines a - v as a + (-v).  `matmul` keeps its multiply: one add or subtract
 call per (row, k) costs more than the whole blocked product.
 `conv2d_backward` works on the same planes, with one BLAS product per
-kernel offset and direction; its sums run in BLAS order.
+kernel offset and direction.
 
 Each scratch buffer of a kernel call holds at most `_SCRATCH` float64
 values and is reused from block to block; only a single output row

@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fsglab import model as model_module
 from fsglab.errors import ContractError, DimensionError
-from fsglab.model import Model, parse_layer
+from fsglab.model import DenseLayer, Model, parse_layer
 from fsglab.rng import Rng
 from fsglab.tensor import finite_diff_check, softmax_cross_entropy
 
@@ -127,6 +128,71 @@ def test_backward_skips_the_model_input_gradient(monkeypatch):
     grads = model.backward(np.ones_like(logits), caches)
     assert asked == [True, False]
     assert sorted(grads) == ["layer1.w", "layer3.w", "layer5.w"]
+
+
+def naive_dense_backward(x, w, g_out):
+    """Gradients of sum(g_out * (x @ w)) by the 3-loop chain rule."""
+    g_x, g_w = np.zeros_like(x), np.zeros_like(w)
+    for b in range(x.shape[0]):
+        for i in range(w.shape[0]):
+            for o in range(w.shape[1]):
+                g_x[b, i] += g_out[b, o] * w[i, o]
+                g_w[i, o] += x[b, i] * g_out[b, o]
+    return g_x, g_w
+
+
+# (batch, in, out): one sample (g_w sums one term), one input (K = 1), one
+# output (g_x sums one term), conv-idx's 2048-wide head and slow-wide's
+# 64-wide stack.
+DENSE_SHAPES = [(1, 7, 5), (6, 1, 4), (6, 4, 1), (5, 2048, 10), (16, 64, 64)]
+
+
+@pytest.mark.parametrize("batch,in_dim,out_dim", DENSE_SHAPES)
+def test_dense_backward_matches_naive(batch, in_dim, out_dim):
+    """The backward sums in BLAS order, so it agrees with the loop to 1e-12
+    relative, not bit for bit as the forward does."""
+    rng = Rng(batch + 3 * in_dim + 7 * out_dim)
+    x, w = rng.normals((batch, in_dim)), rng.normals((in_dim, out_dim))
+    g_out = rng.normals((batch, out_dim))
+    g_x, grads = DenseLayer(in_dim, out_dim).backward((x, w), g_out)
+    for got, want in zip((g_x, grads["w"]), naive_dense_backward(x, w, g_out)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("batch,in_dim,out_dim", DENSE_SHAPES)
+def test_dense_backward_without_input_gradient_keeps_weight_gradient_bits(
+        batch, in_dim, out_dim):
+    rng = Rng(batch + 5 * in_dim + 11 * out_dim)
+    x, w = rng.normals((batch, in_dim)), rng.normals((in_dim, out_dim))
+    g_out = rng.normals((batch, out_dim))
+    layer = DenseLayer(in_dim, out_dim)
+    g_x, grads = layer.backward((x, w), g_out, need_input=False)
+    assert g_x is None
+    assert grads["w"].tobytes() == layer.backward((x, w), g_out)[1]["w"].tobytes()
+
+
+# tracemalloc peak of one backward at slow-wide's x (800, 64), w (64, 64)
+# (numpy 2.4).  The kernel that ran g_x on `tensor.matmul` and g_w on
+# einsum peaked at 1,640,440 B: the 512 KiB block of rank-1 terms, the
+# transposed accumulator and its C-contiguous copy (409,600 B each) and
+# g_w.  The BLAS backward keeps only g_x and g_w (442,368 B) and peaked
+# at 443,120 B.
+DENSE_SLOW_WIDE_BACKWARD_PEAK = 500_000
+
+
+def test_dense_backward_peak_at_slow_wide_shape():
+    rng = Rng(5)
+    x, w, g_out = rng.normals((800, 64)), rng.normals((64, 64)), rng.normals((800, 64))
+    layer = DenseLayer(64, 64)
+    layer.backward((x, w), g_out)  # warm numpy's caches before measuring
+    tracemalloc.start()
+    try:
+        layer.backward((x, w), g_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DENSE_SLOW_WIDE_BACKWARD_PEAK
 
 
 def test_build_determinism():

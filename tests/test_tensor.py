@@ -411,10 +411,12 @@ def ascending_k_matmul(a, b):
 
 
 class TestMatmulBenchShapes:
-    # (m, k, n) of the benchmark's products: slow-wide's 800-row batch
-    # through its 64-wide stack, conv-idx's 2048-wide dense head on batches
-    # of 64 and 256.  Their inner runs straddle numpy's default ufunc buffer
-    # (8192), below which the unscoped kernel took the buffered path.
+    # (m, k, n) of the benchmark's forward products: slow-wide's 800-row
+    # batch through its 64-wide stack, conv-idx's 2048-wide dense head on
+    # batches of 64 and 256.  (64, 10, 2048) was the head's input gradient,
+    # which now runs on np.matmul; it stays as a short, wide product.  Their
+    # inner runs straddle numpy's default ufunc buffer (8192), below which
+    # the unscoped kernel took the buffered path.
     SHAPES = [(800, 64, 64), (800, 2, 64), (800, 64, 2),
               (64, 2048, 10), (64, 10, 2048), (256, 2048, 10)]
 

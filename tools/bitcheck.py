@@ -26,10 +26,13 @@ The configs cover both trainers, every optimizer, the fast and slow net
 kinds, beta = 1, the composed history, 2-bit weights, both synthetic
 generators (`fsg-blobs-3` draws three blobs classes and a test split), a
 conv net on IDX images and two 64x64 binarized layers at the paper's
-slow-net dims.  Two run `tensor.matmul` at the benchmark's shapes:
-`wide-full-batch` puts a 400-sample batch through the 64-wide stack (the
-transposed kernel on rows of 400), and `conv-head-2048` a
-`flatten, dense:2048:10` head on 16x16 IDX images (contractions 2048 long).
+slow-net dims.  Two run `tensor.matmul`, the dense forward, at the
+benchmark's shapes: `wide-full-batch` puts a 400-sample batch through the
+64-wide stack (the forward's transposed kernel on rows of 400), and
+`conv-head-2048` a `flatten, dense:2048:10` head on 16x16 IDX images
+(forward contractions 2048 long).  The dense backward runs on `np.matmul`,
+like `conv2d_backward`, so its sums are in BLAS order, not the ascending
+order of the forward kernels.
 `conv2d_forward` picks its operation per weight: +-1 adds or subtracts a
 tap's view, any other weight is multiplied first.  `fsg-conv-bit-width-2`
 runs both in one call: on the 2-bit grid {-1, -1/3, 1/3, 1} some weights of
