@@ -319,8 +319,10 @@ def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0, input_grad: bool
     into the same view of a set of gradient planes, which are read back into
     the input gradient one stride phase at a time.  Sums run in BLAS order,
     not in a fixed one; while x and w are finite, the terms of the dropped
-    positions are exact zeros.  With input_grad=False the input gradient is
-    not computed and comes back as None.
+    positions are exact zeros.  A weight gradient that holds a NaN is
+    summed again over the output grid alone, so an inf pixel that only a
+    dropped position reaches adds no 0 * inf.  With input_grad=False the
+    input gradient is not computed and comes back as None.
     """
     x, w, h_out, w_out = _conv_geometry(x, w, stride, pad)
     g_out = np.asarray(g_out, dtype=DTYPE)
@@ -354,7 +356,15 @@ def conv2d_backward(x, w, g_out, stride: int = 1, pad: int = 0, input_grad: bool
                     g_xp[:, a, b, shift : shift + size] += np.matmul(w[:, :, i, j].T, rows)
                 for pixels, view in _pixels(g_x[b0 : b0 + n], g_xp, phases, stride, plane, pitch):
                     pixels[...] = view
-        return g_x, g_w
+    if np.isnan(g_w).any():
+        # A zero cotangent at a dropped position times an inf pixel is NaN
+        # where the naive loop, which multiplies output positions only, may
+        # have none: take each tap's sum over the output grid alone.
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        for i, j in np.ndindex(kh, kw):
+            taps = padded[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            g_w[:, :, i, j] = np.tensordot(g_out, taps, axes=([0, 2, 3], [0, 2, 3]))
+    return g_x, g_w
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
