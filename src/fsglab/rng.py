@@ -16,9 +16,9 @@ numpy operations (`_u64s`).  Box-Muller's log, cos and sin still go through
 `math`, the libm calls `normal` makes, because numpy's vector loops may round
 them differently; its sqrt and multiplies run in numpy, which rounds them
 as IEEE 754 requires.  A permutation draws its Fisher-Yates indices at once
-and redraws from a rejected draw on (`_integers`).  Below `_ARRAY_CUTOFF`
-values, where numpy's call overhead costs more than the loop, an array draw
-runs the scalar loop.
+and redraws from a rejected draw on (`_integers`).  `normals` of fewer than
+`_ARRAY_CUTOFF` values, where numpy's call overhead costs more than the
+loop, runs the scalar loop.
 
 Streams for independent purposes (model init, data shuffling, ...) should be
 obtained with `derive(label)`, which keys a child generator off the original
@@ -48,11 +48,10 @@ _GOLDEN_U = np.uint64(_GOLDEN)
 _MIX1_U = np.uint64(_MIX1)
 _MIX2_U = np.uint64(_MIX2)
 _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
-# An array draw of fewer values than this runs the scalar loop.  Best of 7 x
-# 200 calls (numpy 2.4, one Xeon core), scalar loop against array path:
-# 8 values take 12 against 20 us as normals, 10 against 11 as uniforms and
-# 8 against 15 as a permutation; 16 take 18 against 20, 14 against 12 and
-# 15 against 16; 24 take 26 against 22, 20 against 14 and 22 against 20.
+# normals() of fewer values than this runs the scalar loop, as the convex
+# runs' many 10-value draws do.  Best of 7 x 200 calls (numpy 2.4, one Xeon
+# core), scalar loop against array path: 8 values take 12 against 20 us,
+# 16 take 18 against 20 and 24 take 26 against 22.
 _ARRAY_CUTOFF = 16
 
 
@@ -120,7 +119,8 @@ class Rng:
     def normals(self, shape) -> np.ndarray:
         size = int(np.prod(shape))  # 1 for shape (), 0 for an empty one
         if size < _ARRAY_CUTOFF:
-            return self._fill(self.normal, size).reshape(shape)
+            draws = (self.normal() for _ in range(size))
+            return np.fromiter(draws, np.float64, size).reshape(shape)
         out = np.empty(size, dtype=np.float64)
         head = 0
         if size and self._spare_normal is not None:
@@ -139,22 +139,11 @@ class Rng:
         return out.reshape(shape)
 
     def uniforms(self, shape) -> np.ndarray:
-        size = int(np.prod(shape))
-        if size < _ARRAY_CUTOFF:
-            return self._fill(self.uniform, size).reshape(shape)
-        return self._uniforms(size).reshape(shape)
-
-    @staticmethod
-    def _fill(draw, size: int) -> np.ndarray:
-        """A flat array of `size` successive draw() calls."""
-        return np.fromiter((draw() for _ in range(size)), np.float64, size)
+        return self._uniforms(int(np.prod(shape))).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        if n < _ARRAY_CUTOFF:
-            js = [self.integer(i + 1) for i in range(n - 1, 0, -1)]
-        else:
-            js = self._integers(np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        js = self._integers(np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         perm = np.arange(n)
         order = perm.tolist()
         for i, j in zip(range(n - 1, 0, -1), js):

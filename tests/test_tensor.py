@@ -597,26 +597,19 @@ class TestConvTiling:
         assert_same_bits(out, np.array([[[[0.0, 1e308], [1e308, 0.0]]]]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_backward_inf_reached_only_by_dropped_positions_gives_naive_weight_grad(self):
+    @pytest.mark.parametrize("value,g_w", [(np.inf, [0.0, 0.0, np.inf]),
+                                           (np.nan, [0.0, 0.0, np.nan])])
+    def test_backward_non_finite_reached_only_by_dropped_positions_gives_naive(self, value,
+                                                                              g_w):
         # taps 0 and 1 reach x[0, 0, 0, 3] only from the row's dropped
         # positions 3 and 2; tap 2 reaches it from output 1
         x = np.zeros((1, 1, 1, 4))
-        x[0, 0, 0, 3] = np.inf
+        x[0, 0, 0, 3] = value
         w, g_out = np.ones((1, 1, 1, 3)), np.ones((1, 1, 1, 2))
-        for got, want in zip(conv2d_backward(x, w, g_out, 1, 0),
-                             naive_conv2d_backward(x, w, g_out, 1, 0)):
-            assert_same_bits(got, want)
-        assert_same_bits(conv2d_backward(x, w, g_out, 1, 0)[1],
-                         np.array([[[[0.0, 0.0, np.inf]]]]))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_backward_nan_input_gives_naive_nan(self):
-        x = np.zeros((1, 1, 1, 4))
-        x[0, 0, 0, 3] = np.nan
-        w, g_out = np.ones((1, 1, 1, 3)), np.ones((1, 1, 1, 2))
-        g_w = conv2d_backward(x, w, g_out, 1, 0)[1]
-        assert_same_bits(g_w, naive_conv2d_backward(x, w, g_out, 1, 0)[1])
-        assert_same_bits(g_w, np.array([[[[0.0, 0.0, np.nan]]]]))
+        got = conv2d_backward(x, w, g_out, 1, 0)
+        for a, b in zip(got, naive_conv2d_backward(x, w, g_out, 1, 0)):
+            assert_same_bits(a, b)
+        assert_same_bits(got[1], np.array([[[g_w]]]))
 
     def test_an_output_that_overflows_raises_like_naive(self):
         x = np.zeros((2, 1, 2, 3))
