@@ -1,4 +1,10 @@
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,18 +603,21 @@ class TestConvTiling:
         assert_same_bits(out, np.array([[[[0.0, 1e308], [1e308, 0.0]]]]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("value,g_w", [(np.inf, [0.0, 0.0, np.inf]),
-                                           (np.nan, [0.0, 0.0, np.nan])])
-    def test_backward_non_finite_reached_only_by_dropped_positions_gives_naive(self, value,
-                                                                              g_w):
-        # taps 0 and 1 reach x[0, 0, 0, 3] only from the row's dropped
-        # positions 3 and 2; tap 2 reaches it from output 1
-        x = np.zeros((1, 1, 1, 4))
-        x[0, 0, 0, 3] = value
-        w, g_out = np.ones((1, 1, 1, 3)), np.ones((1, 1, 1, 2))
+    @pytest.mark.parametrize("x,w,g_x,g_w", [
+        ([0.0, 0.0, 0.0, np.inf], [1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 1.0], [0.0, 0.0, np.inf]),
+        ([0.0, 0.0, 0.0, np.nan], [1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 1.0], [0.0, 0.0, np.nan]),
+        ([1.0, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0], [np.inf, np.inf, 2.0, 1.0], [2.0, 2.0, 2.0]),
+    ], ids=["inf-pixel", "nan-pixel", "inf-weight"])
+    def test_backward_non_finite_reached_only_by_dropped_positions_gives_naive(self, x, w,
+                                                                              g_x, g_w):
+        # taps 0 and 1 reach pixel 3 only from the row's dropped positions 3
+        # and 2, and tap 0 reaches pixels 2 and 3 only from them too
+        x, w = np.array([[[x]]]), np.array([[[w]]])
+        g_out = np.ones((1, 1, 1, 2))
         got = conv2d_backward(x, w, g_out, 1, 0)
         for a, b in zip(got, naive_conv2d_backward(x, w, g_out, 1, 0)):
             assert_same_bits(a, b)
+        assert_same_bits(got[0], np.array([[[g_x]]]))
         assert_same_bits(got[1], np.array([[[g_w]]]))
 
     def test_an_output_that_overflows_raises_like_naive(self):
@@ -695,3 +704,84 @@ def test_binarized_conv_peak_at_the_eval_shape():
     x = rng.normals((256, 8, 16, 16))
     w = np.where(rng.normals((8, 8, 3, 3)) < 0.0, -1.0, 1.0)
     assert traced_peak(lambda: conv2d_forward(x, w, 1, 1)) <= CONV_IDX_EVAL_UNIT_FORWARD_PEAK
+
+
+# A conv net whose activations are 1 MiB (batch 64, 8 x 16 x 16), above
+# glibc's default mmap threshold: warm up, then print the minor page faults
+# of each later round of an FSG epoch, an STE epoch and an evaluation.
+FAULT_ROUNDS = """
+import json, resource
+import numpy as np
+from fsglab.model import Model
+from fsglab.rng import Rng
+from fsglab.trainer import FsgTrainer, LrDecay, OptimizerConfig, SteTrainer, TrainConfig
+
+layers = ("conv2d:1:8:3:pad=1", "bias:8", "relu", "conv2d:8:8:3:pad=1:bin", "bias:8",
+          "relu", "flatten", "dense:2048:10", "bias:10")
+cfg = dict(l=2, base_optimizer=OptimizerConfig(kind="adam", lr=3e-3), batch_size=64,
+           lr_decay=LrDecay(every=0, factor=1.0), seed=3, fast_hidden=16, token_dim=8,
+           state_dim=3, expand=1)
+x, y = Rng(5).uniforms((128, 1, 16, 16)), np.arange(128) % 10
+fsg = FsgTrainer(Model.build(layers, Rng(7)), TrainConfig(**cfg))
+ste = SteTrainer(Model.build(layers, Rng(7)), TrainConfig(**cfg))
+faults = []
+for _ in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fsg.train_epoch(x, y)
+    ste.train_epoch(x, y)
+    fsg.evaluate(x[:64], y[:64])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults[4:]))
+"""
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc policy")
+    def test_steady_state_rounds_take_no_page_faults(self):
+        # at glibc's default thresholds the freed activations are unmapped or
+        # trimmed between phases, and each round faulted about 9400 pages back in
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-c", FAULT_ROUNDS], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr[-2000:]
+        faults = json.loads(run.stdout)
+        assert max(faults) <= 64, faults
+
+    @staticmethod
+    def fake_libc(monkeypatch, *symbols, result=1):
+        """ctypes.CDLL(None) gives a libc with these symbols; returns its mallopt calls."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        libc = type("Libc", (), {name: staticmethod(mallopt) for name in symbols})
+        monkeypatch.setattr(tensor.ctypes, "CDLL", lambda name: libc())
+        return calls
+
+    def test_sets_both_thresholds_on_glibc(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, "gnu_get_libc_version", "mallopt")
+        assert tensor._keep_freed_memory()
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_refused_mmap_threshold_leaves_trim_threshold(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, "gnu_get_libc_version", "mallopt", result=0)
+        assert not tensor._keep_freed_memory()
+        assert calls == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("symbols", [("gnu_get_libc_version",), ("mallopt",)],
+                             ids=["no-mallopt", "not-glibc"])
+    def test_no_glibc_mallopt_sets_nothing(self, monkeypatch, symbols):
+        calls = self.fake_libc(monkeypatch, *symbols)
+        assert not tensor._keep_freed_memory()
+        assert calls == []
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_libc_that_does_not_load_sets_nothing(self, monkeypatch, error):
+        def unloadable(name):
+            raise error("no library")
+
+        monkeypatch.setattr(tensor.ctypes, "CDLL", unloadable)
+        assert not tensor._keep_freed_memory()
