@@ -13,7 +13,13 @@ The discrete system is the linear recurrence
 
 which for time-invariant parameters is also the causal convolution of x with
 the kernel (C b_bar, C a_bar b_bar, ..., C a_bar^{L-1} b_bar).  `ssm_scan` is
-the plain sequential reference.  The streaming slow block in `hypernet` runs
+the plain sequential reference, `ssm_conv` the convolution form.  Both read
+their inputs by numpy broadcasting: x is (L, D), and a 1-D x is one channel
+whose output is 1-D; a_bar and b_bar broadcast to (L, D, N) and c to (L, N),
+N being the parameters' common last axis.  Shapes that do not broadcast raise
+DimensionError.  The convolution form takes no time axis (no a_bar or b_bar
+of rank 3, no c of rank 2; ContractError), and its kernel has the
+parameters' own channels.  The streaming slow block in `hypernet` runs
 the recurrence chunk by chunk: `linear_recurrence` and its adjoint
 `linear_recurrence_backward` each take one chunk, with the per-step product
 of decays replaced by cumulative sums in log space (safe because the decays
@@ -58,77 +64,47 @@ def discretize_zoh(a, b, delta):
     return a_bar, b_bar
 
 
-def _normalize_system(a_bar, b_bar, c, x):
-    """Broadcast a scan system to x:(L,D), a/b:(L,D,N), c:(L,N).
+def _system(a_bar, b_bar, c, x):
+    """Read an oracle's inputs by the rule in the module docstring.
 
-    Returns (x2, a3, b3, c2, squeeze) where squeeze says whether the caller
-    passed a scalar channel (1-D x) and wants 1-D output back.
+    Returns x as (L, D), a_bar and b_bar as (L, D, N), c as (L, N), and
+    whether x was 1-D.  x None reads a convolution kernel's parameters:
+    they must be time-invariant, and D is their own.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    squeeze = x.ndim == 1
-    x2 = x[:, None] if squeeze else x
-    if x2.ndim != 2:
-        raise DimensionError(f"scan input must be (L,) or (L, D), got {x.shape}")
-    length, channels = x2.shape
-
-    def expand_param(p, name):
-        p = np.asarray(p, dtype=DTYPE)
-        if p.ndim == 0:
-            p = p.reshape(1, 1)
-        if p.ndim == 1:  # (N,)
-            p = np.broadcast_to(p, (channels, p.shape[0]))
-        if p.ndim == 2:  # (D, N) time-invariant
-            p = np.broadcast_to(p[None], (length, *p.shape))
-        if p.ndim != 3 or p.shape[0] != length or p.shape[1] != channels:
-            raise DimensionError(
-                f"{name} shape {np.asarray(p).shape} incompatible with input {x.shape}"
-            )
-        return p
-
-    a3 = expand_param(a_bar, "a_bar")
-    b3 = expand_param(b_bar, "b_bar")
-    c = np.asarray(c, dtype=DTYPE)
-    if c.ndim == 0:
-        c = c.reshape(1)
-    if c.ndim == 1:
-        c2 = np.broadcast_to(c, (length, c.shape[0]))
-    elif c.ndim == 2:
-        c2 = c
-    else:
-        raise DimensionError(f"c must be (N,) or (L, N), got {c.shape}")
-    if c2.shape[0] != length or c2.shape[1] != a3.shape[2]:
+    a, b, c = (np.asarray(p, dtype=DTYPE) for p in (a_bar, b_bar, c))
+    if x is None and (a.ndim == 3 or b.ndim == 3 or c.ndim == 2):
+        raise ContractError("ssm_conv requires time-invariant parameters")
+    try:
+        if x is None:  # one time step of the parameters' own channels
+            x = np.zeros((1, *np.broadcast_shapes(a.shape[-2:-1], b.shape[-2:-1])))
+        x = np.asarray(x, dtype=DTYPE)
+        x2 = x[:, None] if x.ndim == 1 else x
+        length, channels = x2.shape
+        n = np.broadcast_shapes((1,), a.shape[-1:], b.shape[-1:], c.shape[-1:])
+        a3, b3 = (np.broadcast_to(p, (length, channels, *n)) for p in (a, b))
+        c2 = np.broadcast_to(c, (length, *n))
+    except ValueError:
         raise DimensionError(
-            f"c shape {c.shape} incompatible with state dim {a3.shape[2]} / length {length}"
-        )
-    return x2, a3, b3, c2, squeeze
+            f"x {np.shape(x)}, a_bar {a.shape}, b_bar {b.shape} and c {c.shape} do not "
+            "broadcast to (L, D), (L, D, N), (L, D, N) and (L, N)") from None
+    return x2, a3, b3, c2, x.ndim == 1
 
 
 def ssm_scan(a_bar, b_bar, c, x):
     """Reference sequential scan; per-step (selective) parameters allowed."""
-    x2, a3, b3, c2, squeeze = _normalize_system(a_bar, b_bar, c, x)
-    length, channels = x2.shape
-    n = a3.shape[2]
-    h = np.zeros((channels, n), dtype=DTYPE)
-    y = np.empty((length, channels), dtype=DTYPE)
-    for t in range(length):
+    x2, a3, b3, c2, squeeze = _system(a_bar, b_bar, c, x)
+    h = np.zeros(a3.shape[1:], dtype=DTYPE)
+    y = np.empty(x2.shape, dtype=DTYPE)
+    for t in range(len(x2)):
         h = a3[t] * h + b3[t] * x2[t][:, None]
         y[t] = h @ c2[t]
     return y[:, 0] if squeeze else y
 
 
 def ssm_conv_kernel(a_bar, b_bar, c, length: int):
-    """Kernel (C b_bar, C a_bar b_bar, ..., C a_bar^{L-1} b_bar), shape (L, D)."""
-    a = np.asarray(a_bar, dtype=DTYPE)
-    b = np.asarray(b_bar, dtype=DTYPE)
-    cc = np.asarray(c, dtype=DTYPE)
-    if a.ndim == 3 or b.ndim == 3 or cc.ndim == 2:
-        raise ContractError("ssm_conv requires time-invariant parameters")
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim == 1:
-        a = a[None, :]
-    b = np.broadcast_to(np.asarray(b, dtype=DTYPE), a.shape)
-    cc = np.broadcast_to(cc.reshape(-1), (a.shape[1],))
+    """Kernel (C b_bar, C a_bar b_bar, ..., C a_bar^{L-1} b_bar), one column per channel."""
+    _, a3, b3, c2, _ = _system(a_bar, b_bar, c, None)
+    a, b, cc = a3[0], b3[0], c2[0]
     kernel = np.empty((length, a.shape[0]), dtype=DTYPE)
     power = np.ones_like(a)
     for s in range(length):
@@ -139,17 +115,9 @@ def ssm_conv_kernel(a_bar, b_bar, c, length: int):
 
 def ssm_conv(a_bar, b_bar, c, x):
     """Causal convolution evaluation of a time-invariant system."""
-    x = np.asarray(x, dtype=DTYPE)
-    squeeze = x.ndim == 1
-    x2 = x[:, None] if squeeze else x
+    x2, _, _, _, squeeze = _system(a_bar, b_bar, c, x)
     length = x2.shape[0]
     kernel = ssm_conv_kernel(a_bar, b_bar, c, length)
-    if kernel.shape[1] == 1 and x2.shape[1] > 1:
-        kernel = np.broadcast_to(kernel, (length, x2.shape[1]))
-    if kernel.shape[1] != x2.shape[1]:
-        raise DimensionError(
-            f"kernel channels {kernel.shape[1]} != input channels {x2.shape[1]}"
-        )
     y = np.zeros_like(x2)
     for s in range(length):
         y[s:] += kernel[: length - s] * x2[s]

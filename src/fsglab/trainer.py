@@ -128,14 +128,13 @@ def _checked(arrays: dict, name: str, shape: tuple) -> np.ndarray:
     return arrays[name]
 
 
-def _restore_params(named_params, arrays: dict) -> None:
-    """Copy checkpoint arrays into live parameters of exactly the same shape."""
-    for name, arr in named_params:
-        arr[...] = _checked(arrays, name, arr.shape)
-
-
-def _restore_slots(state: OptimizerState, prefix: str, named_params, arrays: dict) -> None:
-    """Load the `prefix.*` optimizer slots; each must match its parameter's shape."""
+def _checked_slots(prefix: str, named_params, arrays: dict) -> OptimizerState:
+    """A new OptimizerState from the `prefix.*` arrays; each slot must match its
+    parameter's shape, and each count must be (1,)."""
+    for key in arrays:
+        if key.startswith(prefix + ".") and key.endswith(".count"):
+            _checked(arrays, key, (1,))
+    state = OptimizerState()
     state.load_slot_arrays(arrays, prefix)
     shapes = {name: arr.shape for name, arr in named_params}
     for name, slot in state.slots.items():
@@ -143,6 +142,7 @@ def _restore_slots(state: OptimizerState, prefix: str, named_params, arrays: dic
             raise FormatError(f"checkpoint slots '{prefix}.{name}.*' belong to no parameter")
         for key in slot:
             _checked(arrays, f"{prefix}.{name}.{key}", shapes[name])
+    return state
 
 
 class _TrainerBase:
@@ -295,15 +295,27 @@ class _TrainerBase:
         np.savez(path, **self._checkpoint_arrays())
 
     def load_checkpoint(self, path) -> None:
+        """Restore a `save_checkpoint` file.  Every array is checked before any is
+        assigned, so a FormatError leaves this trainer as it was."""
         with np.load(path, allow_pickle=False) as data:
-            self._restore_arrays({name: data[name] for name in data.files})
+            assign = self._checked_restore({name: data[name] for name in data.files})
+        assign()
 
-    def _restore_arrays(self, arrays: dict) -> None:
-        _restore_params(self.named_params(), arrays)
-        _restore_slots(self.base_state, "base", self.model.named_params(), arrays)
-        self.iteration = int(arrays["meta.iteration"][0])
-        self.epoch = int(arrays["meta.epoch"][0])
-        self.data_rng.set_state(int(arrays["meta.data_rng_state"][0]))
+    def _checked_restore(self, arrays: dict):
+        """Check every array restored from `arrays`, raising FormatError at the first
+        missing or misshapen one; return the function that assigns them."""
+        params = [(arr, _checked(arrays, name, arr.shape)) for name, arr in self.named_params()]
+        base = _checked_slots("base", self.model.named_params(), arrays)
+        iteration, epoch, rng_state = (_checked(arrays, f"meta.{key}", (1,))[0]
+                                       for key in ("iteration", "epoch", "data_rng_state"))
+
+        def assign():
+            for arr, value in params:
+                arr[...] = value
+            self.base_state = base
+            self.iteration, self.epoch = int(iteration), int(epoch)
+            self.data_rng.set_state(int(rng_state))
+        return assign
 
 
 class SteTrainer(_TrainerBase):
@@ -450,15 +462,23 @@ class FsgTrainer(_TrainerBase):
                 arrays[f"prev_grad.layer{i}"] = self.prev_quant_grad[i]
         return arrays
 
-    def _restore_arrays(self, arrays: dict) -> None:
-        super()._restore_arrays(arrays)
-        _restore_slots(self.hyper_state, "hyper", self.bundle.named_params(), arrays)
+    def _checked_restore(self, arrays: dict):
+        assign_base = super()._checked_restore(arrays)
+        hyper = _checked_slots("hyper", self.bundle.named_params(), arrays)
+        history, prev_grad = {}, {}
         for i in self.bin_indices:
             name, buf = f"history.layer{i}", self.buffers[i]
             if name in arrays:
                 rows = arrays[name].shape[0] if arrays[name].ndim else 0
-                buf.load(_checked(arrays, name, (min(rows, buf.capacity), buf.xi)))
+                history[i] = _checked(arrays, name, (min(rows, buf.capacity), buf.xi))
             name = f"prev_grad.layer{i}"
             if name in arrays:
-                self.prev_quant_grad[i] = _checked(
-                    arrays, name, self.model.layers[i].w.shape).copy()
+                prev_grad[i] = _checked(arrays, name, self.model.layers[i].w.shape).copy()
+
+        def assign():
+            assign_base()
+            self.hyper_state = hyper
+            for i, rows in history.items():
+                self.buffers[i].load(rows)
+            self.prev_quant_grad.update(prev_grad)
+        return assign

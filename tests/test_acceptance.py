@@ -3,22 +3,17 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 Criteria 1-6, 9 and 10 are the registered checks of `fsglab.checks.CHECKS`,
 the same code `fsglab check` runs.  The behavioral checks (toy training,
-rate bench) are real runs, take a few minutes combined and live only here.
+and the rate bench through `cli.run_bench`, the code of `fsglab
+bench-convergence`) are real runs, take a few minutes combined and live only
+here.
 """
 
 import time
 
 import numpy as np
 
-from fsglab import checks
-from fsglab.convergence import (
-    make_phi,
-    make_quadratic_problem,
-    pk_recursion_check,
-    rate_fit,
-    run_fsg_convex,
-    theorem_bound,
-)
+from fsglab import checks, cli
+from fsglab.config import loads_config
 from fsglab.data import gen_synthetic
 from fsglab.model import Model
 from fsglab.rng import Rng
@@ -104,26 +99,17 @@ class TestCriterion7ToyTraining:
 
 
 class TestCriterion8ConvergenceRate:
-    def test_criterion_8(self):
+    def test_criterion_8(self, tmp_path):
+        # the paper's rate experiment is `fsglab bench-convergence` at beta = 0.5: every
+        # other bench.* default is this criterion's setting
         t0 = time.time()
-        in_bracket = 0
-        bound_ok = True
-        residuals = []
-        for seed in range(10):
-            rng = Rng(1000 + seed)
-            problem = make_quadratic_problem(10, 64, 0.1, rng.derive("p"))
-            phi = make_phi(10, 0.8, 1.25, rng.derive("phi"))
-            trace = run_fsg_convex(problem, C=4.0, beta=0.5, T=10_000, repeats=3,
-                                   rng=rng.derive("r"), phi=phi, slow_noise=0.5)
-            slope = rate_fit(trace.ts, trace.gaps)
-            if -1.2 <= slope <= -0.3:
-                in_bracket += 1
-            bound_ok &= bool(np.all(trace.gaps <= theorem_bound(trace, trace.ts)))
-            residuals.append(pk_recursion_check(trace, 0.5))
+        summary = cli.run_bench(loads_config("beta = 0.5\n"), tmp_path)
         elapsed = time.time() - t0
-        worst = float(np.max(residuals))  # a NaN residual propagates and fails
+        in_bracket = sum(-1.2 <= slope <= -0.3 for slope in summary["slopes"])
+        bound_ok = summary["bound_holds"]
+        worst = summary["max_pk_residual"]  # a NaN residual propagates and fails
         ok = in_bracket >= 8 and bound_ok and worst < 1e-10 and elapsed < 120.0
-        report(8, ok, f"slope in [-1.2,-0.3] for {in_bracket}/10 seeds, "
+        report(8, ok, f"slope in [-1.2,-0.3] for {in_bracket}/{len(summary['slopes'])} seeds, "
                       f"bound holds={bound_ok}, max recursion residual = {worst:.2e}, "
                       f"{elapsed:.0f}s")
 

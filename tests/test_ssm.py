@@ -122,6 +122,23 @@ class TestConv:
             worst = max(worst, float(diff))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 4)])
+    def test_matches_scan_three_channels(self, shape):
+        # parameters broadcast over the D = 3 channels of x the same way in both forms
+        rng = Rng(15)
+        a_bar, b_bar = discretize_zoh(-(0.05 + rng.uniforms(shape)), rng.normals(shape),
+                                      np.array(0.3))
+        c = rng.normals(4)
+        x = rng.normals((24, 3))
+        y = ssm_scan(a_bar, b_bar, c, x)
+        assert y.shape == (24, 3)
+        assert np.max(np.abs(y - ssm_conv(a_bar, b_bar, c, x))) < 1e-10
+
+    @pytest.mark.parametrize("oracle", [ssm_scan, ssm_conv])
+    def test_channel_mismatch_names_caller_shapes(self, oracle):
+        with pytest.raises(DimensionError, match=r"x \(6, 3\), a_bar \(2, 4\)"):
+            oracle(np.full((2, 4), 0.5), np.ones(4), np.ones(4), np.zeros((6, 3)))
+
     def test_conv_causality(self):
         rng = Rng(14)
         a_bar, b_bar = discretize_zoh(np.array(-0.4), np.array(1.0), np.array(0.3))

@@ -409,7 +409,9 @@ class TestIntegration:
 
     @pytest.mark.parametrize("corrupt", ["cut_lre", "drop_w_in", "cut_hyper_slots",
                                          "cut_base_slot", "narrow_history",
-                                         "long_history", "transposed_prev_grad"])
+                                         "long_history", "transposed_prev_grad",
+                                         "drop_meta.iteration", "drop_meta.epoch",
+                                         "drop_meta.data_rng_state", "empty_meta_epoch"])
     def test_checkpoint_shape_mismatch_raises(self, blobs, tmp_path, corrupt):
         layers = ["dense:2:8", "bias:8", "relu", "dense:8:8:bin", "relu",
                   "dense:8:2:bin", "bias:2"]
@@ -443,13 +445,29 @@ class TestIntegration:
         elif corrupt == "long_history":
             arrays["history.layer5"] = np.concatenate([arrays["history.layer5"]] * 2)
             match = r"'history.layer5'.*\(4, 16\).*\(2, 16\)"
-        else:
+        elif corrupt == "transposed_prev_grad":
             arrays["prev_grad.layer5"] = arrays["prev_grad.layer5"].T
             match = r"'prev_grad.layer5'.*\(2, 8\).*\(8, 2\)"
+        elif corrupt.startswith("drop_"):
+            name = corrupt.removeprefix("drop_")
+            del arrays[name]
+            match = rf"lacks array '{name}' of shape \(1,\)"
+        else:
+            arrays["meta.epoch"] = arrays["meta.epoch"][:0]
+            match = r"'meta.epoch'.*\(0,\).*\(1,\)"
         np.savez(path, **arrays)
         other = FsgTrainer(Model.build(layers, Rng(8)), cfg)
+
+        def state():
+            return (other.params_checksum(), other.iteration, other.epoch,
+                    other.data_rng.state,
+                    [(k, v.tobytes()) for k, v in other.base_state.slot_arrays("base")],
+                    [(k, v.tobytes()) for k, v in other.hyper_state.slot_arrays("hyper")])
+        before = state()
         with pytest.raises(FormatError, match=match):
             other.load_checkpoint(path)
+        # every array is checked before any is assigned: a failed load changes nothing
+        assert state() == before
 
     def test_lstm_slow_net_trains(self, blobs):
         cfg = toy_config(fast_kind="mlp", slow_kind="lstm", l=2,
