@@ -18,14 +18,15 @@ back to d, and a residual connection.  It runs as a streaming kernel over
 chunks of the history (see the comment above `_chunk_spans`) on two exact
 identities.  Every history token is a scalar times `w_a`, so the selective
 terms are (T,) scalar sequences times fixed vectors (rank-1 tokens), and
-the scan input expm1(delta A) (v / A) w_t needs no phi = expm1(x) / x
-(delta cancels).  Chunks where the ld clamp can fire, and the embedding
-token, keep the phi form.  The kernel starts at a decay horizon: it skips
-the tokens whose decay product to the tail start is below exp(-750), under
-the smallest float64 subnormal, so that their terms and adjoints round to
-0.0 (the bound is derived above `_chunk_spans`).  The horizon keeps the walk
-before the tail short however long the history is, and the chunk length is
-sized from the tokens it keeps.  Every chunk keeps explicit states and runs
+the scan input, in its one form expm1(delta A) (v / A) w_t, needs no
+phi = expm1(x) / x (delta cancels; a floor on a_log keeps A nonzero).  The
+embedding token, which is not rank-1, takes phi from `ssm.zoh_phi`, the
+stable phi and phi' of every ZOH step here.  The kernel starts at a decay
+horizon: it skips the tokens whose decay product to the tail start is below
+exp(-750), under the smallest float64 subnormal, so that their terms and
+adjoints round to 0.0 (the bound is derived above `_chunk_spans`).  The
+horizon keeps the walk before the tail short however long the history is,
+and the chunk length is sized from the tokens it keeps.  Every chunk keeps explicit states and runs
 the recurrence and its adjoint in `ssm.linear_recurrence[_backward]`, whose
 scans over tokens are blocked GEMMs against a triangle of ones
 (`ssm._scan`), and the per-token outer products with a fixed vector are GEMMs
@@ -61,11 +62,11 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, EmptyHistoryError
 from .rng import Rng
-from .ssm import _scan, chunk_plan, linear_recurrence, linear_recurrence_backward
+from .ssm import PHI_CUTOFF, chunk_plan, linear_recurrence, linear_recurrence_backward, zoh_phi
 from .tensor import _UFUNC_BUFFER, DTYPE, _small_ufunc_buffer, orthogonal_init
 
 SCAN_CHUNK = 128  # default tokens per chunk of the selective slow net's streaming kernel
-_LD_CLAMP = 1e-12  # ld is clamped to <= -_LD_CLAMP
+_A_LOG_FLOOR = -200.0  # a_log's floor where A is formed: |A| >= 1.4e-87, so M = v / A is finite
 # log of a decay product that underflows in float64: below ln(smallest subnormal)
 # = -744.4, with a margin for the rounding of the cumsum that bounds it
 _LOG_UNDERFLOW = -750.0
@@ -280,11 +281,13 @@ def slow_forward_cached(layer_index: int, history, bundle: HyperNetBundle, out_s
     For the selective block the cache holds, besides fixed-size vectors, (T,)
     sequences (the scales, delta and its pre-activation), the state entering
     every chunk and the sliced output, but no readout term (C_t, y, gate):
-    the backward recomputes those per tail chunk.  It also records which numeric guards fired: `t0`, the
-    tokens the decay horizon skipped; `chunk`, the chunk length after
-    `chunk_plan`'s overflow guard (1 where even two tokens would overflow);
-    and `walk`, the (start, end, clamp) chunks, clamp marking those where the
-    ld clamp can fire.
+    the backward recomputes those per tail chunk.  It also records which
+    numeric guards fired: `t0`, the tokens the decay horizon skipped;
+    `chunk`, the chunk length after `chunk_plan`'s overflow guard (1 where
+    even two tokens would overflow);
+    and `walk`, the (start, end, small) chunks, small marking those with an
+    ld above -PHI_CUTOFF, whose backward takes a_log's gradient through the
+    scan input in one term.
     """
     xi = int(np.prod(out_shape))
     history = np.asarray(history, dtype=DTYPE).reshape(-1)
@@ -352,16 +355,21 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 #   and draw_t = s_t (v w_delta) + b_delta.  No (T, d_inner) or (T, N) array
 #   is built, and the gradients into w_a, w_in, w_b, w_c and w_delta are
 #   sums over scalar sequences.  Token 0, the layer's embedding row, is not
-#   of that form: it runs alone as a one-token prefix, h_0 = inp_0.
+#   of that form: it runs alone as a one-token prefix, h_0 = inp_0, with
+#   phi and phi' from `ssm.zoh_phi`.
 # * delta cancels in the scan input.  With ld_t = delta_t A,
 #   inp_t = phi(ld_t) delta_t u_t (x) B_t, phi(x) = expm1(x) / x, equals
 #   expm1(ld_t) * M * w_t with M = v / A fixed and w_t = s_t B_t of shape (N,).
-#   Then d inp_t / d delta_t = exp(ld_t) v (x) w_t, and A's gradient gains
-#   -(sum_t lambda_t inp_t) / A through M.
+#   It is the only form: the floor on a_log keeps A nonzero.  Then
+#   d inp_t / d delta_t = exp(ld_t) v (x) w_t.  a_log's gradient from inp_t
+#   has a share through ld and one, -M lambda_t expm1(ld_t) w_t, through M;
+#   they cancel to about 1e-16 / |ld| and sum to M lambda_t psi(ld_t) w_t,
+#   psi(x) = x^2 phi'(x).  A chunk with an ld above -PHI_CUTOFF (a small-|ld|
+#   chunk) takes that one term; every other chunk sums the cheaper two shares.
 #
-# The decay horizon.  On every channel ld_t <= ld_top_t = min(delta_t max(A),
-# -_LD_CLAMP), so token t reaches h_{tail0-1}, the state entering the tail,
-# through a decay product below exp(R_t), R_t = sum_{j=t+1}^{tail0-1} ld_top_j.
+# The decay horizon.  On every channel ld_t <= ld_top_t = delta_t max(A) <= 0,
+# so token t reaches h_{tail0-1}, the state entering the tail, through a
+# decay product below exp(R_t), R_t = sum_{j=t+1}^{tail0-1} ld_top_j.
 # `_horizon` counts the leading tokens t0 with R_t < _LOG_UNDERFLOW = -750,
 # below ln(smallest subnormal) = -744.4.  What they add to any state the head
 # reads, and the adjoint that flows back to them, carry a factor below
@@ -372,7 +380,7 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # gradient is 0.0.
 #
 # Chunks start at max(t0, 1) and at the tail start, so none straddles the
-# tail; the forward fixes this walk of (start, end, clamp) chunks once and
+# tail; the forward fixes this walk of (start, end, small) chunks once and
 # the backward replays it in reverse.  Every chunk keeps explicit states and
 # runs lambda as a reverse scan.  A chunk before the tail only carries the
 # state on (g_h = 0 there).  A tail chunk also computes its rows of the
@@ -381,22 +389,20 @@ def slow_backward(layer_index: int, history, bundle: HyperNetBundle, out_shape,
 # which recomputes the same states, rebuilds them to seed g_h and to add the
 # chunk's share of the head-side gradients.  The horizon bounds the walk
 # before the tail to about 750 / (delta |max(A)|) tokens for a typical
-# delta, whatever the history length.  Where the clamp ld <= -_LD_CLAMP can
-# fire the identity fails, so those clamp chunks keep the phi form, with
-# r_t = delta_t v (x) w_t.
-# chunk_plan and M are sized from delta over the tokens the kernel keeps, so
-# a dropped token cannot force one-token chunks.
+# delta, whatever the history length.
+# chunk_plan is sized from delta over the tokens the kernel keeps, so a
+# dropped token cannot force one-token chunks.
 #
 # The chunks avoid numpy's two slow loops.  Their states and reverse adjoint
 # scan are `ssm.linear_recurrence` and `ssm.linear_recurrence_backward`, one
-# call per chunk, and those and the clamp chunks' S sum over tokens in
-# `ssm._scan`: blocks of rows times a triangle of ones in one batched GEMM,
-# then each block adds the scanned totals of the blocks before it (the same
-# terms as np.cumsum in another order, about 1e-15 relative).  The products
-# r_t = M (x) w_t and delta_t v (x) w_t broadcast along the short N axis;
-# they are w @ E instead, with E the fixed (N, d_inner N) block expansion of
-# M or v.  Each column of E has one nonzero entry, so every output is one
-# product plus exact zeros, bit-identical to the broadcast.
+# call per chunk, which sum over tokens in `ssm._scan`: blocks of rows times
+# a triangle of ones in one batched GEMM, then each block adds the scanned
+# totals of the blocks before it (the same terms as np.cumsum in another
+# order, about 1e-15 relative).  The product r_t = M (x) w_t broadcasts
+# along the short N axis; it is w @ E instead, with E the fixed
+# (N, d_inner N) block expansion of M.  Each column of E has one nonzero
+# entry, so every output is one product plus exact zeros, bit-identical to
+# the broadcast.
 #
 # Each walk, forward and backward, runs inside one `_walk_buffer` scope (the
 # module docstring says why).  It is entered once per walk, not per op, since
@@ -416,10 +422,9 @@ def _horizon(delta, a_top: float, tail0: int) -> int:
     """t0, the number of leading tokens t with R_t < _LOG_UNDERFLOW (the comment above).
 
     R_t is a reverse cumsum of ld_top over tokens t+1 .. tail0-1; each token
-    adds a negative term, so R is non-decreasing in t and the count is a prefix.
+    adds a term <= 0, so R is non-decreasing in t and the count is a prefix.
     """
-    ld_top = np.minimum(delta[1:tail0] * a_top, -_LD_CLAMP)
-    reach = np.cumsum(ld_top[::-1])[::-1]  # reach[t] = R_t, t = 0 .. tail0-2
+    reach = np.cumsum((delta[1:tail0] * a_top)[::-1])[::-1]  # reach[t] = R_t, t = 0 .. tail0-2
     return int(np.count_nonzero(reach < _LOG_UNDERFLOW))
 
 
@@ -431,10 +436,10 @@ def _walk_buffer(a):
 
 
 def _first_token(u0, b0, delta0, a):
-    """Token 0 alone (h_{-1} = 0), in the phi form: clamped ld, phi and h_0 = inp_0."""
-    ld = np.minimum(delta0 * a, -_LD_CLAMP)
-    phi = np.expm1(ld) / ld
-    return ld, phi, phi * np.multiply.outer(delta0 * u0, b0)
+    """Token 0 alone (h_{-1} = 0): ld = delta_0 A, phi(ld), phi'(ld) and h_0 = inp_0."""
+    ld = delta0 * a
+    phi, dphi = zoh_phi(ld)
+    return ld, phi, dphi, phi * np.multiply.outer(delta0 * u0, b0)
 
 
 class _ChunkTerms:
@@ -443,20 +448,14 @@ class _ChunkTerms:
     `weights(s, e)` is the (2, e - s) stack (s_t^2, s_t) of a chunk's tokens,
     so w_t = s_t B_t = weights[:, t] @ bb with bb = (v w_b, b_b); `w_sums`
     turns token sums of (d_inner, N) terms weighted by those rows into sums
-    weighted by w_t.  M = v / A exists when some kept chunk can be unclamped
-    (d_top is the max of delta over the kept tokens); A is then bounded away
-    from zero.  e_v and e_m expand v and M for the GEMM form of r_t.
+    weighted by w_t.  M = v / A, and e_m expands it for the GEMM form of r_t.
     """
 
-    def __init__(self, sc, delta, v, p: SelectiveSsmParams, a, chunk: int, d_top: float):
+    def __init__(self, sc, delta, v, p: SelectiveSsmParams, a, chunk: int):
         self.sc, self.delta, self.a = sc, delta, a
         self.bb = np.stack((v @ p.w_b, p.b_b))
-        self.vb = np.multiply.outer(v, self.bb.T).reshape(-1, 2)  # v (x) (v w_b, b_b)
-        unclamped = d_top * float(a.max()) <= -_LD_CLAMP  # max(A), the entry closest to zero
-        self.m = v[:, None] / a if unclamped else None
-        n = a.shape[1]
-        self.e_v = _expansion(v[:, None], n)  # w @ e_v = v (x) w
-        self.e_m = _expansion(self.m, n) if unclamped else None  # w @ e_m = M (x) w
+        self.m = v[:, None] / a
+        self.e_m = _expansion(self.m, a.shape[1])  # w @ e_m = M (x) w
         self.bufs = np.empty((5, chunk) + a.shape, dtype=DTYPE)
 
     def weights(self, s: int, e: int):
@@ -469,34 +468,22 @@ class _ChunkTerms:
         p = p.reshape(p.shape[:-2] + (2,) + self.a.shape)
         return np.einsum("...kcn,kn->...cn", p, self.bb)
 
-    def scan(self, s: int, e: int, clamp: bool):
-        """ld, decay = exp(S) (S the inclusive cumsum of ld), F, r and inp = F * r.
-
-        Unclamped: F = expm1(ld) and r = M (x) w_t, with S in the factored
-        form A * cumsum(delta).  Clamp chunks: ld <= -_LD_CLAMP,
-        F = phi = expm1(ld) / ld and r = delta_t v (x) w_t.
-        """
+    def scan(self, s: int, e: int):
+        """ld, decay = exp(S) (S = A * cumsum(delta), the inclusive cumsum of ld),
+        F = expm1(ld), r = M (x) w_t and inp = F * r."""
         ld, decay, f, r, inp = self.bufs[:, : e - s]
         dl = self.delta[s:e]
         np.multiply(dl[:, None, None], self.a, out=ld)
-        if clamp:
-            np.minimum(ld, -_LD_CLAMP, out=ld)
-            _scan(ld, decay)
-        else:
-            np.multiply(np.cumsum(dl)[:, None, None], self.a, out=decay)
+        np.multiply(np.cumsum(dl)[:, None, None], self.a, out=decay)
         np.exp(decay, out=decay)
         np.expm1(ld, out=f)
-        w = self.weights(s, e).T @ self.bb
-        if clamp:
-            f /= ld
-            w *= dl[:, None]
-        np.matmul(w, self.e_v if clamp else self.e_m, out=r.reshape(e - s, -1))
+        np.matmul(self.weights(s, e).T @ self.bb, self.e_m, out=r.reshape(e - s, -1))
         np.multiply(f, r, out=inp)
         return ld, decay, f, r, inp
 
 
 def _expansion(x, n: int):
-    """(n, d_inner * n) E with (w @ E)[t] = (x * w[t]).ravel(), for x of shape (d_inner, n or 1).
+    """(n, d_inner * n) E with (w @ E)[t] = (x * w[t]).ravel(), for x of shape (d_inner, n).
 
     Each column of E has one nonzero entry, so the GEMM adds exact zeros to
     one product and equals the broadcast bit for bit.
@@ -525,28 +512,27 @@ def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
     draw[0] = u0 @ p.w_delta[:, 0]
     draw += p.b_delta[0]
     delta = _softplus(draw)
-    a = -np.exp(p.a_log)  # (din, N), negative
+    a = -np.exp(np.maximum(p.a_log, _A_LOG_FLOOR))  # (din, N), negative
     a_top = float(a.max())
     t0 = _horizon(delta, a_top, tail0)
-    d_top = float(delta[t0:].max())  # over the tokens the kernel walks, token 0 when t0 = 0
-    # chunk_plan's overflow guard, on max |ld| of the clamped ld = min(delta * A, -eps)
-    chunk = chunk_plan(max(d_top * float(-a.min()), _LD_CLAMP), chunk)
-    terms = _ChunkTerms(sc, delta, v, p, a, chunk, d_top)
-    # (start, end, clamp) per chunk, clamp if ld <= -_LD_CLAMP can fire: fl(delta * A) is
-    # monotone in delta and A, so min(delta) * max(A) is max(ld); a NaN delta clamps
-    walk = [(s, e, not float(delta[s:e].min()) * a_top <= -_LD_CLAMP)
+    # the overflow guard, on max |ld| over the tokens the kernel walks (token 0 when t0 = 0)
+    chunk = chunk_plan(float(delta[t0:].max()) * float(-a.min()), chunk)
+    terms = _ChunkTerms(sc, delta, v, p, a, chunk)
+    # (start, end, small) per chunk, small if some ld is above -PHI_CUTOFF: fl(delta * A)
+    # is monotone in delta and A, so min(delta) * max(A) is max(ld); a NaN delta is small
+    walk = [(s, e, not float(delta[s:e].min()) * a_top <= -PHI_CUTOFF)
             for s, e in _chunk_spans(max(t0, 1), tail0, total, chunk)]
     bounds = np.empty((len(walk),) + a.shape, dtype=DTYPE)  # state entering each chunk
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)
     out = np.empty((xi, w_a.shape[1]), dtype=DTYPE)
     if t0 == 0:  # h_0 = inp_0
-        h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[2]
+        h = _first_token(u0, u0 @ p.w_b + p.b_b, delta[0], a)[3]
     else:  # the horizon passed token 0
         h = np.zeros(a.shape, dtype=DTYPE)
     with _walk_buffer(a):
-        for k, (s, e, clamp) in enumerate(walk):
+        for k, (s, e, _) in enumerate(walk):
             bounds[k] = h
-            _, decay, _, _, inp = terms.scan(s, e, clamp)
+            _, decay, _, _, inp = terms.scan(s, e)
             hs = states[: e - s + 1]
             hs[0] = h
             linear_recurrence(decay, inp, hs)
@@ -557,7 +543,7 @@ def _ssm_stream_forward(emb: np.ndarray, sc: np.ndarray, w_a: np.ndarray,
                 rows = out[s - tail0 : e - tail0]
                 np.matmul(y, p.w_out, out=rows)
                 rows += tail  # residual
-    cache = dict(emb=emb, u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk, d_top=d_top,
+    cache = dict(emb=emb, u0=u0, v=v, draw=draw, delta=delta, a=a, t0=t0, chunk=chunk,
                  walk=walk, bounds=bounds)
     return out, cache
 
@@ -568,23 +554,24 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
 
     Per chunk, in reverse, the adjoint lambda_t = g_h_t + exp(ld_{t+1}) lambda_{t+1}
     enters as carry = exp(ld_e) lambda_e from the chunk after, and ld's
-    gradient is g_ld_t = lambda_t (exp(ld_t) h_{t-1} + F'(ld_t) r_t).
-    Unclamped, F' = exp(ld) and g_ld_t = lambda_t exp(ld_t) (h_{t-1} + M w_t).
+    gradient with M held fixed is g_ld_t = lambda_t exp(ld_t) (h_{t-1} + M w_t).
+    A small-|ld| chunk takes a_log's share through inp in one term (the comment
+    above `_chunk_spans`), so its g_a keeps only the decay's lambda_t exp(ld_t) h_{t-1}.
     """
     sc, delta, a, u0, v = (cache[k] for k in ("tokens", "delta", "a", "u0", "v"))
     bounds, t0, chunk, walk = (cache[k] for k in ("bounds", "t0", "chunk", "walk"))
     total, xi = sc.shape[0], g_tail.shape[0]
     tail0 = total - xi
 
-    terms = _ChunkTerms(sc, delta, v, p, a, chunk, cache["d_top"])
+    terms = _ChunkTerms(sc, delta, v, p, a, chunk)
     states = np.empty((chunk + 1,) + a.shape, dtype=DTYPE)  # h_{s-1} .. h_{e-1}
     lam_buf = np.empty((chunk,) + a.shape, dtype=DTYPE)
     a_flat = a.ravel()
     g_delta = np.empty(total, dtype=DTYPE)
     g_delta[:t0] = 0.0  # before the horizon
     g_a = np.zeros(a.shape, dtype=DTYPE)  # through ld = delta A
-    g_m = np.zeros(a.shape, dtype=DTYPE)  # into M, from unclamped chunks
-    g_vn = np.zeros(a.shape, dtype=DTYPE)  # into v (x) 1, from clamp chunks' r
+    g_m = np.zeros((2,) + a.shape, dtype=DTYPE)  # into M, from [0] other and [1] small-|ld| chunks
+    g_psi = np.zeros(a.shape, dtype=DTYPE)  # sum_t lambda_t psi(ld_t) w_t, small-|ld| chunks
     g_w = np.zeros((2,) + a.shape[1:], dtype=DTYPE)  # sum_t weights[:, t] dL/dw_t
     g_w_out = np.zeros(p.w_out.shape, dtype=DTYPE)
     g_w_gate = np.zeros(p.w_gate.shape, dtype=DTYPE)
@@ -594,10 +581,10 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     carry = np.zeros(a.shape, dtype=DTYPE)
     with _walk_buffer(a):
         for k in range(len(walk) - 1, -1, -1):
-            s, e, clamp = walk[k]
+            s, e, small = walk[k]
             c = e - s
-            dl, ws = delta[s:e], terms.weights(s, e)
-            ld, decay, f, r, inp = terms.scan(s, e, clamp)
+            ws = terms.weights(s, e)
+            ld, decay, f, r, inp = terms.scan(s, e)
             hs = states[: c + 1]
             hs[0] = bounds[k]
             linear_recurrence(decay, inp, hs)
@@ -623,38 +610,28 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
             else:  # g_h = 0 before the tail
                 lam[...] = 0.0
             linear_recurrence_backward(decay, lam, carry)
-            eld = np.exp(ld, out=decay) if clamp else np.add(f, 1.0, out=decay)
+            eld = np.add(f, 1.0, out=decay)  # exp(ld)
             carry = eld[0] * lam[0]
-            g_ld = inp
-            if clamp:  # phi'(ld) = (exp(ld) - phi) / ld
-                np.subtract(eld, f, out=g_ld)
-                g_ld /= ld
-                g_ld *= r
-                np.multiply(eld, hs[:c], out=ld)
-                g_ld += ld
-            else:
-                np.add(hs[:c], r, out=g_ld)
-                g_ld *= eld
+            g_ld = np.add(hs[:c], r, out=inp)
+            g_ld *= eld
             g_ld *= lam
             g2 = g_ld.reshape(c, -1)
             g_delta[s:e] = g2 @ a_flat
-            g_a += (dl @ g2).reshape(a.shape)
+            if small:  # a_log's share through inp in one term; g_a keeps the decay's
+                lpsi = ld * ld * zoh_phi(ld)[1] * lam
+                g_psi += terms.w_sums(ws @ lpsi.reshape(c, -1))
+                g2 = (eld * hs[:c] * lam).reshape(c, -1)
+            g_a += (delta[s:e] @ g2).reshape(a.shape)
             lf = np.multiply(lam, f, out=lam).reshape(c, -1)  # lambda_t F_t, the gradient into r_t
-            fixed, g_fixed = terms.m, g_m  # r_t = M (x) w_t
-            if clamp:  # r_t = delta_t v (x) w_t, with delta_t's own gradient
-                g_delta[s:e] += np.einsum("jk,kj->j", lf @ terms.vb, ws)
-                ws, fixed, g_fixed = ws * dl, v[:, None], g_vn
             pw = ws @ lf
-            g_fixed += terms.w_sums(pw)
-            g_w += (pw.reshape((2,) + a.shape) * fixed).sum(axis=1)
+            g_m[int(small)] += terms.w_sums(pw)
+            g_w += (pw.reshape((2,) + a.shape) * terms.m).sum(axis=1)
 
     # token 0 receives lambda_0 = carry (0 past the horizon) and has no decay term (h_{-1} = 0)
     if t0:
         carry = np.zeros(a.shape, dtype=DTYPE)
     b0 = u0 @ p.w_b + p.b_b
-    ld0, phi0, _ = _first_token(u0, b0, delta[0], a)
-    g_ld0 = np.exp(ld0) - phi0
-    g_ld0 /= ld0
+    _, phi0, g_ld0, _ = _first_token(u0, b0, delta[0], a)
     g_ld0 *= carry
     g_ld0 *= np.multiply.outer(delta[0] * u0, b0)
     lp = carry * phi0
@@ -671,10 +648,10 @@ def _ssm_stream_backward(g_tail: np.ndarray, p: SelectiveSsmParams, w_a: np.ndar
     g_draw[kept] *= _sigmoid(draw[kept])
     g_dv = sc @ g_draw  # sc[0] = 0: token 0 is not rank-1
     g_alog = g_a * a  # A = -exp(a_log)
-    g_v = g_vn.sum(axis=1) + p.w_b @ g_w[0] + p.w_c @ g_cv + p.w_delta[:, 0] * g_dv
-    if terms.m is not None:  # M = v / A
-        g_alog -= g_m * terms.m
-        g_v += (g_m / a).sum(axis=1)
+    g_alog += (g_psi - g_m[0]) * terms.m  # M = v / A
+    g_alog[p.a_log < _A_LOG_FLOOR] = 0.0  # A is constant below the floor
+    g_v = (p.w_b @ g_w[0] + p.w_c @ g_cv + p.w_delta[:, 0] * g_dv
+           + (g_m.sum(axis=0) / a).sum(axis=1))
     g_u0 += p.w_b @ g_b0 + p.w_delta[:, 0] * g_draw[0]
     grads["slow.a_log"] = g_alog
     grads["slow.w_b"] = np.multiply.outer(v, g_w[0]) + np.multiply.outer(u0, g_b0)

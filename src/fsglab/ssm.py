@@ -4,9 +4,10 @@ Continuous parameters (A, B) with step size delta are discretized by
 zero-order hold:
 
     a_bar = exp(delta * A)
-    b_bar = (delta * A)^-1 (exp(delta * A) - 1) * delta * B
+    b_bar = (delta * A)^-1 (exp(delta * A) - 1) * delta * B = phi(delta * A) * delta * B
 
-with the analytic limit b_bar = delta * B taken when |delta * A| < 1e-8.
+with phi(x) = expm1(x) / x from `zoh_phi`, which takes its Taylor series near
+0 (phi(0) = 1, so b_bar = delta * B where A = 0).
 The discrete system is the linear recurrence
 
     h_t = a_bar h_{t-1} + b_bar x_t,      y_t = C h_t
@@ -37,12 +38,33 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 from .tensor import DTYPE
 
-ZOH_EPS = 1e-8
+# |x| below which `zoh_phi` takes the Taylor series; above it the difference
+# (exp(x) - phi) / x loses at most about 1e-15 / |x| of phi' to cancellation
+PHI_CUTOFF = 1e-2
+_PHI_TERMS = 10  # series terms, to x^9: truncated below 1e-26 relative under PHI_CUTOFF
 _CHUNK_LOG_LIMIT = 600.0  # exp() overflows around 709; stay clear
 # rows per block of `_scan`: each block is summed by one GEMM against a triangle of ones
 _SCAN_BLOCK = 16
 _LOWER = np.tri(_SCAN_BLOCK)
 _UPPER = np.ascontiguousarray(_LOWER.T)
+
+
+def zoh_phi(x):
+    """phi(x) = expm1(x) / x and phi'(x), elementwise in x's dtype; phi(0) = 1, phi'(0) = 1/2.
+
+    Below |x| = PHI_CUTOFF both are Taylor series, sum_n x^n / (n + 1)! and
+    sum_n (n + 1) x^n / (n + 2)!, by Horner's rule on the ratios of their
+    coefficients; above it, expm1(x) / x and (exp(x) - phi) / x.
+    """
+    x = np.asarray(x)
+    small = np.abs(x) < PHI_CUTOFF
+    safe, t = np.where(small, 1.0, x), np.where(small, x, 0.0)
+    p = q = 1.0
+    for n in range(_PHI_TERMS - 1, 0, -1):
+        p = 1.0 + t * p / (n + 1)
+        q = 1.0 + t * q * (n + 1) / (n * (n + 2))
+    phi = np.where(small, p, np.expm1(x) / safe)
+    return phi, np.where(small, q / 2, (np.exp(x) - phi) / safe)
 
 
 def discretize_zoh(a, b, delta):
@@ -54,14 +76,7 @@ def discretize_zoh(a, b, delta):
     if bad.any():
         raise DomainError(f"delta must be finite and positive, got {float(delta[bad].flat[0])!r}")
     da = delta * a
-    a_bar = np.exp(da)
-    # (da)^-1 (exp(da) - 1) == expm1(da) / da; below ZOH_EPS the analytic
-    # limit b_bar = delta * b applies
-    small = np.abs(da) < ZOH_EPS
-    safe = np.where(small, 1.0, da)
-    phi = np.where(small, 1.0, np.expm1(da) / safe)
-    b_bar = phi * delta * b
-    return a_bar, b_bar
+    return np.exp(da), zoh_phi(da)[0] * delta * b
 
 
 def _system(a_bar, b_bar, c, x):

@@ -465,7 +465,8 @@ class FsgTrainer(_TrainerBase):
     def _checked_restore(self, arrays: dict):
         assign_base = super()._checked_restore(arrays)
         hyper = _checked_slots("hyper", self.bundle.named_params(), arrays)
-        history, prev_grad = {}, {}
+        # a checkpoint omits an empty buffer and a None gradient; a restore sets them too
+        history, prev_grad = {}, dict.fromkeys(self.bin_indices)
         for i in self.bin_indices:
             name, buf = f"history.layer{i}", self.buffers[i]
             if name in arrays:
@@ -478,7 +479,7 @@ class FsgTrainer(_TrainerBase):
         def assign():
             assign_base()
             self.hyper_state = hyper
-            for i, rows in history.items():
-                self.buffers[i].load(rows)
+            for i, buf in self.buffers.items():
+                buf.load(history.get(i, ()))
             self.prev_quant_grad.update(prev_grad)
         return assign

@@ -73,9 +73,9 @@ def test_matches_reference_block(dims, xi, l, chunk):
     assert (cache["chunk"] == 1) == (chunk == 1)
 
 
-def clamp_kinds(cache):
-    """Whether each chunk's clamp test fires, in chunk order."""
-    return [clamp for _, _, clamp in cache["walk"]]
+def small_kinds(cache):
+    """Whether each chunk has an ld above -PHI_CUTOFF (a small-|ld| chunk), in chunk order."""
+    return [small for _, _, small in cache["walk"]]
 
 
 @pytest.mark.parametrize("dims", [(4, 3, 2), (3, 2, 1)])
@@ -93,8 +93,8 @@ def test_one_token_remainder_chunks(dims):
 
 def test_clamp_and_unclamped_chunks_in_one_sequence():
     # b_delta = -19.5 and |s_t v w_delta| in [19.5, 22.5]: delta_t = softplus(0..3)
-    # on positive pre-activations and softplus(-42..-39) < 1e-16 (clamped) on
-    # negative ones
+    # on positive pre-activations and softplus(-42..-39) < 1e-16 (delta |A| below
+    # 1e-12, small-|ld| chunks) on negative ones
     bundle = o1_bundle(22)
     p = bundle.slow
     p.b_delta[...] = -19.5
@@ -105,27 +105,28 @@ def test_clamp_and_unclamped_chunks_in_one_sequence():
     sign = np.empty(xi * l)
     for k, (s, e) in enumerate(zip(starts, starts[1:] + [xi * l + 1])):
         sign[s - 1 : e - 1] = (-1.0) ** k
-    sign[7] = 1.0  # one unclamped token inside a clamp chunk
+    sign[7] = 1.0  # one token with |ld| >= PHI_CUTOFF inside a small-|ld| chunk
     history = sign * (19.5 + 3.0 * Rng(25).uniforms(xi * l)) / dv
     cache = check_against_reference(bundle, history, (xi,), chunk)
-    kinds = clamp_kinds(cache)
+    kinds = small_kinds(cache)
     assert cache["chunk"] == chunk and [s for s, _, _ in cache["walk"]] == starts
     assert any(kinds[:-3]) and not all(kinds[:-3])  # before the tail
     assert any(kinds[-3:]) and not all(kinds[-3:])  # in the tail
 
 
-@pytest.mark.parametrize("a_log,b_delta,clamped", [
-    (-800.0, 0.0, True),  # A underflows to -0 on one channel: every chunk clamps
+@pytest.mark.parametrize("a_log,b_delta,tiny", [
+    (-800.0, 0.0, True),  # below _A_LOG_FLOOR on one channel (exp(-800) is 0.0): A = -exp(floor)
     (-30.0, 0.0, True),  # |A| ~ 1e-13 and delta ~ 1: delta |A| < 1e-12
     (-30.0, 25.0, False),  # delta ~ 25 lifts delta |A| above 1e-12: M = v / A ~ 1e13
 ])
-def test_near_zero_a(a_log, b_delta, clamped):
+def test_near_zero_a(a_log, b_delta, tiny):
     bundle = o1_bundle(23)
     bundle.slow.a_log[0] = a_log
     bundle.slow.b_delta[...] = b_delta
     xi, l = 12, 5
     cache = check_against_reference(bundle, Rng(24).normals(xi * l), (xi,), 5)
-    assert all(clamp_kinds(cache)) == clamped
+    assert bool((cache["delta"] * float(-cache["a"][0].min()) < 1e-12).all()) == tiny
+    assert all(small_kinds(cache))  # the near-zero channel's ld is in every chunk
 
 
 def test_forced_chunk_shrink():
@@ -145,11 +146,40 @@ def test_stepping_fallback():
 @pytest.mark.parametrize("b_delta", [-30.0, -800.0])
 def test_ld_clamp(b_delta):
     # softplus of a very negative pre-activation gives delta * |A| < 1e-12
-    # (at -800 it underflows to zero), so the clamp on ld fires
+    # (at -800 it underflows to zero, and so do ld and the scan input)
     bundle = o1_bundle(7)
     bundle.slow.b_delta[...] = b_delta
     cache = check_against_reference(bundle, Rng(8).normals(60), (12,), 5)
     assert float(cache["delta"].min()) * float(cache["a"].max()) > -1e-12
+    assert all(small_kinds(cache))
+
+
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+@pytest.mark.skipif(not LONGDOUBLE_IS_WIDER,
+                    reason="np.longdouble is float64 here, so the oracle cannot be run wider")
+@pytest.mark.parametrize("b_delta", [-15.0, -20.0, -25.0, -27.0, -30.0, -800.0])
+def test_small_ld_matches_longdouble_oracle(b_delta):
+    """At delta |A| from 1e-7 down to 0, the production block and the float64 oracle
+    against the oracle run in np.longdouble, each value rounded to float64 (at -800 the
+    exact delta, 1e-348, and the gradients it scales round to 0.0).  The a_log gradient
+    is where the shares through ld and through M = v / A, or phi' taken as
+    (exp(ld) - phi) / ld, would cancel to about 1e-16 / |ld|."""
+    bundle = o1_bundle(7)
+    bundle.slow.b_delta[...] = b_delta
+    history, cot = Rng(8).normals(60), Rng(5).normals((12,))
+    exact_out, exact = slow_net(1, history, bundle, (12,), cot, dtype=np.longdouble)
+    ref_out, ref = slow_net(1, history, bundle, (12,), cot)
+    out, cache = slow_forward_cached(1, history, bundle, (12,), chunk=5)
+    grads = slow_backward(1, None, bundle, (12,), cot, cache=cache)
+    assert all(small_kinds(cache))
+    assert exact_out.dtype == np.longdouble
+    for got_out, got in ((out, grads), (ref_out, ref)):
+        assert rel_err(got_out, exact_out.astype(np.float64)) < TOL
+        assert sorted(got) == sorted(exact)
+        for name, g in exact.items():
+            assert rel_err(got[name], g.astype(np.float64)) < TOL, name
 
 
 @pytest.mark.parametrize("chunk", [2, 6])
@@ -267,10 +297,9 @@ def test_blocked_scan_matches_cumsum(length, inner, reverse):
     assert rel_err(in_place, ref) < 1e-14
 
 
-@pytest.mark.parametrize("clamp", [False, True])
-def test_expansion_gemms_equal_broadcasts(clamp):
-    """r = M (x) w_t (or delta_t v (x) w_t in clamp chunks) from `_ChunkTerms.scan`'s GEMM
-    against the fixed expansion, bit for bit, with zero and negative history scalars."""
+def test_expansion_gemms_equal_broadcasts():
+    """r = M (x) w_t from `_ChunkTerms.scan`'s GEMM against the fixed expansion, bit for
+    bit, with zero and negative history scalars."""
     bundle = o1_bundle(28, 16, 8, 2)
     p = bundle.slow
     history = Rng(29).normals(40)
@@ -279,20 +308,14 @@ def test_expansion_gemms_equal_broadcasts(clamp):
     v = bundle.w_a[0] @ p.w_in
     a = -np.exp(p.a_log)
     delta = hypernet._softplus(np.concatenate(([0.0], history)) * (v @ p.w_delta[:, 0]) + 0.3)
-    terms = hypernet._ChunkTerms(history, delta, v, p, a, 16, float(delta.max()))
+    terms = hypernet._ChunkTerms(history, delta, v, p, a, 16)
     s, e = 3, 19
-    r = terms.scan(s, e, clamp)[3]
+    r = terms.scan(s, e)[3]
     ws = terms.weights(s, e)
     assert np.array_equal(ws, [history[s:e] ** 2, history[s:e]])
     w = ws.T @ terms.bb  # w_t = s_t B_t
     assert (w == 0.0).any() and (w < 0.0).any()
-    if clamp:
-        ref = v[:, None] * (w * delta[s:e, None])[:, None, :]
-    else:
-        ref = terms.m * w[:, None, :]
-    assert np.array_equal(r, ref)
-    assert np.array_equal(w @ hypernet._expansion(terms.m, 8),
-                          (terms.m * w[:, None, :]).reshape(e - s, -1))
+    assert np.array_equal(r, terms.m * w[:, None, :])
 
 
 def test_memory_bound_at_paper_dims():
@@ -363,9 +386,9 @@ def test_horizon_with_clamp_and_unclamped_chunks_on_both_sides():
     cache = check_against_reference(bundle, history, (xi,), chunk)
     t0, tail0 = cache["t0"], xi * (l - 1) + 1
     assert cache["chunk"] == chunk and t0 > 1
-    clamped = cache["delta"] * float(cache["a"].max()) > -1e-12
-    assert clamped[1:t0].any() and not clamped[1:t0].all()  # dropped
-    kinds = clamp_kinds(cache)
+    small = cache["delta"] * float(cache["a"].max()) > -ssm.PHI_CUTOFF
+    assert small[1:t0].any() and not small[1:t0].all()  # dropped
+    kinds = small_kinds(cache)
     n_pre = -(-(tail0 - t0) // chunk)
     assert any(kinds[:n_pre]) and not all(kinds[:n_pre])  # kept, before the tail
     assert any(kinds[n_pre:]) and not all(kinds[n_pre:])  # in the tail

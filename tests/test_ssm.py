@@ -6,12 +6,14 @@ import pytest
 from fsglab.errors import ContractError, DimensionError, DomainError
 from fsglab.rng import Rng
 from fsglab.ssm import (
+    PHI_CUTOFF,
     discretize_zoh,
     linear_recurrence,
     linear_recurrence_backward,
     ssm_conv,
     ssm_conv_kernel,
     ssm_scan,
+    zoh_phi,
 )
 from fsglab.tensor import finite_diff_check
 
@@ -46,6 +48,14 @@ class TestDiscretize:
         assert float(a_bar) == 1.0
         assert float(b_bar) == 0.75
 
+    @pytest.mark.parametrize("da", [1e-9, -1e-9, 1e-12, -1e-12])
+    def test_tiny_da_takes_the_series(self, da):
+        """b_bar = phi(delta A) delta B with phi = 1 + x / 2 + x^2 / 6 + ... to 1e-15 relative,
+        where phi = 1 would be 5e-10 (5e-13) off.  delta = 0.5 scales exactly."""
+        _, b_bar = discretize_zoh(np.array(2.0 * da), np.array(1.0), np.array(0.5))
+        series = 1.0 + da / 2.0 + da * da / 6.0
+        assert abs(2.0 * float(b_bar) - series) <= 1e-15 * series
+
     def test_nonpositive_delta(self):
         with pytest.raises(DomainError):
             discretize_zoh(np.array(-1.0), np.array(1.0), np.array(0.0))
@@ -55,6 +65,52 @@ class TestDiscretize:
         # NaN compares False with 0 and an infinite delta makes b_bar 0 * inf: both would be NaN
         with pytest.raises(DomainError, match="finite and positive"):
             discretize_zoh(np.array(-1.0), np.array(1.0), np.array([0.1, bad]))
+
+
+def phi_exact(x):
+    """phi(x) = expm1(x) / x and phi'(x) in np.longdouble: 40 Taylor terms below |x| = 1,
+    the closed forms (no cancellation there) above."""
+    x = np.longdouble(x)
+    if abs(x) >= 1.0:
+        return np.expm1(x) / x, (x * np.exp(x) - np.expm1(x)) / (x * x)
+    n = np.arange(40, dtype=np.longdouble)
+    fact = np.cumprod(n + 1.0)  # (n + 1)!
+    with np.errstate(under="ignore"):
+        powers = x ** n
+    return np.sum(powers / fact), np.sum((n + 1.0) * powers / (fact * (n + 2.0)))
+
+
+PHI_GRID = [0.0, 1e-300, -1e-300, 0.999999 * PHI_CUTOFF, -0.999999 * PHI_CUTOFF,
+            PHI_CUTOFF, -PHI_CUTOFF, 1.000001 * PHI_CUTOFF, -1.000001 * PHI_CUTOFF,
+            -0.69, -30.0, -700.0]
+
+
+class TestZohPhi:
+    def test_limits_at_zero_are_exact(self):
+        phi, dphi = zoh_phi(np.zeros(3))
+        assert np.array_equal(phi, np.ones(3)) and np.array_equal(dphi, np.full(3, 0.5))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("x", PHI_GRID)
+    def test_matches_longdouble(self, x, dtype):
+        """Within 5 eps of the dtype below the cutoff; above it phi' is (exp(x) - phi) / x, a
+        difference of two O(1) terms near x / 2, so it may lose up to 1 / |x| of that.  No
+        numpy floating-point error is raised, underflow included."""
+        phi_ref, dphi_ref = phi_exact(x)
+        with np.errstate(all="raise"):
+            phi, dphi = zoh_phi(dtype(x))
+        assert phi.dtype == dphi.dtype == dtype
+        eps = np.finfo(dtype).eps
+        cancel = 1.0 if abs(x) < PHI_CUTOFF else max(1.0, 1.0 / abs(x))
+        assert abs(phi - phi_ref) <= 5.0 * eps * phi_ref
+        assert abs(dphi - dphi_ref) <= 5.0 * eps * cancel * dphi_ref
+
+    def test_above_cutoff_keeps_the_closed_forms(self):
+        """Bit for bit expm1(x) / x and (exp(x) - phi) / x at and above the cutoff."""
+        x = -np.geomspace(PHI_CUTOFF, 700.0, 50)
+        phi, dphi = zoh_phi(x)
+        assert np.array_equal(phi, np.expm1(x) / x)
+        assert np.array_equal(dphi, (np.exp(x) - phi) / x)
 
 
 class TestScan:

@@ -407,6 +407,27 @@ class TestIntegration:
         assert repr(other.train_epoch(blobs.x, blobs.y)) == repr(rec_next)
         assert other.params_checksum() == tr.params_checksum()
 
+    def test_restore_clears_what_the_checkpoint_does_not_hold(self, blobs, tmp_path):
+        """An iteration-0 checkpoint holds no history rows and no previous gradient; loading
+        it into a trained trainer leaves every state field equal to the fresh trainer's."""
+        cfg = toy_config(fast_kind="mlp", slow_kind="selective-ssm",
+                         base_optimizer=OptimizerConfig(kind="adam", lr=1e-3))
+        fresh = FsgTrainer(Model.build(TOY_LAYERS, Rng(8)), cfg)
+        path = tmp_path / "fresh.npz"
+        fresh.save_checkpoint(path)
+        used = FsgTrainer(Model.build(TOY_LAYERS, Rng(8)), cfg)
+        used.train_epoch(blobs.x, blobs.y)
+        assert len(used.buffers[3]) == 3 and used.prev_quant_grad[3] is not None
+        used.load_checkpoint(path)
+
+        def state(tr):
+            arrays = {name: (a.dtype, a.tobytes()) for name, a in tr._checkpoint_arrays().items()}
+            return (arrays, {i: [e.tobytes() for e in b.entries()] for i, b in tr.buffers.items()},
+                    {i: None if g is None else g.tobytes() for i, g in tr.prev_quant_grad.items()})
+        assert used.iteration == 0 and len(used.buffers[3]) == 0
+        assert used.prev_quant_grad == {3: None}
+        assert state(used) == state(fresh)
+
     @pytest.mark.parametrize("corrupt", ["cut_lre", "drop_w_in", "cut_hyper_slots",
                                          "cut_base_slot", "narrow_history",
                                          "long_history", "transposed_prev_grad",
